@@ -2,8 +2,10 @@
 audit datasets, and run the theory verification suite.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid input,
-3 infeasible capacities. All randomness flows from --seed (default 0);
-repeated invocations with identical flags produce byte-identical outputs.
+3 infeasible capacities, 4 internal error (a broken internal invariant, such
+as the additive identity; reported as one line on stderr, no traceback).
+All randomness flows from --seed (default 0); repeated invocations with
+identical flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .audit import (
     write_report_bundle,
 )
 from .core import CapacityVector, Population, delta_metrics
-from .errors import FairallocError, InfeasibleError
+from .errors import DataValidationError, FairallocError, InfeasibleError
 from .policies import (
     DEFAULT_TIE_BREAK_SCALE,
     KIND_BEST,
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _thread_count(requested: int) -> int:
@@ -65,24 +68,66 @@ def _thread_count(requested: int) -> int:
 
 def load_population_csv(path: str) -> tuple[list[str], Population]:
     """Read a population CSV: ``id``, utility columns ``u_1..u_K``, and any
-    number of 0/1 group columns."""
+    number of 0/1 group columns.
+
+    Row-level problems (wrong field count, non-finite utility, group value
+    other than 0/1, duplicate id) are collected with their 1-based line
+    numbers (the header is line 1) and raised together.
+
+    Raises:
+        DataValidationError: if any row fails validation.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise FairallocError("schema-mismatch: empty population file")
         util_cols = sorted(
-            (c for c in reader.fieldnames if re.fullmatch(r"u_\d+", c)),
+            (c for c in header if re.fullmatch(r"u_\d+", c)),
             key=lambda c: int(c.split("_")[1]),
         )
         if not util_cols:
             raise FairallocError("schema-mismatch: no u_<k> utility columns found")
-        group_cols = [c for c in reader.fieldnames if c != "id" and c not in util_cols]
+        group_cols = [c for c in header if c != "id" and c not in util_cols]
         ids, rows, groups = [], [], {c: [] for c in group_cols}
-        for record in reader:
-            ids.append(record.get("id", str(len(ids) + 1)))
-            rows.append([float(record[c]) for c in util_cols])
+        errors: list[str] = []
+        id_lines: dict[str, int] = {}
+        for line, row in enumerate(reader, start=2):
+            if not row:  # blank line
+                continue
+            if len(row) != len(header):
+                errors.append(f"schema-mismatch(line {line}): expected {len(header)} fields")
+                continue
+            record = dict(zip(header, row))
+            row_errors = []
+            values = []
+            for c in util_cols:
+                raw = record[c]
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = np.nan
+                if not np.isfinite(value):
+                    row_errors.append(f"range-violation(line {line}): {c}={raw!r} is not finite")
+                values.append(value)
             for c in group_cols:
-                groups[c].append(int(record[c]))
+                if record[c] not in ("0", "1"):
+                    row_errors.append(
+                        f"range-violation(line {line}): {c}={record[c]!r} must be 0 or 1"
+                    )
+            if "id" in record:
+                if record["id"] in id_lines:
+                    row_errors.append(f"duplicate-id(line {line}): {record['id']!r} "
+                                      f"already on line {id_lines[record['id']]}")
+                id_lines.setdefault(record["id"], line)
+            errors += row_errors
+            if not row_errors:
+                ids.append(record.get("id", str(len(ids) + 1)))
+                rows.append(values)
+                for c in group_cols:
+                    groups[c].append(int(record[c]))
+    if errors:
+        raise DataValidationError(errors)
     pop = Population(utilities=np.array(rows), groups={c: np.array(v) for c, v in groups.items()})
     return ids, pop
 
@@ -238,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

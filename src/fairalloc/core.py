@@ -188,41 +188,51 @@ def _group_indices(pop: Population, attribute: str, group_value: int) -> np.ndar
     return mask
 
 
+def metric_rows(pop: Population, alloc: Allocation) -> dict[str, np.ndarray | None]:
+    """Per-individual improvement, regret, gain, shortfall and ``delta_u``
+    from one envelope pass; gain and shortfall are None when the ratio is
+    undefined. Every group mean and delta is read from these rows."""
+    env = envelope(pop)
+    realized = alloc.realized(pop)
+    ratio = env.ratio_defined
+    return {
+        "improvement": realized - env.u_min,
+        "regret": env.u_max - realized,
+        "gain": realized / env.u_min if ratio else None,
+        "shortfall": realized / env.u_max if ratio else None,
+        "delta_u": env.delta_u,
+    }
+
+
+def _group_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int,
+                metric: str) -> float:
+    mask = _group_indices(pop, attribute, group_value)
+    row = metric_rows(pop, alloc)[metric]
+    if row is None:
+        raise RatioUndefinedError(
+            "ratio-undefined: multiplicative metrics need strictly positive utilities"
+        )
+    return float(np.mean(row[mask]))
+
+
 def improvement_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
     """Group mean of (realized utility - worst-service utility)."""
-    mask = _group_indices(pop, attribute, group_value)
-    env = envelope(pop)
-    return float(np.mean(alloc.realized(pop)[mask] - env.u_min[mask]))
+    return _group_mean(pop, alloc, attribute, group_value, "improvement")
 
 
 def regret_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
     """Group mean of (best-service utility - realized utility)."""
-    mask = _group_indices(pop, attribute, group_value)
-    env = envelope(pop)
-    return float(np.mean(env.u_max[mask] - alloc.realized(pop)[mask]))
-
-
-def _require_ratio(pop: Population) -> UtilityEnvelope:
-    env = envelope(pop)
-    if not env.ratio_defined:
-        raise RatioUndefinedError(
-            "ratio-undefined: multiplicative metrics need strictly positive utilities"
-        )
-    return env
+    return _group_mean(pop, alloc, attribute, group_value, "regret")
 
 
 def gain_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
     """Group mean of (realized utility / worst-service utility); >= 1."""
-    mask = _group_indices(pop, attribute, group_value)
-    env = _require_ratio(pop)
-    return float(np.mean(alloc.realized(pop)[mask] / env.u_min[mask]))
+    return _group_mean(pop, alloc, attribute, group_value, "gain")
 
 
 def shortfall_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
     """Group mean of (realized utility / best-service utility); in (0, 1]."""
-    mask = _group_indices(pop, attribute, group_value)
-    env = _require_ratio(pop)
-    return float(np.mean(alloc.realized(pop)[mask] / env.u_max[mask]))
+    return _group_mean(pop, alloc, attribute, group_value, "shortfall")
 
 
 def favored_group(metric: str, delta: float) -> str:
@@ -240,7 +250,9 @@ class FairnessReport:
     """Per-group metric means, group-1-minus-group-0 deltas, and verdicts.
 
     Gain/shortfall fields are None when any utility is non-positive
-    (multiplicative metrics undefined).
+    (multiplicative metrics undefined). ``mean_delta_u`` holds the group-0 and
+    group-1 means of the max gain (best - worst), the right-hand side of the
+    additive identity; it is not part of ``to_dict``.
     """
 
     attribute: str
@@ -257,6 +269,7 @@ class FairnessReport:
     delta_gain: float | None = None
     delta_shortfall: float | None = None
     favored: Mapping[str, str | None] = field(default_factory=dict)
+    mean_delta_u: tuple[float, float] | None = None
 
     @property
     def multiplicative_defined(self) -> bool:
@@ -284,47 +297,33 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
     Raises:
         EmptyGroupError: if either group of the attribute is empty.
     """
-    mask0 = _group_indices(pop, attribute, 0)
-    mask1 = _group_indices(pop, attribute, 1)
-    env = envelope(pop)
-    realized = alloc.realized(pop)
-
-    imp = [float(np.mean(realized[m] - env.u_min[m])) for m in (mask0, mask1)]
-    reg = [float(np.mean(env.u_max[m] - realized[m])) for m in (mask0, mask1)]
-    d_imp = imp[1] - imp[0]
-    d_reg = reg[1] - reg[0]
-
-    favored: dict[str, str | None] = {
-        "improvement": favored_group("improvement", d_imp),
-        "regret": favored_group("regret", d_reg),
-        "gain": None,
-        "shortfall": None,
+    masks = (_group_indices(pop, attribute, 0), _group_indices(pop, attribute, 1))
+    # one 1-D np.mean per row and group: a 2-D axis reduction sums in another
+    # order and changes the last bits of the written outputs
+    means = {
+        name: None if row is None else tuple(float(np.mean(row[m])) for m in masks)
+        for name, row in metric_rows(pop, alloc).items()
     }
-    gain = shortfall = (None, None)
-    d_gain = d_short = None
-    if env.ratio_defined:
-        gain = tuple(float(np.mean(realized[m] / env.u_min[m])) for m in (mask0, mask1))
-        shortfall = tuple(float(np.mean(realized[m] / env.u_max[m])) for m in (mask0, mask1))
-        d_gain = gain[1] - gain[0]
-        d_short = shortfall[1] - shortfall[0]
-        favored["gain"] = favored_group("gain", d_gain)
-        favored["shortfall"] = favored_group("shortfall", d_short)
-
+    deltas = {name: None if means[name] is None else means[name][1] - means[name][0]
+              for name in METRICS}
+    gain = means["gain"] or (None, None)
+    shortfall = means["shortfall"] or (None, None)
     return FairnessReport(
         attribute=attribute,
-        improvement_mean_0=imp[0],
-        improvement_mean_1=imp[1],
-        regret_mean_0=reg[0],
-        regret_mean_1=reg[1],
-        delta_improvement=d_imp,
-        delta_regret=d_reg,
+        improvement_mean_0=means["improvement"][0],
+        improvement_mean_1=means["improvement"][1],
+        regret_mean_0=means["regret"][0],
+        regret_mean_1=means["regret"][1],
+        delta_improvement=deltas["improvement"],
+        delta_regret=deltas["regret"],
         gain_mean_0=gain[0],
         gain_mean_1=gain[1],
         shortfall_mean_0=shortfall[0],
         shortfall_mean_1=shortfall[1],
-        delta_gain=d_gain,
-        delta_shortfall=d_short,
-        favored=favored,
+        delta_gain=deltas["gain"],
+        delta_shortfall=deltas["shortfall"],
+        favored={name: None if d is None else favored_group(name, d) for name, d in deltas.items()},
+        mean_delta_u=means["delta_u"],
     )
 
 

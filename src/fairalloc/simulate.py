@@ -21,6 +21,7 @@ from .core import (
     Population,
     delta_metrics,
     envelope,
+    metric_rows,
 )
 from .errors import EmptyGroupError, InfeasibleError, NoHeterogeneityError
 from .policies import Allocator, PolicySpec, allocate_mixture, compile_spec
@@ -261,12 +262,11 @@ def _replicate_once(
     pop = params.sample(pop_seed)
     alloc = allocator(pop, params.capacities, spawn_seed(pop_seed, _POLICY_STREAM))
     report = delta_metrics(pop, alloc, params.attribute)
-    env = envelope(pop)
-    g1 = pop.group_mask(params.attribute, 1)
-    du_diff = float(np.mean(env.delta_u[g1])) - float(np.mean(env.delta_u[~g1]))
-    residual = report.delta_improvement + report.delta_regret - du_diff
+    du0, du1 = report.mean_delta_u
+    residual = report.delta_improvement + report.delta_regret - (du1 - du0)
     if abs(residual) > 1e-9:
         raise RuntimeError(f"additive-identity violation: residual {residual:g}")
+    g1 = pop.group_mask(params.attribute, 1)
     best = np.argmax(pop.utilities, axis=1) + 1 == alloc.assignment
     return {
         "delta_improvement": report.delta_improvement,
@@ -275,9 +275,9 @@ def _replicate_once(
         "delta_shortfall": report.delta_shortfall,
         "best_service_fraction_group0": float(np.mean(best[~g1])),
         "best_service_fraction_group1": float(np.mean(best[g1])),
-        "mean_delta_u_group0": float(np.mean(env.delta_u[~g1])),
-        "mean_delta_u_group1": float(np.mean(env.delta_u[g1])),
-        "delta_mean_delta_u": du_diff,
+        "mean_delta_u_group0": du0,
+        "mean_delta_u_group1": du1,
+        "delta_mean_delta_u": du1 - du0,
     }
 
 
@@ -286,20 +286,12 @@ def _spec_worker(args) -> dict[str, float | None]:
     return _replicate_once(params, compile_spec(spec), base_seed, rep)
 
 
-def default_threads() -> int:
-    """Worker count from FAIRALLOC_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("FAIRALLOC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_experiment(
     params: PopulationParams,
     policy: PolicySpec | Allocator,
     replications: int,
     base_seed: int,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Replicate a policy over freshly sampled populations.
 
@@ -311,12 +303,17 @@ def run_experiment(
     reported. The additive identity (improvement delta + regret delta equals
     the group difference in mean max gain) is asserted in every replication.
 
+    ``threads`` > 1 runs the replications of a ``PolicySpec`` policy in that
+    many worker processes; the default runs them serially. The environment is
+    not consulted: the CLI applies the ``FAIRALLOC_THREADS`` cap before calling.
+
     Raises:
         ValueError: if ``replications`` < 2.
+        RuntimeError: if a replication violates the additive identity.
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    threads = default_threads() if threads is None else max(1, threads)
+    threads = max(1, threads)
 
     if isinstance(policy, PolicySpec):
         spec, allocator, label = policy, compile_spec(policy), policy.describe()
@@ -414,17 +411,14 @@ def sf1_identity(pop: Population, alloc: Allocation, params: SF1Params) -> dict[
     predictions are (pi0_hat - pi1_hat) times the spread in pooled
     type-conditional means of gain (respectively shortfall).
     """
-    env = envelope(pop)
-    realized = alloc.realized(pop)
+    rows = metric_rows(pop, alloc)
     type_b = pop.groups[params.type_attribute] == 1
     g1 = pop.group_mask(params.attribute, 1)
     pi0_hat = float(np.mean(type_b[~g1]))
     pi1_hat = float(np.mean(type_b[g1]))
 
-    gains = realized / env.u_min
-    shortfalls = realized / env.u_max
-    gain_low_r, gain_high_r = _conditional_means(gains, type_b)
-    short_low_r, short_high_r = _conditional_means(shortfalls, type_b)
+    gain_low_r, gain_high_r = _conditional_means(rows["gain"], type_b)
+    short_low_r, short_high_r = _conditional_means(rows["shortfall"], type_b)
 
     report = delta_metrics(pop, alloc, params.attribute)
     return {
@@ -684,10 +678,8 @@ def _check_additive_identity(seed: int) -> CheckOutcome:
         pop = Population(utilities, {"group": labels})
         alloc = Allocation(gen.integers(1, k + 1, n))
         report = delta_metrics(pop, alloc, "group")
-        env = envelope(pop)
-        g1 = labels == 1
-        du = float(np.mean(env.delta_u[g1])) - float(np.mean(env.delta_u[~g1]))
-        worst = max(worst, abs(report.delta_improvement + report.delta_regret - du))
+        du0, du1 = report.mean_delta_u
+        worst = max(worst, abs(report.delta_improvement + report.delta_regret - (du1 - du0)))
     return CheckOutcome(
         "additive-identity", worst <= 1e-12, f"max |dI + dR - dDU| = {worst:.3e}"
     )

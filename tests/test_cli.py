@@ -75,6 +75,55 @@ class TestSolve:
         assert (out_a / "allocation.csv").read_bytes() == (out_b / "allocation.csv").read_bytes()
 
 
+class TestPopulationCsvValidation:
+    @pytest.mark.parametrize("rows, message", [
+        ("b,0.5,1\n", "schema-mismatch(line 3): expected 4 fields"),
+        ("b,high,1.0,1\n", "range-violation(line 3): u_1='high' is not finite"),
+        ("b,0.0,1.0,2\n", "range-violation(line 3): g='2' must be 0 or 1"),
+        ("a,0.0,1.0,1\n", "duplicate-id(line 3): 'a' already on line 2"),
+    ], ids=["field-count", "non-numeric", "non-binary-group", "duplicate-id"])
+    def test_bad_row_exits_2_with_line_number(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_2,g\na,1.0,0.0,0\n" + rows)
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2,2",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+class TestInternalError:
+    def test_broken_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
+        import fairalloc.simulate as sim
+
+        true_delta_metrics = sim.delta_metrics
+
+        def flipped(pop, alloc, attribute):
+            report = true_delta_metrics(pop, alloc, attribute)
+            object.__setattr__(report, "delta_regret", -report.delta_regret)
+            return report
+
+        monkeypatch.setattr(sim, "delta_metrics", flipped)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({
+            "kind": "gaussian",
+            "means": [[0.2, 0.3, 0.4], [0.4, 0.5, 0.63]],
+            "variances": [[1e-4, 4e-4, 9e-4], [1e-4, 4e-4, 9e-4]],
+            "group_sizes": [20, 20],
+            "capacities": [20, 20, 20],
+            "policy": {"kind": "random"},
+            "replications": 3,
+            "base_seed": 0,
+        }))
+        assert run_cli("simulate", "--params", str(params_path),
+                       "--output-dir", str(tmp_path / "out")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: additive-identity violation")
+        assert not (tmp_path / "out" / "result.json").exists()
+
+
 class TestSimulate:
     def test_params_file_and_determinism(self, tmp_path):
         params = {

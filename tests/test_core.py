@@ -177,6 +177,53 @@ class TestDeltaMetrics:
             delta_metrics(pop, Allocation([1]), "g")
 
 
+class TestBitExactness:
+    """Every group mean is a 1-D ``np.mean`` over one row's masked elements
+    in index order; output digests depend on it, so these compare with ==."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel_matches_reference_means(self, seed):
+        gen = np.random.default_rng(seed)
+        n, k = int(gen.integers(2, 60)), int(gen.integers(1, 5))
+        u = gen.normal(0.5, 0.05, (n, k))
+        if seed % 2:
+            u[gen.integers(n), gen.integers(k)] = -abs(u[0, 0]) if seed % 4 == 1 else 0.0
+        n1 = (1, n - 1, int(gen.integers(1, n)))[seed % 3]  # covers groups of size 1
+        labels = np.zeros(n, dtype=np.int8)
+        labels[gen.permutation(n)[:n1]] = 1
+        assignment = gen.integers(1, k + 1, n)
+        pop, alloc = Population(u, {"g": labels}), Allocation(assignment)
+        report = delta_metrics(pop, alloc, "g")
+
+        realized = u[np.arange(n), assignment - 1]
+        u_min, u_max = u.min(axis=1), u.max(axis=1)
+        positive = bool(u_min.min() > 0.0)
+        ref = {}
+        for value in (0, 1):
+            m = labels == value
+            ref["improvement", value] = float(np.mean(realized[m] - u_min[m]))
+            ref["regret", value] = float(np.mean(u_max[m] - realized[m]))
+            ref["gain", value] = float(np.mean(realized[m] / u_min[m])) if positive else None
+            ref["shortfall", value] = float(np.mean(realized[m] / u_max[m])) if positive else None
+            assert mean_delta_u(pop, "g", value) == float(np.mean(u_max[m] - u_min[m]))
+            assert report.mean_delta_u[value] == float(np.mean(u_max[m] - u_min[m]))
+
+        wrappers = {"improvement": improvement_mean, "regret": regret_mean,
+                    "gain": gain_mean, "shortfall": shortfall_mean}
+        for metric, fn in wrappers.items():
+            r0, r1 = ref[metric, 0], ref[metric, 1]
+            assert getattr(report, f"{metric}_mean_0") == r0
+            assert getattr(report, f"{metric}_mean_1") == r1
+            assert getattr(report, f"delta_{metric}") == (None if r0 is None else r1 - r0)
+            for value in (0, 1):
+                if ref[metric, value] is None:
+                    with pytest.raises(RatioUndefinedError):
+                        fn(pop, alloc, "g", value)
+                else:
+                    assert fn(pop, alloc, "g", value) == ref[metric, value]
+        assert report.multiplicative_defined == positive
+
+
 @st.composite
 def instances(draw, positive=False, max_n=24, max_k=4):
     n = draw(st.integers(2, max_n))
