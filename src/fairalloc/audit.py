@@ -10,19 +10,14 @@ realized capacity use, so no feasibility re-check is performed.
 from __future__ import annotations
 
 import ast
-import csv
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._io import dump_json, write_text_atomic
+from ._io import CsvColumns, dump_json, expect, expect_objects, read_csv, write_text_atomic
 from .core import Allocation, FairnessReport, Population, delta_metrics, envelope
-from .errors import (
-    DataValidationError,
-    EmptyGroupError,
-    SchemaMismatchError,
-)
+from .errors import EmptyGroupError, SchemaMismatchError
 from .stats import KdeCurve, TTestResult, kde, welch_t
 
 DEFAULT_BANDWIDTH = 0.2
@@ -55,16 +50,17 @@ class AuditSchema:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AuditSchema":
-        services = tuple((s["name"], s["column"]) for s in data["services"])
-        pairs = tuple(
-            GroupPair(name=p["name"], group1=p["group1"], group0=p["group0"])
-            for p in data.get("pairs", [])
-        )
+        expect(data, "object", "audit config")
         return cls(
-            services=services,
+            services=tuple(
+                (s["name"], s["column"]) for s in expect_objects(data["services"], "services")
+            ),
             observed_column=data["observed"],
-            group_columns=dict(data.get("groups", {})),
-            pairs=pairs,
+            group_columns=dict(expect(data.get("groups", {}), "object", "groups")),
+            pairs=tuple(
+                GroupPair(name=p["name"], group1=p["group1"], group0=p["group0"])
+                for p in expect_objects(data.get("pairs", []), "pairs")
+            ),
             id_column=data.get("id", "id"),
         )
 
@@ -134,86 +130,22 @@ def eval_group_expr(expr: str, columns: Mapping[str, np.ndarray]) -> np.ndarray:
 
 
 def ingest_csv(path: str, schema: AuditSchema, delimiter: str = ",") -> AuditDataset:
-    """Read and validate an audit CSV.
-
-    Row-level problems are collected with their 1-based line numbers (the
-    header is line 1) and raised together.
-
-    Raises:
-        SchemaMismatchError: if the header lacks configured columns.
-        DataValidationError: if any row fails validation.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError("schema-mismatch: file is empty") from None
-        needed = (
-            [schema.id_column, schema.observed_column]
-            + [col for _, col in schema.services]
-            + list(schema.group_columns.values())
-        )
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise SchemaMismatchError(f"schema-mismatch: missing columns {missing}")
-        index = {c: header.index(c) for c in needed}
-
-        ids: list[str] = []
-        probs: list[list[float]] = []
-        observed: list[int] = []
-        groups: dict[str, list[int]] = {attr: [] for attr in schema.group_columns}
-        errors: list[str] = []
-        label_to_index = {name: i + 1 for i, name in enumerate(schema.service_names)}
-
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                errors.append(f"schema-mismatch(line {line}): expected {len(header)} fields")
-                continue
-            row_ok = True
-            p_row = []
-            for name, col in schema.services:
-                raw = row[index[col]]
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = np.nan
-                if not 0.0 <= value <= 1.0:
-                    errors.append(f"range-violation(line {line}): {col}={raw!r} not in [0, 1]")
-                    row_ok = False
-                    break
-                p_row.append(value)
-            if not row_ok:
-                continue
-            label = row[index[schema.observed_column]]
-            if label not in label_to_index:
-                errors.append(f"label-violation(line {line}): unknown service {label!r}")
-                continue
-            g_row = {}
-            for attr, col in schema.group_columns.items():
-                raw = row[index[col]]
-                if raw not in ("0", "1"):
-                    errors.append(f"range-violation(line {line}): {col}={raw!r} must be 0 or 1")
-                    row_ok = False
-                    break
-                g_row[attr] = int(raw)
-            if not row_ok:
-                continue
-            ids.append(row[index[schema.id_column]])
-            probs.append(p_row)
-            observed.append(label_to_index[label])
-            for attr, val in g_row.items():
-                groups[attr].append(val)
-
-    if errors:
-        raise DataValidationError(errors)
-    if not ids:
-        raise DataValidationError(["schema-mismatch(line 2): no data rows"])
+    """Read an audit CSV under the rules of ``_io.read_csv``: probabilities
+    in [0, 1], observed service names, 0/1 group columns and unique ids."""
+    columns = CsvColumns(
+        floats=[col for _, col in schema.services],
+        bounds=(0.0, 1.0),
+        flags=list(schema.group_columns.values()),
+        label=schema.observed_column,
+        labels=schema.service_names,
+        id=schema.id_column,
+    )
+    ids, probabilities, flags, observed = read_csv(path, lambda header: columns, delimiter)
     return AuditDataset(
         ids=tuple(ids),
-        probabilities=np.array(probs, dtype=np.float64),
-        observed=np.array(observed, dtype=np.int64),
-        groups={attr: np.array(vals, dtype=np.int8) for attr, vals in groups.items()},
+        probabilities=probabilities,
+        observed=observed + 1,
+        groups={attr: flags[col] for attr, col in schema.group_columns.items()},
         service_names=schema.service_names,
     )
 

@@ -11,16 +11,13 @@ identical flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._io import dump_json, write_text_atomic
+from ._io import CsvColumns, dump_json, load_json, read_csv, write_text_atomic
 from .audit import (
     DEFAULT_BANDWIDTH,
     DEFAULT_FAIR_TOLERANCE,
@@ -30,7 +27,7 @@ from .audit import (
     write_report_bundle,
 )
 from .core import CapacityVector, Population, delta_metrics
-from .errors import DataValidationError, FairallocError, InfeasibleError
+from .errors import FairallocError, InfeasibleError, SchemaMismatchError
 from .policies import (
     DEFAULT_TIE_BREAK_SCALE,
     KIND_BEST,
@@ -67,69 +64,24 @@ def _thread_count(requested: int) -> int:
 
 
 def load_population_csv(path: str) -> tuple[list[str], Population]:
-    """Read a population CSV: ``id``, utility columns ``u_1..u_K``, and any
-    number of 0/1 group columns.
-
-    Row-level problems (wrong field count, non-finite utility, group value
-    other than 0/1, duplicate id) are collected with their 1-based line
-    numbers (the header is line 1) and raised together.
-
-    Raises:
-        DataValidationError: if any row fails validation.
+    """Read a population CSV: ``id``, utility columns ``u_1..u_K`` and any
+    number of 0/1 group columns, under the rules of ``_io.read_csv``. Without
+    an ``id`` column, rows are numbered from 1.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FairallocError("schema-mismatch: empty population file")
-        util_cols = sorted(
-            (c for c in header if re.fullmatch(r"u_\d+", c)),
-            key=lambda c: int(c.split("_")[1]),
-        )
+
+    def columns(header: list[str]) -> CsvColumns:
+        util_cols = [c for c in header if re.fullmatch(r"u_\d+", c)]
+        util_cols.sort(key=lambda c: int(c[2:]))
         if not util_cols:
-            raise FairallocError("schema-mismatch: no u_<k> utility columns found")
-        group_cols = [c for c in header if c != "id" and c not in util_cols]
-        ids, rows, groups = [], [], {c: [] for c in group_cols}
-        errors: list[str] = []
-        id_lines: dict[str, int] = {}
-        for line, row in enumerate(reader, start=2):
-            if not row:  # blank line
-                continue
-            if len(row) != len(header):
-                errors.append(f"schema-mismatch(line {line}): expected {len(header)} fields")
-                continue
-            record = dict(zip(header, row))
-            row_errors = []
-            values = []
-            for c in util_cols:
-                raw = record[c]
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = np.nan
-                if not np.isfinite(value):
-                    row_errors.append(f"range-violation(line {line}): {c}={raw!r} is not finite")
-                values.append(value)
-            for c in group_cols:
-                if record[c] not in ("0", "1"):
-                    row_errors.append(
-                        f"range-violation(line {line}): {c}={record[c]!r} must be 0 or 1"
-                    )
-            if "id" in record:
-                if record["id"] in id_lines:
-                    row_errors.append(f"duplicate-id(line {line}): {record['id']!r} "
-                                      f"already on line {id_lines[record['id']]}")
-                id_lines.setdefault(record["id"], line)
-            errors += row_errors
-            if not row_errors:
-                ids.append(record.get("id", str(len(ids) + 1)))
-                rows.append(values)
-                for c in group_cols:
-                    groups[c].append(int(record[c]))
-    if errors:
-        raise DataValidationError(errors)
-    pop = Population(utilities=np.array(rows), groups={c: np.array(v) for c, v in groups.items()})
-    return ids, pop
+            raise SchemaMismatchError("schema-mismatch: no u_<k> utility columns found")
+        return CsvColumns(
+            floats=util_cols,
+            flags=[c for c in header if c != "id" and c not in util_cols],
+            id="id" if "id" in header else None,
+        )
+
+    ids, utilities, groups, _ = read_csv(path, columns)
+    return ids, Population(utilities=utilities, groups=groups)
 
 
 def cmd_simulate(args) -> int:
@@ -194,16 +146,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.config == "homeless":
-        from importlib import resources
-
-        schema_data = json.loads(
-            resources.files("fairalloc.presets").joinpath("homeless_groups.json").read_text()
-        )
-    else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            schema_data = json.load(fh)
-    schema = AuditSchema.from_dict(schema_data)
+    schema = AuditSchema.from_dict(load_json(args.config))
     dataset = ingest_csv(args.data, schema, delimiter=args.delimiter)
     report = run_audit(
         dataset, schema, bandwidth=args.bandwidth, fair_tolerance=args.fair_tolerance

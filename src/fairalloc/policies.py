@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from ._io import expect, expect_objects
 from ._rng import generator, spawn_seed
 from .core import Allocation, CapacityVector, Population
 from .errors import InfeasibleError
@@ -84,12 +85,15 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PolicySpec":
+        expect(data, "object", "policy")
         children = data.get("children")
         return cls(
             kind=data["kind"],
             seed=data.get("seed"),
             lam=data.get("lambda"),
-            children=None if children is None else tuple(cls.from_dict(c) for c in children),
+            children=None if children is None else tuple(
+                cls.from_dict(c) for c in expect_objects(children, "policy children")
+            ),
             tie_break_scale=data.get("tie_break_scale", DEFAULT_TIE_BREAK_SCALE),
         )
 
@@ -238,8 +242,11 @@ def allocate_utilitarian(
     service first). Deterministic.
 
     Raises:
+        ValueError: if ``tie_break_scale`` is not finite and positive.
         InfeasibleError: if total capacity is below the population size.
     """
+    if not (np.isfinite(tie_break_scale) and tie_break_scale > 0):
+        raise ValueError(f"tie_break_scale must be finite and > 0, got {tie_break_scale!r}")
     _check_instance(pop, caps)
     n, k = pop.n, pop.k
     cost = -np.round(pop.utilities * tie_break_scale)
@@ -259,7 +266,9 @@ def allocate_utilitarian(
         A_eq=a_eq,
         b_eq=np.ones(n),
         bounds=(0, None),
-        method="highs",
+        # Interior point with crossover ends on a basic solution, as the
+        # simplex does, and is several times faster at N in the thousands.
+        method="highs-ipm",
     )
     if res.status == 2:
         raise InfeasibleError("infeasible: no assignment satisfies the capacities")

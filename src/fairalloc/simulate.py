@@ -5,15 +5,14 @@ sign-flip existence, and the two stylized-framework characterizations).
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ._io import expect, load_json
 from ._rng import generator, spawn_seed, standard_normal, uniform_open
 from .core import (
     Allocation,
@@ -576,9 +575,6 @@ def verify_sign_flip(
 
 # --- experiment configuration files -----------------------------------------
 
-PRESET_NAMES = ("experiment1", "experiment2")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parameter file: population model, policy, replications, base seed."""
@@ -628,6 +624,7 @@ def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
 
 
 def config_from_dict(data: Mapping[str, Any], name: str = "") -> ExperimentConfig:
+    expect(data, "object", "experiment config")
     return ExperimentConfig(
         name=data.get("name", name),
         params=params_from_dict(data),
@@ -639,11 +636,7 @@ def config_from_dict(data: Mapping[str, Any], name: str = "") -> ExperimentConfi
 
 def load_experiment_config(path_or_preset: str) -> ExperimentConfig:
     """Load an experiment config from a JSON file or a shipped preset name."""
-    if path_or_preset in PRESET_NAMES:
-        text = resources.files("fairalloc.presets").joinpath(f"{path_or_preset}.json").read_text()
-        return config_from_dict(json.loads(text), name=path_or_preset)
-    with open(path_or_preset, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh), name=os.path.basename(path_or_preset))
+    return config_from_dict(load_json(path_or_preset), name=os.path.basename(path_or_preset))
 
 
 # --- invariant check suite (backs the `check` CLI subcommand) ---------------

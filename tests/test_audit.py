@@ -1,6 +1,8 @@
 """Audit pipeline tests: ingestion validation, share tables, max-gain
 analyses, and observed-assignment trade-off flags."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
@@ -93,6 +95,45 @@ class TestIngest:
         with pytest.raises(DataValidationError) as err:
             ingest_csv(str(path), SMALL_SCHEMA)
         assert "line 2" in str(err.value)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(SMALL_CSV.replace("h3,", "h1,"))
+        with pytest.raises(DataValidationError) as err:
+            ingest_csv(str(path), SMALL_SCHEMA)
+        assert "duplicate-id(line 4): 'h1' already on line 2" in str(err.value)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(SMALL_CSV.replace("\nh2", "\n\nh2") + "\n")
+        ds = ingest_csv(str(path), SMALL_SCHEMA)
+        assert ds.ids == ("h1", "h2", "h3")
+
+    def test_every_bad_field_of_a_row_reported(self, tmp_path):
+        path = tmp_path / "bad_row.csv"
+        path.write_text(SMALL_CSV.replace("h2,0.6,0.2,0.5,RRH,1,0", "h2,1.6,x,0.5,XX,1,7"))
+        with pytest.raises(DataValidationError) as err:
+            ingest_csv(str(path), SMALL_SCHEMA)
+        assert err.value.row_errors == [
+            "range-violation(line 3): p_TH='1.6' not in [0, 1]",
+            "range-violation(line 3): p_RRH='x' is not finite",
+            "label-violation(line 3): observed='XX' not one of ['TH', 'RRH', 'ES']",
+            "range-violation(line 3): disability='7' must be 0 or 1",
+        ]
+
+    def test_two_attributes_share_a_column(self, small_csv):
+        schema = dataclasses.replace(
+            SMALL_SCHEMA, group_columns={"children": "children", "kids": "children"}
+        )
+        ds = ingest_csv(small_csv, schema)
+        assert ds.groups["kids"].tolist() == ds.groups["children"].tolist() == [0, 1, 1]
+
+    def test_csv_syntax_error_names_line(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(SMALL_CSV + "h4," + "x" * 200_000 + "\n")
+        with pytest.raises(DataValidationError) as err:
+            ingest_csv(str(path), SMALL_SCHEMA)
+        assert "schema-mismatch(line 5): field larger than field limit" in str(err.value)
 
     def test_round_trip_values_and_bytes(self, tmp_path):
         csv_path = tmp_path / "synth.csv"

@@ -1,12 +1,18 @@
 """CLI surface: exit codes, written artifacts, and byte-level determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, write_synthetic_csv
 
-from fairalloc.audit import export_csv
+from fairalloc.audit import AuditSchema, export_csv
 from fairalloc.cli import main
 
 
@@ -74,6 +80,14 @@ class TestSolve:
             ) == 0
         assert (out_a / "allocation.csv").read_bytes() == (out_b / "allocation.csv").read_bytes()
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):
+        assert run_cli(
+            "solve", "--population", population_csv, "--capacities", "1,1",
+            f"--tie-break-scale={scale}", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert "tie_break_scale must be finite and > 0" in capsys.readouterr().err
+
 
 class TestPopulationCsvValidation:
     @pytest.mark.parametrize("rows, message", [
@@ -92,6 +106,48 @@ class TestPopulationCsvValidation:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_header_only_reports_no_data_rows(self, tmp_path, capsys):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_2,g\n\n")
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2,2",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert "schema-mismatch(line 2): no data rows" in capsys.readouterr().err
+
+
+GAUSSIAN_PARAMS = {
+    "kind": "gaussian",
+    "means": [[0.2, 0.3, 0.4], [0.4, 0.5, 0.63]],
+    "variances": [[1e-4, 4e-4, 9e-4], [1e-4, 4e-4, 9e-4]],
+    "group_sizes": [20, 20],
+    "capacities": [20, 20, 20],
+    "replications": 3,
+}
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("simulate", [1], "experiment config"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy="random"), "policy"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": "mixture", "lambda": 0.5,
+                                               "children": "ab"}), "policy children"),
+    ("audit", [1, 2], "audit config"),
+    ("audit", dict(TRADEOFF_SCHEMA, services=[1]), "services[0]"),
+    ("audit", dict(TRADEOFF_SCHEMA, pairs={}), "pairs"),
+    ("audit", dict(TRADEOFF_SCHEMA, groups=["children"]), "groups"),
+], ids=["sim-list", "policy-string", "policy-children", "audit-list", "service-int",
+        "pairs-object", "groups-list"])
+def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    data = tmp_path / "data.csv"
+    export_csv(build_tradeoff_dataset(), str(data), AuditSchema.from_dict(TRADEOFF_SCHEMA))
+    option = {"simulate": ["--params"], "audit": ["--data", str(data), "--config"]}[command]
+    assert run_cli(command, *option, str(path), "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"schema-mismatch: {field} must be a JSON" in err
+    assert "Traceback" not in err
 
 
 class TestInternalError:
@@ -231,6 +287,17 @@ class TestAudit:
             "--output-dir", str(tmp_path / "out"),
         ) == 2
 
+    def test_bad_delimiter_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        export_csv(build_tradeoff_dataset(), str(data), AuditSchema.from_dict(TRADEOFF_SCHEMA))
+        assert run_cli(
+            "audit", "--data", str(data), "--config", "homeless", "--delimiter", ";;",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "delimiter must be exactly one character" in err
+        assert "Traceback" not in err
+
     def test_empty_group_exit_2(self, tmp_path):
         ds = build_tradeoff_dataset()
         all_ones = type(ds)(
@@ -251,6 +318,65 @@ class TestAudit:
             "audit", "--data", str(data), "--config", str(config),
             "--output-dir", str(tmp_path / "out"),
         ) == 2
+
+
+SOLVE_HEADER = "id,u_1,u_2,g\n"
+AUDIT_HEADER = "id,p_TH,p_RRH,p_ES,observed,children\n"
+CSV_JUNK = st.lists(st.sampled_from(
+    ["", ",", "2", "-1", "nan", "inf", "1e400", "a", '"', " ", "\n", "\x00", "é"]
+), max_size=3).map("".join)
+
+
+def csv_field(column):
+    """A value valid in ``column``: a service name, a utility or
+    probability, or a 0/1 flag."""
+    if column == "observed":
+        return st.sampled_from(["TH", "RRH", "ES"])
+    if column[:2] in ("u_", "p_"):
+        return st.sampled_from(["0.2", "0.5", "0.7", "1"])
+    return st.sampled_from(["0", "1"])
+
+
+def csv_text(header):
+    """Arbitrary short text, or valid rows under ``header`` (which starts
+    with ``id``) with junk put in at one place."""
+    row = st.tuples(*map(csv_field, header.strip().split(",")[1:])).map(",".join)
+    line = st.tuples(row, st.sampled_from(["\n", "\r\n", "\r", "\n\n"])).map("".join)
+    body = st.lists(line, max_size=8).map(
+        lambda lines: header + "".join(f"r{i},{line}" for i, line in enumerate(lines))
+    )
+    spoiled = st.tuples(body, CSV_JUNK, st.integers(0, 200)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]
+    )
+    return st.one_of(st.text(max_size=40), spoiled)
+
+
+class TestExitCodeContract:
+    """Whatever CSV text ``solve`` or ``audit`` reads, the exit code is a
+    documented one and no traceback reaches stderr."""
+
+    @staticmethod
+    def run_on(text, *argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, config = Path(tmp) / "data.csv", Path(tmp) / "schema.json"
+            data.write_text(text, encoding="utf-8", newline="")
+            config.write_text(json.dumps(TRADEOFF_SCHEMA))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([a.format(data=data, config=config) for a in argv]
+                            + ["--output-dir", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=csv_text(SOLVE_HEADER))
+    def test_solve(self, text):
+        self.run_on(text, "solve", "--population", "{data}", "--capacities", "2,2")
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=csv_text(AUDIT_HEADER))
+    def test_audit(self, text):
+        self.run_on(text, "audit", "--data", "{data}", "--config", "{config}")
 
 
 class TestCheck:
