@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -23,7 +24,13 @@ PRESETS = {
     "experiment2": "experiment2.json",
     "homeless": "homeless_groups.json",
 }
-_JSON_TYPES = {"object": Mapping, "array": (list, tuple)}
+_JSON_TYPES = {
+    "object": Mapping,
+    "array": (list, tuple),
+    "number": numbers.Real,
+    "integer": numbers.Integral,
+    "string": str,
+}
 
 
 def write_text_atomic(path: str | Path, text: str):
@@ -56,7 +63,8 @@ def load_json(path_or_preset: str) -> Any:
 
 
 def expect(value, kind: str, field: str):
-    """Return ``value`` if it is a JSON ``kind`` ("object" or "array").
+    """Return ``value`` if it is a JSON ``kind``: "object", "array", "number",
+    "integer" or "string".
 
     Raises:
         SchemaMismatchError: naming ``field`` otherwise.
@@ -98,7 +106,8 @@ def read_csv(
 
     Raises:
         ValueError: if ``delimiter`` is not exactly one character.
-        SchemaMismatchError: if the file is empty or lacks a named column.
+        SchemaMismatchError: if the file is empty, or a named column is
+            missing or appears more than once in the header.
         DataValidationError: if any row is invalid, or there is none.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
@@ -121,6 +130,9 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     missing = [c for c in named if c not in header]
     if missing:
         raise SchemaMismatchError(f"schema-mismatch: missing columns {missing}")
+    repeated = sorted({c for c in named if header.count(c) > 1})
+    if repeated:
+        raise SchemaMismatchError(f"schema-mismatch: header repeats columns {repeated}")
     float_at = [(c, header.index(c)) for c in cols.floats]
     label_at = None if cols.label is None else header.index(cols.label)
     id_at = None if cols.id is None else header.index(cols.id)

@@ -58,8 +58,12 @@ class AuditSchema:
             observed_column=data["observed"],
             group_columns=dict(expect(data.get("groups", {}), "object", "groups")),
             pairs=tuple(
-                GroupPair(name=p["name"], group1=p["group1"], group0=p["group0"])
-                for p in expect_objects(data.get("pairs", []), "pairs")
+                GroupPair(
+                    name=p["name"],
+                    group1=expect(p["group1"], "string", f"pairs[{i}].group1"),
+                    group0=expect(p["group0"], "string", f"pairs[{i}].group0"),
+                )
+                for i, p in enumerate(expect_objects(data.get("pairs", []), "pairs"))
             ),
             id_column=data.get("id", "id"),
         )

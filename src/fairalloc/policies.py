@@ -1,16 +1,19 @@
 """Feasible allocation policies.
 
 The utilitarian policy is solved as a transportation problem (min-cost flow
-over an individual/service bipartite graph) with integerized costs. Among
-all utility-maximizing assignments it deterministically returns the
-lexicographically least one, recovered from LP duals: any optimal assignment
-uses only zero-reduced-cost arcs and saturates every service with a strictly
-negative price, so a greedy first-fit with a Hall-type feasibility check
-walks straight to the lexicographic minimum.
+over an individual/service bipartite graph) with integerized utilities, by
+an exact successive-shortest-path solver over the K service nodes that also
+yields integer service prices. Among all utility-maximizing assignments it
+deterministically returns the lexicographically least one, recovered from
+those prices: any optimal assignment uses only zero-reduced-cost arcs and
+fills every service with a positive price, so a greedy first-fit with a
+Hall-type feasibility check walks straight to the lexicographic minimum.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -57,6 +60,13 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for field, value, kind in (
+            ("lambda", self.lam, "number"),
+            ("seed", self.seed, "integer"),
+            ("tie_break_scale", self.tie_break_scale, "number"),
+        ):
+            if value is not None:
+                expect(value, kind, f"policy {field}")
         if self.kind == KIND_MIXTURE:
             if self.lam is None or not (0.0 <= self.lam <= 1.0):
                 raise ValueError("mixture requires lambda in [0, 1]")
@@ -128,38 +138,30 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     return Allocation(slots[gen.permutation(slots.size)][: pop.n])
 
 
-def _subset_sums(values: np.ndarray, n_subsets: int) -> np.ndarray:
-    """sums[S] = sum of values[k] over services k in bitmask S."""
-    sums = np.zeros(n_subsets, dtype=np.int64)
-    for s in range(1, n_subsets):
-        low = s & -s
-        sums[s] = sums[s ^ low] + values[low.bit_length() - 1]
-    return sums
+@functools.lru_cache(maxsize=None)
+def _subset_bits(k: int) -> np.ndarray:
+    """Read-only (2^k, k) matrix: row S holds the bits of service subset S."""
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 def _completion_feasible_hall(counts: dict[int, int], lo: np.ndarray, hi: np.ndarray, k: int) -> bool:
     """Feasibility of assigning the remaining individuals (counted by allowed-set
     bitmask) so every service fill lands in [lo, hi]. Hall/Hoffman conditions,
-    enumerated over service subsets."""
-    n_subsets = 1 << k
-    confined = np.zeros(n_subsets, dtype=np.int64)
-    for mask, cnt in counts.items():
-        confined[mask] += cnt
-    for bit in range(k):
-        step = 1 << bit
-        for s in range(n_subsets):
-            if s & step:
-                confined[s] += confined[s ^ step]
-    total = int(confined[n_subsets - 1])
-    hi_sums = _subset_sums(hi, n_subsets)
-    lo_sums = _subset_sums(lo, n_subsets)
-    full = n_subsets - 1
-    for s in range(n_subsets):
-        if confined[s] > hi_sums[s]:
-            return False
-        if lo_sums[s] > total - confined[full ^ s]:
-            return False
-    return True
+    checked over all service subsets at once."""
+    confined = np.zeros(1 << k, dtype=np.int64)
+    confined[list(counts)] = list(counts.values())
+    # subset-sum transform: confined[S] counts individuals whose allowed set
+    # lies inside S; each axis of the (2,)*k cube is one service bit
+    cube = confined.reshape((2,) * k)
+    for axis in range(k):
+        cube = np.cumsum(cube, axis=axis)
+    confined = cube.reshape(-1)
+    bits = _subset_bits(k)
+    total = confined[-1]
+    # confined[full ^ S] is confined[::-1], since full ^ S == full - S
+    return not (np.any(confined > bits @ hi) or np.any(bits @ lo > total - confined[::-1]))
 
 
 def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarray, k: int) -> bool:
@@ -229,6 +231,123 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     return out
 
 
+def _longest_paths(dist: list[int], moves: list[list[tuple[int, int] | None]]) -> list[int]:
+    """Bellman-Ford on the K service nodes: updates ``dist`` in place to the
+    longest-path gains, where ``moves[a][b]`` is the (gain, individual) of the
+    best move from service a to b, or None. Returns each node's predecessor
+    (-1: its start value). The service graph of an optimal flow has no
+    positive cycle, so K - 1 rounds suffice."""
+    k = len(dist)
+    pred = [-1] * k
+    for _ in range(k - 1):
+        changed = False
+        for a in range(k):
+            da = dist[a]
+            for b, move in enumerate(moves[a]):
+                if move is not None and da + move[0] > dist[b]:
+                    dist[b] = da + move[0]
+                    pred[b] = a
+                    changed = True
+        if not changed:
+            break
+    return pred
+
+
+def _solve_transport(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Maximum-weight assignment of N individuals to K capacitated services.
+
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    ch. 9) over the K service nodes: individuals join one at a time, each along
+    a longest gain path to a service with room, found by Bellman-Ford. The
+    best move of an assigned individual from service a to b is the top of a
+    lazy max-heap for the pair (a, b); an entry goes stale when its individual
+    leaves a. ``w`` holds exact integer weights and ``caps`` must sum to at
+    least N.
+
+    Returns the 0-based assignment and the least service prices p >= 0,
+    Python ints: the longest paths from a virtual source over the final
+    residual graph, ``p_b = max(0, p_a + gain(a -> b))``.
+    """
+    n, k = w.shape
+    rows = w.tolist()
+    cap = caps.tolist()
+    fill = [0] * k
+    where = [-1] * n
+    heaps = [[[] for _ in range(k)] for _ in range(k)]  # (loss, j) per (a, b)
+
+    def place(j: int, a: int):
+        where[j] = a
+        row = rows[j]
+        for b in range(k):
+            if b != a:
+                heapq.heappush(heaps[a][b], (row[a] - row[b], j))
+
+    def best_moves() -> list[list[tuple[int, int] | None]]:
+        """(gain, individual) of the best move for every pair, or None."""
+        moves = [[None] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(k):
+                heap = heaps[a][b]
+                while heap and where[heap[0][1]] != a:
+                    heapq.heappop(heap)
+                if heap:
+                    moves[a][b] = (-heap[0][0], heap[0][1])
+        return moves
+
+    for i, row in enumerate(rows):
+        best = row.index(max(row))
+        if fill[best] < cap[best]:
+            # A path through a non-empty full service ends with gain <= 0 at
+            # a service with room, so the best service with room wins.
+            fill[best] += 1
+            place(i, best)
+            continue
+        moves = best_moves()
+        dist = list(row)
+        pred = _longest_paths(dist, moves)
+        end = max((b for b in range(k) if fill[b] < cap[b]), key=dist.__getitem__)
+        path = [end]
+        while pred[path[-1]] >= 0 and len(path) <= k:
+            path.append(pred[path[-1]])
+        if len(path) > k:
+            raise RuntimeError("internal: cyclic augmenting path in the flow solver")
+        path.reverse()
+        movers = [moves[a][b][1] for a, b in zip(path, path[1:])]
+        for j, b in zip(movers, path[1:]):
+            place(j, b)
+        place(i, path[0])
+        fill[end] += 1
+
+    prices = [0] * k
+    _longest_paths(prices, best_moves())
+    return np.array(where, dtype=np.int64), prices
+
+
+def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, prices: list[int]) -> int:
+    """Exact optimality certificate of a transport solution; returns its total.
+
+    For prices p >= 0, ``sum_i max_k(w_ik - p_k) + sum_k c_k p_k`` bounds every
+    feasible total from above (weak duality), so a feasible assignment that
+    reaches the bound is optimal and p is an optimal dual. Totals are Python
+    ints: a sum of N weights below 2**53 can overflow int64.
+
+    Raises:
+        RuntimeError: if the assignment is infeasible or misses the bound.
+    """
+    n, k = w.shape
+    if np.any(np.bincount(assignment, minlength=k) > caps):
+        raise RuntimeError("internal: flow solution exceeds the capacities")
+    # least prices stay below twice the weight range (< 2**55), so w - p fits int64
+    if not all(0 <= q < 2**62 for q in prices):
+        raise RuntimeError("internal: flow prices out of range")
+    total = sum(w[np.arange(n), assignment].tolist())
+    surplus = (w - np.array(prices, dtype=np.int64)).max(axis=1)
+    bound = sum(surplus.tolist()) + sum(c * q for c, q in zip(caps.tolist(), prices))
+    if total != bound:
+        raise RuntimeError("internal: flow solution failed its optimality certificate")
+    return total
+
+
 def allocate_utilitarian(
     pop: Population,
     caps: CapacityVector,
@@ -248,48 +367,27 @@ def allocate_utilitarian(
     if not (np.isfinite(tie_break_scale) and tie_break_scale > 0):
         raise ValueError(f"tie_break_scale must be finite and > 0, got {tie_break_scale!r}")
     _check_instance(pop, caps)
-    n, k = pop.n, pop.k
-    cost = -np.round(pop.utilities * tie_break_scale)
-    if not np.all(np.isfinite(cost)) or np.abs(cost).max() >= 2**53:
+    n = pop.n
+    w = np.round(pop.utilities * tie_break_scale)
+    if not np.all(np.isfinite(w)) or np.abs(w).max() >= 2**53:
         raise ValueError("tie_break_scale too large for these utilities")
+    w = w.astype(np.int64)
 
-    nv = n * k
-    cols = np.arange(nv)
-    a_eq = sparse.csr_matrix(
-        (np.ones(nv), (np.repeat(np.arange(n), k), cols)), shape=(n, nv)
-    )
-    a_ub = sparse.csr_matrix((np.ones(nv), (np.tile(np.arange(k), n), cols)), shape=(k, nv))
-    res = linprog(
-        cost.ravel(),
-        A_ub=a_ub,
-        b_ub=caps.capacities.astype(np.float64),
-        A_eq=a_eq,
-        b_eq=np.ones(n),
-        bounds=(0, None),
-        # Interior point with crossover ends on a basic solution, as the
-        # simplex does, and is several times faster at N in the thousands.
-        method="highs-ipm",
-    )
-    if res.status == 2:
-        raise InfeasibleError("infeasible: no assignment satisfies the capacities")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+    flow, prices = _solve_transport(w, caps.capacities)
+    optimum = _certify_transport(w, caps.capacities, flow, prices)
 
-    # Costs are integers, so an optimal basis has integer duals; rounding
-    # removes solver noise and makes the reduced costs exact.
-    pi = np.round(res.eqlin.marginals)
-    sigma = np.round(res.ineqlin.marginals)
-    rc = cost - pi[:, None] - sigma[None, :]
-    support = res.x.reshape(n, k) > 0.5
-    if rc.min() < 0 or np.any(rc[support] != 0) or sigma.max() > 0:
-        raise RuntimeError("internal: LP duals failed the integrality check")
-
-    mandatory = np.where(sigma < 0, caps.capacities, 0)
-    assignment = _lex_least_allowed(rc == 0, caps.capacities.copy(), mandatory)
+    # With optimal prices p (LP duals sigma = -p, pi_i = -max_k(w_ik - p_k)),
+    # the optimal assignments are exactly those using zero-reduced-cost arcs,
+    # w_ik - p_k == max_k(w_ik - p_k), that fill every service priced above 0.
+    p = np.array(prices, dtype=np.int64)
+    surplus = w - p
+    allowed = surplus == surplus.max(axis=1, keepdims=True)
+    mandatory = np.where(p > 0, caps.capacities, 0)
+    assignment = _lex_least_allowed(allowed, caps.capacities.copy(), mandatory)
     alloc = Allocation(assignment)
 
-    total_cost = float(cost[np.arange(n), assignment - 1].sum())
-    if abs(total_cost - res.fun) > 0.5 or not alloc.is_feasible(pop, caps):
+    total = sum(w[np.arange(n), assignment - 1].tolist())
+    if total != optimum or not alloc.is_feasible(pop, caps):
         raise RuntimeError("internal: tie resolution lost optimality or feasibility")
     return alloc
 

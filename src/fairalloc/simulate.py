@@ -589,7 +589,7 @@ class ExperimentConfig:
 def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
     kind = data.get("kind", "gaussian")
     caps = CapacityVector(data["capacities"])
-    sizes = tuple(data["group_sizes"])
+    sizes = tuple(expect(data["group_sizes"], "array", "group_sizes"))
     if kind == "gaussian":
         return GaussianGroupParams(
             means=data["means"],

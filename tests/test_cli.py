@@ -116,6 +116,17 @@ class TestPopulationCsvValidation:
         ) == 2
         assert "schema-mismatch(line 2): no data rows" in capsys.readouterr().err
 
+    def test_repeated_header_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_1,group\na,1.0,0.0,0\nb,0.0,1.0,1\n")
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2,2",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "schema-mismatch: header repeats columns ['u_1']" in err
+        assert "Traceback" not in err
+
 
 GAUSSIAN_PARAMS = {
     "kind": "gaussian",
@@ -136,8 +147,19 @@ GAUSSIAN_PARAMS = {
     ("audit", dict(TRADEOFF_SCHEMA, services=[1]), "services[0]"),
     ("audit", dict(TRADEOFF_SCHEMA, pairs={}), "pairs"),
     ("audit", dict(TRADEOFF_SCHEMA, groups=["children"]), "groups"),
+    ("simulate", dict(GAUSSIAN_PARAMS, group_sizes=5), "group_sizes"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={
+        "kind": "mixture", "lambda": "0.5",
+        "children": [{"kind": "random"}, {"kind": "utilitarian"}],
+    }), "policy lambda"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": "random", "seed": "x"}), "policy seed"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": "utilitarian", "tie_break_scale": "x"}),
+     "policy tie_break_scale"),
+    ("audit", dict(TRADEOFF_SCHEMA, pairs=[{"name": "children", "group1": 5,
+                                            "group0": "~children"}]), "pairs[0].group1"),
 ], ids=["sim-list", "policy-string", "policy-children", "audit-list", "service-int",
-        "pairs-object", "groups-list"])
+        "pairs-object", "groups-list", "group-sizes-int", "lambda-string", "seed-string",
+        "tie-break-scale-string", "pair-expr-int"])
 def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -1,12 +1,16 @@
 """Policy tests. The utilitarian solver is checked against an exhaustive
 enumeration oracle (total utility and lexicographic tie-break) on instances
 small enough to enumerate; utilities there live on a dyadic grid so
-integerized totals compare exactly."""
+integerized totals compare exactly. The min-cost-flow solver behind it is
+also checked against HiGHS on tie-heavy integer instances."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fairalloc import (
     CapacityVector,
@@ -21,6 +25,7 @@ from fairalloc import (
     apply_policy,
     compile_spec,
     improvement_mean,
+    policies,
     regret_mean,
 )
 
@@ -102,6 +107,126 @@ class TestUtilitarian:
         a = allocate_utilitarian(pop, caps)
         b = allocate_utilitarian(pop, caps)
         assert a.assignment.tolist() == b.assignment.tolist()
+
+
+@st.composite
+def transport_instances(draw):
+    """Tie-heavy integer weights (a few levels), N <= 40, K <= 8, zero
+    capacities allowed, total capacity >= N."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 8))
+    levels = draw(st.integers(0, 3))
+    w = draw(st.lists(st.integers(0, levels), min_size=n * k, max_size=n * k))
+    caps = draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+    short = n - sum(caps)
+    if short > 0:
+        caps[draw(st.integers(0, k - 1))] += short
+    return np.array(w, dtype=np.int64).reshape(n, k), np.array(caps, dtype=np.int64)
+
+
+def highs_transport(w, caps):
+    """HiGHS oracle: optimal total and rounded duals (pi, sigma) of
+    min -w.x s.t. each row sums to 1, each column to at most its capacity."""
+    n, k = w.shape
+    res = linprog(
+        -w.ravel().astype(np.float64),
+        A_ub=np.tile(np.eye(k), (1, n)),
+        b_ub=caps.astype(np.float64),
+        A_eq=np.repeat(np.eye(n), k, axis=1),
+        b_eq=np.ones(n),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return round(-res.fun), np.round(res.eqlin.marginals), np.round(res.ineqlin.marginals)
+
+
+def hall_loop(counts, lo, hi, k):
+    """Reference loop for ``_completion_feasible_hall``."""
+    n_subsets = 1 << k
+    confined = [0] * n_subsets
+    for mask, cnt in counts.items():
+        confined[mask] += cnt
+    for bit in range(k):
+        for s in range(n_subsets):
+            if s >> bit & 1:
+                confined[s] += confined[s ^ (1 << bit)]
+    full = n_subsets - 1
+    for s in range(n_subsets):
+        members = [j for j in range(k) if s >> j & 1]
+        if confined[s] > sum(int(hi[j]) for j in members):
+            return False
+        if sum(int(lo[j]) for j in members) > confined[full] - confined[full ^ s]:
+            return False
+    return True
+
+
+class TestFlowSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=transport_instances())
+    def test_matches_highs(self, instance):
+        w, caps = instance
+        n, k = w.shape
+        flow, prices = policies._solve_transport(w, caps)
+        total = policies._certify_transport(w, caps, flow, prices)
+        highs_total, pi, sigma = highs_transport(w, caps)
+        assert total == highs_total
+
+        surplus = w - np.array(prices)
+        allowed = surplus == surplus.max(axis=1, keepdims=True)
+        mandatory = np.where(np.array(prices) > 0, caps, 0)
+        rc = -w - pi[:, None] - sigma[None, :]
+        highs_mandatory = np.where(sigma < 0, caps, 0)
+        ours = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        theirs = policies._lex_least_allowed(rc == 0, caps.copy(), highs_mandatory)
+        assert ours.tolist() == theirs.tolist()
+        assert sum(w[np.arange(n), ours - 1].tolist()) == total
+
+    def test_certificate_rejects_tampering(self):
+        w = np.array([[10, 0], [0, 10]], dtype=np.int64)
+        caps = np.array([2, 2])
+        flow, prices = policies._solve_transport(w, caps)
+        assert flow.tolist() == [0, 1] and prices == [0, 0]
+        assert policies._certify_transport(w, caps, flow, prices) == 20
+        for bad_flow, bad_prices, bad_caps in [
+            (flow, [5, 0], caps),  # a price on a service with room
+            (flow, [-1, 0], caps),
+            (np.array([1, 0]), prices, caps),  # a worse assignment
+            (np.array([0, 0]), prices, np.array([1, 2])),  # over capacity
+        ]:
+            with pytest.raises(RuntimeError, match="internal"):
+                policies._certify_transport(w, bad_caps, bad_flow, bad_prices)
+
+    def test_exact_beyond_float_precision(self):
+        # weights near 2**53 differ by 1: float64 sums cannot tell them apart
+        big = 2**53 - 2
+        w = np.array([[big, big - 1], [big - 1, big]] * 3, dtype=np.int64)
+        caps = np.array([3, 3])
+        flow, prices = policies._solve_transport(w, caps)
+        assert policies._certify_transport(w, caps, flow, prices) == 6 * big
+
+    def test_utilitarian_does_not_call_linprog(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(policies, "linprog", forbidden)
+        rng = np.random.default_rng(5)
+        pop = Population(rng.integers(0, 3, (30, 4)) / 2.0)
+        alloc = allocate_utilitarian(pop, CapacityVector([8, 8, 8, 8]))
+        assert alloc.is_feasible(pop, CapacityVector([8, 8, 8, 8]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_hall_matches_loop(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            masks = rng.integers(1, 1 << k, int(rng.integers(0, 6)))
+            counts = {int(m): int(rng.integers(1, 6)) for m in masks}
+            hi = rng.integers(0, 8, k)
+            lo = np.minimum(rng.integers(0, 4, k), hi)
+            assert policies._completion_feasible_hall(counts, lo, hi, k) == hall_loop(
+                counts, lo, hi, k
+            )
 
 
 class TestRandom:
