@@ -10,7 +10,7 @@ realized capacity use, so no feasibility re-check is performed.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +18,14 @@ import numpy as np
 from ._io import CsvColumns, dump_json, expect, expect_objects, read_csv, write_text_atomic
 from .core import Allocation, FairnessReport, Population, delta_metrics, envelope
 from .errors import EmptyGroupError, SchemaMismatchError
-from .stats import KdeCurve, TTestResult, kde, welch_t
+from .stats import (
+    DEFAULT_GRID_PADDING,
+    DEFAULT_GRID_SIZE,
+    KdeCurve,
+    TTestResult,
+    kde,
+    welch_t,
+)
 
 DEFAULT_BANDWIDTH = 0.2
 DEFAULT_FAIR_TOLERANCE = 1e-3
@@ -71,18 +78,23 @@ class AuditSchema:
 
 @dataclass(frozen=True)
 class AuditDataset:
-    """Validated audit records; utilities are 1 - p, elementwise."""
+    """Validated audit records; utilities are 1 - p, elementwise, built once
+    and read-only."""
 
     ids: tuple[str, ...]
     probabilities: np.ndarray
     observed: np.ndarray  # 1-based service indices
     groups: Mapping[str, np.ndarray]
     service_names: tuple[str, ...]
+    utilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=np.float64)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
+        u = 1.0 - p
+        u.setflags(write=False)
+        object.__setattr__(self, "utilities", u)
         obs = np.array(self.observed, dtype=np.int64)
         obs.setflags(write=False)
         object.__setattr__(self, "observed", obs)
@@ -100,10 +112,6 @@ class AuditDataset:
     @property
     def k(self) -> int:
         return self.probabilities.shape[1]
-
-    @property
-    def utilities(self) -> np.ndarray:
-        return 1.0 - self.probabilities
 
     def population(self) -> Population:
         return Population(utilities=self.utilities, groups=self.groups)
@@ -256,12 +264,16 @@ def delta_u_analysis(
 ) -> DeltaUAnalysis:
     """Means, Welch test, and KDE curves of the max gain for a group pair."""
     mask0, mask1 = _pair_masks(dataset, pair)
-    env = envelope(dataset.population())
-    du0, du1 = env.delta_u[mask0], env.delta_u[mask1]
+    return _delta_u_for_masks(envelope(dataset.population()).delta_u, mask0, mask1, bandwidth)
+
+
+def _delta_u_for_masks(
+    delta_u: np.ndarray, mask0: np.ndarray, mask1: np.ndarray, bandwidth: float
+) -> DeltaUAnalysis:
+    du0, du1 = delta_u[mask0], delta_u[mask1]
     pooled = np.concatenate([du0, du1])
-    grid = np.linspace(
-        pooled.min() - 3.0 * bandwidth, pooled.max() + 3.0 * bandwidth, 512
-    )
+    padding = DEFAULT_GRID_PADDING * bandwidth
+    grid = np.linspace(pooled.min() - padding, pooled.max() + padding, DEFAULT_GRID_SIZE)
     return DeltaUAnalysis(
         mean_0=float(np.mean(du0)),
         mean_1=float(np.mean(du1)),
@@ -277,7 +289,12 @@ def trade_off_flags(report: FairnessReport, tolerance: float) -> tuple[str, ...]
     ``tolerance`` declares a delta "fair" when its magnitude is at most that
     value; disagreement between the worst-baseline and best-baseline metric
     of the same normalization raises a trade-off flag.
+
+    Raises:
+        ValueError: if ``tolerance`` is not finite and >= 0.
     """
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"fair_tolerance must be finite and >= 0, got {tolerance!r}")
     flags = []
     d_imp, d_reg = report.delta_improvement, report.delta_regret
     imp_fair, reg_fair = abs(d_imp) <= tolerance, abs(d_reg) <= tolerance
@@ -324,6 +341,16 @@ def audit_observed(
     the capacities implicitly.
     """
     mask0, mask1 = _pair_masks(dataset, pair)
+    return _observed_for_masks(dataset, pair, mask0, mask1, fair_tolerance)
+
+
+def _observed_for_masks(
+    dataset: AuditDataset,
+    pair: GroupPair,
+    mask0: np.ndarray,
+    mask1: np.ndarray,
+    fair_tolerance: float,
+) -> ObservedAudit:
     included = np.nonzero(mask0 | mask1)[0]
     pop = Population(
         utilities=dataset.utilities[included],
@@ -383,9 +410,12 @@ def run_audit(
     fair_tolerance: float = DEFAULT_FAIR_TOLERANCE,
 ) -> AuditReport:
     """Run every configured pair analysis over the dataset."""
+    delta_u = None  # max gains of the whole dataset, computed once
     pairs = []
     for pair in schema.pairs:
         mask0, mask1 = _pair_masks(dataset, pair)
+        if delta_u is None:
+            delta_u = envelope(dataset.population()).delta_u
         pairs.append(
             PairAudit(
                 pair=pair,
@@ -395,8 +425,8 @@ def run_audit(
                     _shares_for_mask(dataset, mask0, f"{pair.name}:0"),
                     _shares_for_mask(dataset, mask1, f"{pair.name}:1"),
                 ),
-                delta_u=delta_u_analysis(dataset, pair, bandwidth),
-                observed=audit_observed(dataset, pair, fair_tolerance),
+                delta_u=_delta_u_for_masks(delta_u, mask0, mask1, bandwidth),
+                observed=_observed_for_masks(dataset, pair, mask0, mask1, fair_tolerance),
             )
         )
     return AuditReport(

@@ -589,7 +589,10 @@ class ExperimentConfig:
 def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
     kind = data.get("kind", "gaussian")
     caps = CapacityVector(data["capacities"])
-    sizes = tuple(expect(data["group_sizes"], "array", "group_sizes"))
+    sizes = tuple(
+        expect(v, "integer", f"group_sizes[{i}]")
+        for i, v in enumerate(expect(data["group_sizes"], "array", "group_sizes"))
+    )
     if kind == "gaussian":
         return GaussianGroupParams(
             means=data["means"],
@@ -629,8 +632,8 @@ def config_from_dict(data: Mapping[str, Any], name: str = "") -> ExperimentConfi
         name=data.get("name", name),
         params=params_from_dict(data),
         policy=PolicySpec.from_dict(data.get("policy", {"kind": "random"})),
-        replications=int(data.get("replications", 100)),
-        base_seed=int(data.get("base_seed", 0)),
+        replications=expect(data.get("replications", 100), "integer", "replications"),
+        base_seed=expect(data.get("base_seed", 0), "integer", "base_seed"),
     )
 
 

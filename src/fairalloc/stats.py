@@ -12,6 +12,9 @@ from .errors import DegenerateVarianceError, EmptySampleError
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 DEFAULT_GRID_SIZE = 512
 DEFAULT_GRID_PADDING = 3.0  # bandwidths beyond the sample range
+# bytes of one block of grid-row x sample kernel values; each temporary of
+# ``kde`` is about this size, whatever the sample or grid size
+_KDE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ def kde(
 
     density(x) = (1 / (n h)) * sum_i phi((x - x_i) / h) with phi the standard
     normal density. The default grid spans [min - padding*h, max + padding*h]
-    with ``grid_size`` evenly spaced points.
+    with ``grid_size`` evenly spaced points. The sum is exact; it runs over
+    blocks of grid rows, so its memory does not grow with the grid.
 
     Raises:
         EmptySampleError: if ``samples`` is empty.
@@ -76,8 +80,14 @@ def kde(
         grid = np.linspace(x.min() - padding * bandwidth, x.max() + padding * bandwidth, grid_size)
     else:
         grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - x[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bandwidth * _SQRT_2PI)
+    # Each density value is one contiguous row sum, so a block of grid rows
+    # gives the same bytes as the whole grid x sample matrix at once.
+    rows = max(1, _KDE_CHUNK_BYTES // (8 * x.size))
+    sums = np.empty(grid.size)
+    for lo in range(0, grid.size, rows):
+        z = (grid[lo : lo + rows, None] - x[None, :]) / bandwidth
+        sums[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / (x.size * bandwidth * _SQRT_2PI)
     return KdeCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 
 

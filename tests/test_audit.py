@@ -2,16 +2,22 @@
 analyses, and observed-assignment trade-off flags."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import (
+    TRADEOFF_SCHEMA,
     build_synthetic_dataset,
     build_tradeoff_dataset,
     homeless_schema,
     write_synthetic_csv,
 )
 
+import fairalloc
 from fairalloc import (
     DataValidationError,
     EmptyGroupError,
@@ -337,3 +343,82 @@ class TestRunAudit:
         ds = build_synthetic_dataset(n=100, seed=2)
         with pytest.raises(ValueError):
             audit_observed(ds, GroupPair("bad", "children", "children | disability"))
+
+    def test_pairs_match_per_pair_functions(self):
+        ds = build_synthetic_dataset(n=800, seed=12)
+        report = run_audit(ds, homeless_schema(), bandwidth=0.1, fair_tolerance=0.02)
+        for p in report.pairs:
+            assert p.delta_u.to_dict() == delta_u_analysis(ds, p.pair, 0.1).to_dict()
+            assert p.observed.to_dict() == audit_observed(ds, p.pair, 0.02).to_dict()
+
+    def test_shared_work_computed_once(self, monkeypatch):
+        import fairalloc.audit as audit_module
+
+        calls = {"envelope": 0, "_pair_masks": 0}
+        for name in calls:
+            original = getattr(audit_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(audit_module, name, counted)
+        schema = homeless_schema()
+        run_audit(build_synthetic_dataset(n=800, seed=12), schema)
+        assert calls == {"envelope": 1, "_pair_masks": len(schema.pairs)}
+
+    def test_utilities_built_once_read_only(self):
+        ds = build_synthetic_dataset(n=50, seed=1)
+        assert ds.utilities is ds.utilities
+        assert not ds.utilities.flags.writeable
+        assert np.array_equal(ds.utilities, 1.0 - ds.probabilities)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_fair_tolerance_rejected(self, tolerance):
+        ds = build_synthetic_dataset(n=100, seed=2)
+        with pytest.raises(ValueError, match="fair_tolerance must be finite and >= 0"):
+            run_audit(ds, homeless_schema(), fair_tolerance=tolerance)
+        with pytest.raises(ValueError, match="fair_tolerance must be finite and >= 0"):
+            audit_observed(ds, pair_from_attribute("children"), tolerance)
+
+
+# Reads the child's own peak RSS (VmHWM). Its ru_maxrss would not do: on
+# Linux it carries over the peak of the process that spawned it, here pytest.
+PEAK_RSS_CHILD = r"""
+import re, sys
+from fairalloc.cli import main
+code = main(["audit", "--data", sys.argv[1], "--config", sys.argv[2], "--output-dir", sys.argv[3]])
+status = open("/proc/self/status").read()
+print(code, int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) // 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_audit_peak_rss_is_bounded(tmp_path):
+    """A 200,000-row audit of one pair stays far below the memory of the
+    dense KDE: its 512 x 120,000 float64 matrix alone takes 490 MB."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    probabilities = rng.uniform(0.3, 0.5, (n, 3))
+    observed = np.array(["TH", "RRH", "ES"])[rng.integers(0, 3, n)]
+    children = (rng.random(n) < 0.4).astype(int)
+    data = tmp_path / "large.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("id,p_TH,p_RRH,p_ES,observed,children\n")
+        fh.writelines(
+            f"h{i},{p[0]!r},{p[1]!r},{p[2]!r},{o},{c}\n"
+            for i, (p, o, c) in enumerate(zip(probabilities.tolist(), observed, children))
+        )
+    config = tmp_path / "schema.json"
+    config.write_text(json.dumps(TRADEOFF_SCHEMA))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fairalloc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, str(data), str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    code, peak_mb = map(int, result.stdout.split()[-2:])
+    assert code == 0
+    assert peak_mb < 400

@@ -157,9 +157,14 @@ GAUSSIAN_PARAMS = {
      "policy tie_break_scale"),
     ("audit", dict(TRADEOFF_SCHEMA, pairs=[{"name": "children", "group1": 5,
                                             "group0": "~children"}]), "pairs[0].group1"),
+    ("simulate", dict(GAUSSIAN_PARAMS, replications="x"), "replications"),
+    ("simulate", dict(GAUSSIAN_PARAMS, replications=2.7), "replications"),
+    ("simulate", dict(GAUSSIAN_PARAMS, base_seed="a"), "base_seed"),
+    ("simulate", dict(GAUSSIAN_PARAMS, group_sizes=["a", "b"]), "group_sizes[0]"),
 ], ids=["sim-list", "policy-string", "policy-children", "audit-list", "service-int",
         "pairs-object", "groups-list", "group-sizes-int", "lambda-string", "seed-string",
-        "tie-break-scale-string", "pair-expr-int"])
+        "tie-break-scale-string", "pair-expr-int", "replications-string",
+        "replications-float", "base-seed-string", "group-size-string"])
 def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -319,6 +324,19 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "delimiter must be exactly one character" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_fair_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        data = tmp_path / "data.csv"
+        write_synthetic_csv(data, n=200, seed=4)
+        assert run_cli(
+            "audit", "--data", str(data), "--config", "homeless",
+            f"--fair-tolerance={tolerance}", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "fair_tolerance must be finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_empty_group_exit_2(self, tmp_path):
         ds = build_tradeoff_dataset()

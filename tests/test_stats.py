@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fairalloc import DegenerateVarianceError, EmptySampleError, kde, welch_t
+from fairalloc import DegenerateVarianceError, EmptySampleError, kde, stats, welch_t
 
 
 def t_density(x, df):
@@ -54,6 +54,49 @@ class TestKde:
             kde([], bandwidth=0.2)
         with pytest.raises(ValueError):
             kde([1.0], bandwidth=0.0)
+
+
+def dense_kde_density(samples, bandwidth, grid):
+    """The whole grid x sample matrix at once: the reference for ``kde``."""
+    x = np.asarray(samples, dtype=np.float64)
+    z = (grid[:, None] - x[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+class TestKdeBlocks:
+    """``kde`` sums the kernel over blocks of grid rows; the densities must be
+    the same bytes as the dense matrix gives."""
+
+    BLOCK_ROWS_ONE = stats._KDE_CHUNK_BYTES // 8  # above this many samples, one row a block
+
+    @pytest.mark.parametrize("n, grid_size", [
+        (1, 512),
+        (997, 512),  # 131 rows a block; 512 is not a multiple of it
+        (5000, 7),
+        (BLOCK_ROWS_ONE, 5),  # exactly one row a block
+        (BLOCK_ROWS_ONE + 1, 3),  # one row a block by the max(1, ...) floor
+        (BLOCK_ROWS_ONE // 2, 5),  # two rows a block; the last block has one
+        (300, 1),
+    ])
+    def test_default_grid_matches_dense(self, n, grid_size):
+        samples = np.random.default_rng(n).normal(0.05, 0.01, n)
+        curve = kde(samples, bandwidth=0.2, grid_size=grid_size)
+        assert curve.grid.size == grid_size
+        assert np.array_equal(curve.density, dense_kde_density(samples, 0.2, curve.grid))
+
+    def test_custom_grid_matches_dense(self):
+        rng = np.random.default_rng(1)
+        samples = rng.uniform(-1.0, 1.0, 2500)
+        grid = np.sort(rng.uniform(-2.0, 2.0, 333))
+        curve = kde(samples, bandwidth=0.07, grid=grid)
+        assert np.array_equal(curve.density, dense_kde_density(samples, 0.07, grid))
+
+    @pytest.mark.parametrize("budget", [8, 8 * 3 * 1000 - 1, 8 * 7 * 1000])
+    def test_any_block_size_matches_dense(self, monkeypatch, budget):
+        monkeypatch.setattr(stats, "_KDE_CHUNK_BYTES", budget)
+        samples = np.random.default_rng(7).normal(0.0, 1.0, 1000)
+        curve = kde(samples, bandwidth=0.3, grid_size=50)
+        assert np.array_equal(curve.density, dense_kde_density(samples, 0.3, curve.grid))
 
 
 class TestWelch:
