@@ -64,22 +64,28 @@ def load_json(path_or_preset: str) -> Any:
 
 def expect(value, kind: str, field: str):
     """Return ``value`` if it is a JSON ``kind``: "object", "array", "number",
-    "integer" or "string".
+    "integer" or "string". ``kind[]`` is an array of ``kind`` items and
+    ``kind[n]`` an array of exactly n; for these a list of the items is
+    returned, so "number[][]" reads a matrix row by row. A boolean is never
+    a number or an integer.
 
     Raises:
-        SchemaMismatchError: naming ``field`` otherwise.
+        SchemaMismatchError: naming ``field`` (or the item, as
+            ``field[i]``) otherwise.
     """
-    if not isinstance(value, _JSON_TYPES[kind]):
+    if kind.endswith("]"):
+        item, size = kind[:-1].rsplit("[", 1)
+        items = expect(value, "array", field)
+        if size and len(items) != int(size):
+            raise SchemaMismatchError(
+                f"schema-mismatch: {field} must be a JSON array of {size} items, not {len(items)}"
+            )
+        return [expect(v, item, f"{field}[{i}]") for i, v in enumerate(items)]
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise SchemaMismatchError(
             f"schema-mismatch: {field} must be a JSON {kind}, not {type(value).__name__}"
         )
     return value
-
-
-def expect_objects(value, field: str) -> list:
-    """Return ``value`` if it is a JSON array of objects; see ``expect``."""
-    items = enumerate(expect(value, "array", field))
-    return [expect(v, "object", f"{field}[{i}]") for i, v in items]
 
 
 @dataclass(frozen=True)

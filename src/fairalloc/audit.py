@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._io import CsvColumns, dump_json, expect, expect_objects, read_csv, write_text_atomic
+from ._io import CsvColumns, dump_json, expect, read_csv, write_text_atomic
 from .core import Allocation, FairnessReport, Population, delta_metrics, envelope
 from .errors import EmptyGroupError, SchemaMismatchError
 from .stats import (
@@ -58,21 +58,28 @@ class AuditSchema:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AuditSchema":
         expect(data, "object", "audit config")
+        services = expect(data["services"], "object[]", "services")
+        groups = expect(data.get("groups", {}), "object", "groups")
+        pairs = expect(data.get("pairs", []), "object[]", "pairs")
         return cls(
             services=tuple(
-                (s["name"], s["column"]) for s in expect_objects(data["services"], "services")
+                (expect(s["name"], "string", f"services[{i}].name"),
+                 expect(s["column"], "string", f"services[{i}].column"))
+                for i, s in enumerate(services)
             ),
-            observed_column=data["observed"],
-            group_columns=dict(expect(data.get("groups", {}), "object", "groups")),
+            observed_column=expect(data["observed"], "string", "observed"),
+            group_columns={
+                attr: expect(column, "string", f"groups.{attr}") for attr, column in groups.items()
+            },
             pairs=tuple(
                 GroupPair(
-                    name=p["name"],
+                    name=expect(p["name"], "string", f"pairs[{i}].name"),
                     group1=expect(p["group1"], "string", f"pairs[{i}].group1"),
                     group0=expect(p["group0"], "string", f"pairs[{i}].group0"),
                 )
-                for i, p in enumerate(expect_objects(data.get("pairs", []), "pairs"))
+                for i, p in enumerate(pairs)
             ),
-            id_column=data.get("id", "id"),
+            id_column=expect(data.get("id", "id"), "string", "id"),
         )
 
 

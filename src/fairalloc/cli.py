@@ -1,9 +1,11 @@
 """Command-line interface: simulate experiments, solve allocation instances,
 audit datasets, and run the theory verification suite.
 
-Exit codes: 0 success, 1 failed verification check, 2 invalid input,
-3 infeasible capacities, 4 internal error (a broken internal invariant, such
-as the additive identity; reported as one line on stderr, no traceback).
+Exit codes: 0 success, 1 failed verification check, 2 invalid input (also
+inputs so large or small that a float64 result overflows, divides by zero or
+is undefined), 3 infeasible capacities, 4 internal error (a broken internal
+invariant, such as the additive identity; reported as one line on stderr, no
+traceback).
 All randomness flows from --seed (default 0); repeated invocations with
 identical flags produce byte-identical outputs.
 """
@@ -16,6 +18,8 @@ import os
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from ._io import CsvColumns, dump_json, load_json, read_csv, write_text_atomic
 from .audit import (
@@ -216,14 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an inf or NaN result would be written as a number; fail instead
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except FairallocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, FloatingPointError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RuntimeError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from ._io import expect, expect_objects
+from ._io import expect
 from ._rng import generator, spawn_seed
 from .core import Allocation, CapacityVector, Population
 from .errors import InfeasibleError
@@ -60,11 +60,8 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        for field, value, kind in (
-            ("lambda", self.lam, "number"),
-            ("seed", self.seed, "integer"),
-            ("tie_break_scale", self.tie_break_scale, "number"),
-        ):
+        expect(self.tie_break_scale, "number", "policy tie_break_scale")
+        for field, value, kind in (("lambda", self.lam, "number"), ("seed", self.seed, "integer")):
             if value is not None:
                 expect(value, kind, f"policy {field}")
         if self.kind == KIND_MIXTURE:
@@ -98,11 +95,11 @@ class PolicySpec:
         expect(data, "object", "policy")
         children = data.get("children")
         return cls(
-            kind=data["kind"],
+            kind=expect(data["kind"], "string", "policy kind"),
             seed=data.get("seed"),
             lam=data.get("lambda"),
             children=None if children is None else tuple(
-                cls.from_dict(c) for c in expect_objects(children, "policy children")
+                cls.from_dict(c) for c in expect(children, "object[]", "policy children")
             ),
             tie_break_scale=data.get("tie_break_scale", DEFAULT_TIE_BREAK_SCALE),
         )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -263,7 +263,8 @@ def _replicate_once(
     report = delta_metrics(pop, alloc, params.attribute)
     du0, du1 = report.mean_delta_u
     residual = report.delta_improvement + report.delta_regret - (du1 - du0)
-    if abs(residual) > 1e-9:
+    # exact in real arithmetic; the rounding error grows with the utilities' size
+    if abs(residual) > 1e-9 * max(1.0, float(np.abs(pop.utilities).max())):
         raise RuntimeError(f"additive-identity violation: residual {residual:g}")
     g1 = pop.group_mask(params.attribute, 1)
     best = np.argmax(pop.utilities, axis=1) + 1 == alloc.assignment
@@ -484,20 +485,16 @@ class SignFlipReport:
 
 
 def verify_sign_flip(
-    params: PopulationParams,
-    replications: int = 40,
-    base_seed: int = 0,
-    lambda_grid: Sequence[float] | None = None,
-    endpoint_a: Allocator | None = None,
-    endpoint_b: Allocator | None = None,
+    params: PopulationParams, replications: int = 40, base_seed: int = 0
 ) -> SignFlipReport:
     """Search lambda-mixtures for a policy favoring group 1 on improvement
     while favoring group 0 on regret (both CIs excluding zero).
 
-    Defaults mix two greedy policies: one serving group 0 first (improvement
-    delta < 0) and one serving group 1 first (> 0). On top of the supplied
-    grid, the search adds the lambda suggested by the interpolation argument,
-    targeting half the group difference in mean max gain.
+    The mixtures are of two greedy policies: one serving group 0 first
+    (improvement delta < 0) and one serving group 1 first (> 0). On top of the
+    grid 0, 0.1, ..., 1, the search adds the lambda suggested by the
+    interpolation argument, targeting half the group difference in mean max
+    gain.
 
     Raises:
         NoHeterogeneityError: when the mean max-gain difference between
@@ -505,10 +502,8 @@ def verify_sign_flip(
             identity pins improvement and regret deltas to opposite signs.
     """
     attr = params.attribute
-    if endpoint_a is None:
-        endpoint_a = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 0)
-    if endpoint_b is None:
-        endpoint_b = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 1)
+    endpoint_a = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 0)
+    endpoint_b = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 1)
 
     du_diffs = []
     for r in range(replications):
@@ -527,7 +522,7 @@ def verify_sign_flip(
     delta = run_a.metrics["delta_improvement"].estimate
     delta_prime = run_b.metrics["delta_improvement"].estimate
 
-    grid = [round(float(x), 10) for x in (lambda_grid if lambda_grid is not None else np.arange(0, 1.05, 0.1))]
+    grid = [round(float(x), 10) for x in np.arange(0, 1.05, 0.1)]
     if delta < 0.0 < delta_prime:
         # Constructive target: the smaller of half the heterogeneity and half
         # the group-1-favoring endpoint, mapped to its mixture weight.
@@ -586,50 +581,48 @@ class ExperimentConfig:
     base_seed: int
 
 
+# Each population kind's dataclass and the JSON type (see ``_io.expect``) of
+# every key its params file may set; a key the dataclass gives a default may
+# be left out, and keys not listed here are ignored.
+_POPULATION_KINDS: dict[str, tuple[type, dict[str, str]]] = {
+    "gaussian": (GaussianGroupParams, {
+        "means": "number[][]", "variances": "number[][]", "group_sizes": "integer[2]",
+        "capacities": "integer[]", "attribute": "string",
+    }),
+    "sf1": (SF1Params, {
+        "r_high": "number", "r_low": "number", "pi0": "number", "pi1": "number",
+        "group_sizes": "integer[2]", "capacities": "integer[]",
+        "u_max_range": "number[2]", "k": "integer",
+    }),
+    "sf2": (SF2Params, {
+        "u_low": "number", "u_high": "number", "p0": "number", "p1": "number",
+        "group_sizes": "integer[2]", "capacities": "integer[]",
+        "spread_range": "number[2]", "k": "integer",
+    }),
+}
+
+
 def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
-    kind = data.get("kind", "gaussian")
-    caps = CapacityVector(data["capacities"])
-    sizes = tuple(
-        expect(v, "integer", f"group_sizes[{i}]")
-        for i, v in enumerate(expect(data["group_sizes"], "array", "group_sizes"))
-    )
-    if kind == "gaussian":
-        return GaussianGroupParams(
-            means=data["means"],
-            variances=data["variances"],
-            group_sizes=sizes,
-            capacities=caps,
-            attribute=data.get("attribute", GROUP_ATTRIBUTE),
-        )
-    if kind == "sf1":
-        return SF1Params(
-            r_high=data["r_high"],
-            r_low=data["r_low"],
-            pi0=data["pi0"],
-            pi1=data["pi1"],
-            group_sizes=sizes,
-            capacities=caps,
-            u_max_range=tuple(data.get("u_max_range", (1.0, 2.0))),
-            k=data.get("k", 3),
-        )
-    if kind == "sf2":
-        return SF2Params(
-            u_low=data["u_low"],
-            u_high=data["u_high"],
-            p0=data["p0"],
-            p1=data["p1"],
-            group_sizes=sizes,
-            capacities=caps,
-            spread_range=tuple(data.get("spread_range", (0.5, 1.0))),
-            k=data.get("k", 3),
-        )
-    raise ValueError(f"unknown population kind {kind!r}")
+    """Build the population params of ``data["kind"]`` from the keys
+    ``_POPULATION_KINDS`` lists for it, each checked for its JSON type."""
+    kind = expect(data.get("kind", "gaussian"), "string", "kind")
+    if kind not in _POPULATION_KINDS:
+        raise ValueError(f"unknown population kind {kind!r}")
+    cls, keys = _POPULATION_KINDS[kind]
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    args = {
+        key: expect(data[key], json_type, key)
+        for key, json_type in keys.items()
+        if key in data or key not in optional
+    }
+    args["capacities"] = CapacityVector(args["capacities"])
+    return cls(**args)
 
 
 def config_from_dict(data: Mapping[str, Any], name: str = "") -> ExperimentConfig:
     expect(data, "object", "experiment config")
     return ExperimentConfig(
-        name=data.get("name", name),
+        name=expect(data.get("name", name), "string", "name"),
         params=params_from_dict(data),
         policy=PolicySpec.from_dict(data.get("policy", {"kind": "random"})),
         replications=expect(data.get("replications", 100), "integer", "replications"),

@@ -80,6 +80,16 @@ class TestSolve:
             ) == 0
         assert (out_a / "allocation.csv").read_bytes() == (out_b / "allocation.csv").read_bytes()
 
+    def test_float_overflow_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_2,g\na,1e-310,1.0,0\nb,1.0,1e-310,1\n")
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "1,1",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert "overflow encountered" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fairness_report.json").exists()
+
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):
         assert run_cli(
@@ -136,6 +146,10 @@ GAUSSIAN_PARAMS = {
     "capacities": [20, 20, 20],
     "replications": 3,
 }
+SF1_PARAMS = {
+    "kind": "sf1", "r_high": 0.9, "r_low": 0.3, "pi0": 0.6, "pi1": 0.4,
+    "group_sizes": [10, 10], "capacities": [20, 20, 20], "replications": 3,
+}
 
 
 @pytest.mark.parametrize("command, config, field", [
@@ -161,10 +175,39 @@ GAUSSIAN_PARAMS = {
     ("simulate", dict(GAUSSIAN_PARAMS, replications=2.7), "replications"),
     ("simulate", dict(GAUSSIAN_PARAMS, base_seed="a"), "base_seed"),
     ("simulate", dict(GAUSSIAN_PARAMS, group_sizes=["a", "b"]), "group_sizes[0]"),
+    ("simulate", dict(GAUSSIAN_PARAMS, group_sizes=[True, True]), "group_sizes[0]"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": "random", "seed": True}), "policy seed"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={
+        "kind": "mixture", "lambda": True,
+        "children": [{"kind": "random"}, {"kind": "utilitarian"}],
+    }), "policy lambda"),
+    ("simulate", dict(SF1_PARAMS, r_high="a"), "r_high"),
+    ("simulate", dict(SF1_PARAMS, k="3"), "k"),
+    ("simulate", dict(SF1_PARAMS, k=3.5), "k"),
+    ("simulate", dict(SF1_PARAMS, u_max_range=5), "u_max_range"),
+    ("simulate", dict(SF1_PARAMS, u_max_range=[1]), "u_max_range"),
+    ("simulate", dict(SF1_PARAMS, pi0=True), "pi0"),
+    ("simulate", dict(GAUSSIAN_PARAMS, capacities=[1000.7, 1000, 1000]), "capacities[0]"),
+    ("simulate", dict(GAUSSIAN_PARAMS, attribute=5), "attribute"),
+    ("simulate", dict(GAUSSIAN_PARAMS, kind=5), "kind"),
+    ("simulate", dict(GAUSSIAN_PARAMS, means=[[0.2, 0.3, 0.4], "ab"]), "means[1]"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": 5}), "policy kind"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={"kind": "utilitarian", "tie_break_scale": None}),
+     "policy tie_break_scale"),
+    ("audit", dict(TRADEOFF_SCHEMA, pairs=[dict(TRADEOFF_SCHEMA["pairs"][0], name=5)]),
+     "pairs[0].name"),
+    ("audit", dict(TRADEOFF_SCHEMA, services=[{"name": 5, "column": "p_TH"}]),
+     "services[0].name"),
+    ("audit", dict(TRADEOFF_SCHEMA, observed=["observed"]), "observed"),
+    ("audit", dict(TRADEOFF_SCHEMA, groups={"children": 1}), "groups.children"),
 ], ids=["sim-list", "policy-string", "policy-children", "audit-list", "service-int",
         "pairs-object", "groups-list", "group-sizes-int", "lambda-string", "seed-string",
         "tie-break-scale-string", "pair-expr-int", "replications-string",
-        "replications-float", "base-seed-string", "group-size-string"])
+        "replications-float", "base-seed-string", "group-size-string",
+        "group-size-bool", "seed-bool", "lambda-bool", "sf1-r-high-string", "sf1-k-string",
+        "sf1-k-float", "sf1-range-int", "sf1-range-short", "sf1-pi0-bool",
+        "capacity-float", "attribute-int", "kind-int", "means-row-string", "policy-kind-int",
+        "tie-break-scale-null", "pair-name-int", "service-name-int", "observed-list", "group-column-int"])
 def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -246,6 +289,26 @@ class TestSimulate:
         # malformed params (one group row) also exits 2
         assert run_cli("simulate", "--params", str(params_path), "--reps", "1",
                        "--output-dir", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"means": [[1e308, 0.3, 0.4], [0.4, 0.5, 0.63]], "policy": {"kind": "random"}},
+         "overflow encountered"),
+        ({"kind": "sf1", "r_high": 0.9, "r_low": 5e-324, "pi0": 0.6, "pi1": 0.4},
+         "overflow encountered"),
+        ({"capacities": [10**30, 20, 20]}, "int too large"),
+    ], ids=["huge-mean", "subnormal-ratio", "huge-capacity"])
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
+        assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_identity_check_scales_with_utilities(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, variances=[[1e-4, 4e-4, 9e-4],
+                                                                    [7.8e13, 4e-4, 9e-4]])))
+        assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 0
 
     def test_reps_guard(self, tmp_path):
         out = tmp_path / "o"
@@ -391,9 +454,58 @@ def csv_text(header):
     return st.one_of(st.text(max_size=40), spoiled)
 
 
+# small valid configs of each population kind, with every optional key set
+SIM_CONFIGS = [
+    {"kind": "gaussian", "means": [[0.2, 0.3, 0.4], [0.4, 0.5, 0.63]],
+     "variances": [[1e-4, 4e-4, 9e-4], [1e-4, 4e-4, 9e-4]], "group_sizes": [3, 4],
+     "capacities": [3, 3, 3], "attribute": "g", "name": "g", "replications": 2, "base_seed": 1,
+     "policy": {"kind": "mixture", "lambda": 0.5, "seed": 3,
+                "children": [{"kind": "random"}, {"kind": "utilitarian"}]}},
+    {"kind": "sf1", "r_high": 0.9, "r_low": 0.3, "pi0": 0.6, "pi1": 0.4, "group_sizes": [4, 5],
+     "capacities": [9, 9, 9, 9], "u_max_range": [1.0, 2.0], "k": 4, "replications": 2,
+     "policy": {"kind": "utilitarian", "tie_break_scale": 1e6}},
+    {"kind": "sf2", "u_low": 0.5, "u_high": 1.5, "p0": 0.7, "p1": 0.3, "group_sizes": [5, 3],
+     "capacities": [8, 8], "spread_range": [0.5, 1.0], "k": 2, "replications": 2,
+     "policy": {"kind": "assign-best-ignoring-capacity"}},
+]
+JSON_JUNK = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.floats(), st.integers(-3, 6),
+    st.lists(st.one_of(st.integers(-3, 6), st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 6), max_size=2),
+)
+
+
+def json_paths(value, path=()):
+    """The path of every value nested in ``value`` (dict keys, list
+    indices), ``value`` itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from json_paths(item, path + (key,))
+
+
+def replace_at(value, path, junk):
+    """A copy of ``value`` with the value at ``path`` replaced by ``junk``."""
+    if not path:
+        return junk
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replace_at(value[path[0]], path[1:], junk)
+    return copy
+
+
+@st.composite
+def spoiled_config(draw):
+    """One of ``SIM_CONFIGS`` with junk in place of one of its values."""
+    config = draw(st.sampled_from(SIM_CONFIGS))
+    path = draw(st.sampled_from(list(json_paths(config))))
+    return replace_at(config, path, draw(JSON_JUNK))
+
+
 class TestExitCodeContract:
-    """Whatever CSV text ``solve`` or ``audit`` reads, the exit code is a
-    documented one and no traceback reaches stderr."""
+    """Whatever CSV text ``solve`` or ``audit`` reads, and whatever params
+    file ``simulate`` reads, the exit code is a documented one and no
+    traceback reaches stderr."""
 
     @staticmethod
     def run_on(text, *argv):
@@ -407,6 +519,7 @@ class TestExitCodeContract:
                             + ["--output-dir", str(Path(tmp) / "out")])
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
+        return code
 
     @settings(max_examples=40, deadline=None)
     @given(text=csv_text(SOLVE_HEADER))
@@ -417,6 +530,15 @@ class TestExitCodeContract:
     @given(text=csv_text(AUDIT_HEADER))
     def test_audit(self, text):
         self.run_on(text, "audit", "--data", "{data}", "--config", "{config}")
+
+    @pytest.mark.parametrize("config", SIM_CONFIGS, ids=lambda c: c["kind"])
+    def test_simulate_valid_configs(self, config):
+        assert self.run_on(json.dumps(config), "simulate", "--params", "{data}") == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=spoiled_config())
+    def test_simulate(self, config):
+        self.run_on(json.dumps(config), "simulate", "--params", "{data}")
 
 
 class TestCheck:

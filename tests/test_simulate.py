@@ -1,6 +1,8 @@
 """Sampler distribution checks, experiment reproducibility, and the
 stylized-framework verification harnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from fairalloc.simulate import (
     _POLICY_STREAM,
     allocate_group_priority,
     gain_fair_allocator,
+    params_from_dict,
     sf1_identity,
     sf2_identity,
 )
@@ -347,3 +350,33 @@ class TestConfigs:
         assert isinstance(config.params, SF1Params)
         assert config.policy.seed == 4
         assert config.replications == 7
+
+
+# params files setting every optional key, each with the dataclass built from
+# the same values by keyword; sf1 and sf2 do not read ``attribute``
+FULL_CONFIGS = [
+    ({"kind": "gaussian", "means": [[0.2, 0.3], [0.4, 0.5]], "variances": [[1e-4, 4e-4]] * 2,
+      "group_sizes": [3, 4], "capacities": [4, 5], "attribute": "g"},
+     GaussianGroupParams(means=[[0.2, 0.3], [0.4, 0.5]], variances=[[1e-4, 4e-4]] * 2,
+                         group_sizes=(3, 4), capacities=CapacityVector([4, 5]), attribute="g")),
+    ({"kind": "sf1", "r_high": 0.9, "r_low": 0.3, "pi0": 0.6, "pi1": 0.4, "group_sizes": [3, 4],
+      "capacities": [4, 5, 6, 7], "u_max_range": [1.5, 3], "k": 4, "attribute": "g"},
+     SF1Params(r_high=0.9, r_low=0.3, pi0=0.6, pi1=0.4, group_sizes=(3, 4),
+               capacities=CapacityVector([4, 5, 6, 7]), u_max_range=(1.5, 3.0), k=4)),
+    ({"kind": "sf2", "u_low": 0.5, "u_high": 1.5, "p0": 0.7, "p1": 0.3, "group_sizes": [3, 4],
+      "capacities": [4, 5], "spread_range": [0.2, 0.9], "k": 2, "attribute": "g"},
+     SF2Params(u_low=0.5, u_high=1.5, p0=0.7, p1=0.3, group_sizes=(3, 4),
+               capacities=CapacityVector([4, 5]), spread_range=(0.2, 0.9), k=2)),
+]
+
+
+@pytest.mark.parametrize("data, expected", FULL_CONFIGS, ids=["gaussian", "sf1", "sf2"])
+def test_params_from_dict_reads_every_key(data, expected):
+    got = params_from_dict(data)
+    assert type(got) is type(expected)
+    for field in dataclasses.fields(expected):
+        value, want = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(want, CapacityVector):
+            value, want = value.capacities, want.capacities
+        assert type(value) is type(want), field.name
+        np.testing.assert_array_equal(value, want, err_msg=field.name)
