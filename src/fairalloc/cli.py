@@ -127,11 +127,10 @@ def cmd_solve(args) -> int:
     )
     alloc = apply_policy(spec, pop, caps, seed=args.seed)
 
-    outdir = Path(args.output_dir)
+    # both payloads are built before either file is written, so a failure
+    # leaves no partial output
     lines = ["id,service"]
     lines += [f"{ids[i]},{alloc.assignment[i]}" for i in range(pop.n)]
-    write_text_atomic(outdir / "allocation.csv", "\n".join(lines) + "\n")
-
     total = float(alloc.realized(pop).sum())
     reports = {}
     for attribute in pop.groups:
@@ -144,7 +143,10 @@ def cmd_solve(args) -> int:
         "total_utility": total,
         "fairness": reports,
     }
-    write_text_atomic(outdir / "fairness_report.json", dump_json(payload))
+    report = dump_json(payload)
+    outdir = Path(args.output_dir)
+    write_text_atomic(outdir / "allocation.csv", "\n".join(lines) + "\n")
+    write_text_atomic(outdir / "fairness_report.json", report)
     print(f"total utility {total!r}; wrote {outdir / 'allocation.csv'}")
     return EXIT_OK
 

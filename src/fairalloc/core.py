@@ -105,7 +105,8 @@ class CapacityVector:
 
     @property
     def total(self) -> int:
-        return int(self.capacities.sum())
+        """Exact sum; an int64 sum can wrap for capacities near 2**63."""
+        return sum(self.capacities.tolist())
 
     def feasible_for(self, pop: Population) -> bool:
         return self.k == pop.k and self.total >= pop.n

@@ -304,8 +304,9 @@ def run_experiment(
     the group difference in mean max gain) is asserted in every replication.
 
     ``threads`` > 1 runs the replications of a ``PolicySpec`` policy in that
-    many worker processes; the default runs them serially. The environment is
-    not consulted: the CLI applies the ``FAIRALLOC_THREADS`` cap before calling.
+    many worker processes, at most one per replication and per CPU; the
+    default runs them serially. The environment is not consulted: the CLI
+    applies the ``FAIRALLOC_THREADS`` cap before calling.
 
     Raises:
         ValueError: if ``replications`` < 2.
@@ -313,7 +314,8 @@ def run_experiment(
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    threads = max(1, threads)
+    # the pool starts every worker at once; more than there is work or CPU only costs
+    threads = max(1, min(threads, replications, os.cpu_count() or 1))
 
     if isinstance(policy, PolicySpec):
         spec, allocator, label = policy, compile_spec(policy), policy.describe()

@@ -89,6 +89,32 @@ class TestSolve:
         ) == 2
         assert "overflow encountered" in capsys.readouterr().err
         assert not (tmp_path / "out" / "fairness_report.json").exists()
+        assert not (tmp_path / "out" / "allocation.csv").exists()
+
+    def test_capacities_beyond_int64_sum(self, tmp_path):
+        # 3 * 2**62 wraps an int64 sum to a negative total
+        path = tmp_path / "pop3.csv"
+        path.write_text("id,u_1,u_2,u_3\na,1.0,0.0,0.5\nb,0.0,1.0,0.5\n")
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path),
+            "--capacities", ",".join([str(2**62)] * 3), "--output-dir", str(out),
+        ) == 0
+        assert (out / "allocation.csv").read_text().splitlines() == ["id,service", "a,1", "b,2"]
+
+    def test_ties_beyond_64_services(self, tmp_path):
+        # both individuals tie between services 65 and 66 only
+        k = 66
+        header = "id," + ",".join(f"u_{j + 1}" for j in range(k))
+        row = ",".join("1" if j >= 64 else "0" for j in range(k))
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{header}\na,{row}\nb,{row}\n")
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", ",".join(["1"] * k),
+            "--output-dir", str(out),
+        ) == 0
+        assert (out / "allocation.csv").read_text().splitlines() == ["id,service", "a,65", "b,66"]
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):

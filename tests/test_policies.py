@@ -4,6 +4,7 @@ small enough to enumerate; utilities there live on a dyadic grid so
 integerized totals compare exactly. The min-cost-flow solver behind it is
 also checked against HiGHS on tie-heavy integer instances."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -28,6 +29,7 @@ from fairalloc import (
     policies,
     regret_mean,
 )
+from fairalloc.simulate import load_experiment_config
 
 
 def enumerate_optimal(utilities, caps, scale=1e7):
@@ -161,6 +163,61 @@ def hall_loop(counts, lo, hi, k):
     return True
 
 
+def lex_least_loop(allowed, caps, mandatory):
+    """Reference for ``_lex_least_allowed``: walks every individual in order,
+    forced ones included, with the Hall probe."""
+    n, k = allowed.shape
+    masks = allowed @ (1 << np.arange(k, dtype=np.int64))
+    counts = {}
+    for m in masks.tolist():
+        counts[m] = counts.get(m, 0) + 1
+
+    assigned = np.zeros(k, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        m = int(masks[i])
+        counts[m] -= 1
+        if counts[m] == 0:
+            del counts[m]
+        if m & (m - 1) == 0:  # single allowed service: forced
+            kk = m.bit_length() - 1
+            assigned[kk] += 1
+            out[i] = kk + 1
+            continue
+        placed = False
+        for kk in range(k):
+            if not (m >> kk & 1) or assigned[kk] >= caps[kk]:
+                continue
+            assigned[kk] += 1
+            lo_rem = np.maximum(mandatory - assigned, 0)
+            hi_rem = caps - assigned
+            if policies._completion_feasible_hall(counts, lo_rem, hi_rem, k):
+                out[i] = kk + 1
+                placed = True
+                break
+            assigned[kk] -= 1
+        if not placed:
+            raise RuntimeError("internal: no feasible completion during tie resolution")
+    return out
+
+
+@st.composite
+def tie_structures(draw):
+    """(allowed, caps, mandatory) around a hidden feasible assignment: extra
+    allowed arcs, spare capacity (zero where unused) and lower bounds up to
+    its fills; K <= 8."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 8))
+    hidden = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    extra = np.array(draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k)))
+    allowed = extra.reshape(n, k)
+    allowed[np.arange(n), hidden] = True
+    fills = np.bincount(hidden, minlength=k)
+    caps = fills + np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    full = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    return allowed, caps, np.where(full, fills, 0)
+
+
 class TestFlowSolver:
     @settings(max_examples=150, deadline=None)
     @given(instance=transport_instances())
@@ -227,6 +284,57 @@ class TestFlowSolver:
             assert policies._completion_feasible_hall(counts, lo, hi, k) == hall_loop(
                 counts, lo, hi, k
             )
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(structure=tie_structures())
+    def test_lex_least_matches_loop(self, structure):
+        allowed, caps, mandatory = structure
+        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
+            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=transport_instances())
+    def test_lex_least_matches_loop_on_optimal_arcs(self, instance):
+        w, caps = instance
+        _, prices = policies._solve_transport(w, caps)
+        surplus = w - np.array(prices)
+        allowed = surplus == surplus.max(axis=1, keepdims=True)
+        mandatory = np.where(np.array(prices) > 0, caps, 0)
+        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
+            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        )
+
+    @pytest.mark.parametrize("k", [24, 30])
+    def test_many_services(self, k):
+        # tie-heavy: 60 individuals over 4 weight levels; a solver sized by
+        # the 2^K service subsets could not finish
+        rng = np.random.default_rng(k)
+        w = rng.integers(0, 4, (60, k)).astype(np.int64)
+        caps = rng.integers(0, 4, k)
+        caps[0] += max(0, 60 - caps.sum())
+        flow, prices = policies._solve_transport(w, caps)
+        assert policies._certify_transport(w, caps, flow, prices) == highs_transport(w, caps)[0]
+
+
+# sha256 of the int64 assignment of experiment 2's population for each seed,
+# as the successive-shortest-path solver computed it
+EXPERIMENT2_DIGESTS = {
+    7: "f9c10568db1daa68c098cca6858a6cc235dcd9f70d234edf82a85a19d0a2609a",
+    8: "e99d27e711b0f3a50e3a835dea45b03259a3f99a030ce4385aff99f1fb7bdfca",
+    9: "cad0b0346efff2910d2da2a29fa938a645ef51be71a47b0bc976c455a9df19d4",
+    10: "717f1203fbae88d1ddf7c4e5dab95db4701b313477932acb349f5bec4e03edeb",
+    11: "d420c0a73ef86f68e237218a5dfaf5010bfbf99a1cfc3901e9323a29e1dc3b64",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPERIMENT2_DIGESTS))
+def test_experiment2_assignments_pinned(seed):
+    params = load_experiment_config("experiment2").params
+    alloc = allocate_utilitarian(params.sample(seed), params.capacities)
+    digest = hashlib.sha256(alloc.assignment.astype("<i8").tobytes()).hexdigest()
+    assert digest == EXPERIMENT2_DIGESTS[seed]
 
 
 class TestRandom:

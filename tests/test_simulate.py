@@ -18,6 +18,7 @@ from fairalloc import (
     run_experiment,
     verify_sign_flip,
 )
+from fairalloc import simulate
 from fairalloc.policies import compile_spec
 from fairalloc.simulate import (
     _POLICY_STREAM,
@@ -218,6 +219,33 @@ class TestRunExperiment:
         serial = run_experiment(params, PolicySpec("random"), 8, 3, threads=1)
         parallel = run_experiment(params, PolicySpec("random"), 8, 3, threads=2)
         assert serial.to_dict() == parallel.to_dict()
+
+    @pytest.mark.parametrize(
+        "threads, reps, expected", [(5000, 2, 2), (8, 8, 4), (3, 8, 3), (1, 8, None)]
+    )
+    def test_worker_count_capped(self, monkeypatch, threads, reps, expected):
+        # a fake pool: a large thread count must never start real processes
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        params = exp1_params(30, caps=[25, 25, 25])
+        result = run_experiment(params, PolicySpec("random"), reps, 3, threads=threads)
+        assert pools == ([] if expected is None else [expected])
+        assert result.to_dict() == run_experiment(params, PolicySpec("random"), reps, 3).to_dict()
 
     def test_exp1_random_signs(self):
         params = exp1_params(300, caps=[200, 200, 200])
