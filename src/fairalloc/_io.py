@@ -34,13 +34,17 @@ _JSON_TYPES = {
 
 
 def write_text_atomic(path: str | Path, text: str):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. The file
+    gets the mode a plain ``open`` would create, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,7 +16,15 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ._io import CsvColumns, dump_json, expect, read_csv, write_text_atomic
-from .core import Allocation, FairnessReport, Population, delta_metrics, envelope
+from .core import (
+    Allocation,
+    FairnessReport,
+    Population,
+    _frozen_array,
+    delta_metrics,
+    envelope,
+    favored_group,
+)
 from .errors import EmptyGroupError, SchemaMismatchError
 from .stats import (
     DEFAULT_GRID_PADDING,
@@ -50,6 +58,20 @@ class AuditSchema:
     group_columns: Mapping[str, str]  # attribute -> column
     pairs: tuple[GroupPair, ...]
     id_column: str = "id"
+
+    def __post_init__(self):
+        # a pair name keys report.json and names the kde_<pair>_<group>.csv files
+        seen = set()
+        for pair in self.pairs:
+            name = pair.name
+            if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                raise SchemaMismatchError(
+                    f"schema-mismatch: pair name {name!r} is empty, '.' or '..', "
+                    "or contains '/', '\\' or NUL"
+                )
+            if name in seen:
+                raise SchemaMismatchError(f"schema-mismatch: pair name {name!r} is repeated")
+            seen.add(name)
 
     @property
     def service_names(self) -> tuple[str, ...]:
@@ -96,20 +118,11 @@ class AuditDataset:
     utilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=np.float64)
-        p.setflags(write=False)
+        p = _frozen_array(self.probabilities, np.float64)
         object.__setattr__(self, "probabilities", p)
-        u = 1.0 - p
-        u.setflags(write=False)
-        object.__setattr__(self, "utilities", u)
-        obs = np.array(self.observed, dtype=np.int64)
-        obs.setflags(write=False)
-        object.__setattr__(self, "observed", obs)
-        groups = {}
-        for name, vals in dict(self.groups).items():
-            g = np.array(vals, dtype=np.int8)
-            g.setflags(write=False)
-            groups[name] = g
+        object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
+        object.__setattr__(self, "observed", _frozen_array(self.observed, np.int64))
+        groups = {name: _frozen_array(vals, np.int8) for name, vals in dict(self.groups).items()}
         object.__setattr__(self, "groups", groups)
 
     @property
@@ -303,23 +316,18 @@ def trade_off_flags(report: FairnessReport, tolerance: float) -> tuple[str, ...]
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"fair_tolerance must be finite and >= 0, got {tolerance!r}")
     flags = []
-    d_imp, d_reg = report.delta_improvement, report.delta_regret
-    imp_fair, reg_fair = abs(d_imp) <= tolerance, abs(d_reg) <= tolerance
-    if imp_fair and not reg_fair:
-        flags.append("improvement-fair-regret-unfair")
-    elif reg_fair and not imp_fair:
-        flags.append("regret-fair-improvement-unfair")
-    elif not imp_fair and not reg_fair and np.sign(d_imp) != np.sign(-d_reg):
-        flags.append("improvement-regret-trade-off")
-    if report.multiplicative_defined:
-        d_gain, d_short = report.delta_gain, report.delta_shortfall
-        gain_fair, short_fair = abs(d_gain) <= tolerance, abs(d_short) <= tolerance
-        if gain_fair and not short_fair:
-            flags.append("gain-fair-equitability-unfair")
-        elif short_fair and not gain_fair:
-            flags.append("equitability-fair-gain-unfair")
-        elif not gain_fair and not short_fair and np.sign(d_gain) != np.sign(d_short):
-            flags.append("gain-equitability-trade-off")
+    for a, b in (("improvement", "regret"), ("gain", "shortfall")):
+        d_a, d_b = getattr(report, f"delta_{a}"), getattr(report, f"delta_{b}")
+        if d_a is None:  # multiplicative metrics undefined
+            continue
+        name_b = "equitability" if b == "shortfall" else b  # the flags' word for shortfall
+        fair_a, fair_b = abs(d_a) <= tolerance, abs(d_b) <= tolerance
+        if fair_a and not fair_b:
+            flags.append(f"{a}-fair-{name_b}-unfair")
+        elif fair_b and not fair_a:
+            flags.append(f"{name_b}-fair-{a}-unfair")
+        elif not fair_a and not fair_b and favored_group(a, d_a) != favored_group(b, d_b):
+            flags.append(f"{a}-{name_b}-trade-off")
     return tuple(flags)
 
 

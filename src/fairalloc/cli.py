@@ -13,7 +13,6 @@ identical flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -228,11 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FairallocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, FloatingPointError,
-            OverflowError) as exc:
+    except (FairallocError, ValueError, OSError, KeyError, FloatingPointError,
+            OverflowError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RuntimeError as exc:

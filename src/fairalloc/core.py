@@ -43,21 +43,19 @@ class Population:
     groups: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        u = np.array(self.utilities, dtype=np.float64)
+        u = _frozen_array(self.utilities, np.float64)
         if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
             raise ValueError("utilities must be a non-empty N x K matrix")
         if not np.all(np.isfinite(u)):
             raise ValueError("utilities must be finite")
-        u.setflags(write=False)
         object.__setattr__(self, "utilities", u)
         groups = {}
         for name, values in dict(self.groups).items():
-            g = np.array(values, dtype=np.int8)
+            g = _frozen_array(values, np.int8)
             if g.shape != (u.shape[0],):
                 raise ValueError(f"group {name!r} must assign a value to every individual")
             if not np.all((g == 0) | (g == 1)):
                 raise ValueError(f"group {name!r} must be binary (0/1)")
-            g.setflags(write=False)
             groups[name] = g
         object.__setattr__(self, "groups", groups)
 
@@ -91,12 +89,11 @@ class CapacityVector:
     capacities: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.capacities, dtype=np.int64)
+        c = _frozen_array(self.capacities, np.int64)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("capacities must be a non-empty 1-D integer vector")
         if np.any(c < 0):
             raise ValueError("capacities must be non-negative")
-        c.setflags(write=False)
         object.__setattr__(self, "capacities", c)
 
     @property
@@ -119,12 +116,11 @@ class Allocation:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.assignment, dtype=np.int64)
+        a = _frozen_array(self.assignment, np.int64)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("assignment must be a non-empty 1-D vector")
         if np.any(a < 1):
             raise ValueError("service indices are 1-based")
-        a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
     @property

@@ -8,36 +8,58 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from ._io import expect, load_json
 from ._rng import generator, spawn_seed, standard_normal, uniform_open
 from .core import (
+    METRICS,
     Allocation,
     CapacityVector,
     Population,
+    _frozen_array,
     delta_metrics,
     envelope,
     metric_rows,
 )
 from .errors import EmptyGroupError, InfeasibleError, NoHeterogeneityError
-from .policies import Allocator, PolicySpec, allocate_mixture, compile_spec
+from .policies import Allocator, PolicySpec, _check_instance, allocate_mixture, compile_spec
 
 GROUP_ATTRIBUTE = "group"
 _POLICY_STREAM = 101  # sub-stream tag separating policy seeds from population seeds
 _Z95 = 1.96
 
-METRIC_KEYS = ("delta_improvement", "delta_regret", "delta_gain", "delta_shortfall")
+METRIC_KEYS = tuple(f"delta_{name}" for name in METRICS)
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = _frozen_array(values, np.float64)
     if arr.ndim != 2 or arr.shape[0] != rows:
         raise ValueError(f"{name} must be a {rows} x K matrix")
-    arr.setflags(write=False)
     return arr
+
+
+def _group_sizes(values) -> tuple[int, ...]:
+    sizes = tuple(int(v) for v in values)
+    if min(sizes) < 1:
+        raise ValueError("both groups need at least one individual")
+    return sizes
+
+
+def _check_stylized(params, proportions: tuple[float, float], interval: str):
+    """Coerce and check the fields SF1 and SF2 share: group sizes, the
+    type proportions, the positive ``interval`` field and ``k``."""
+    bounds = tuple(float(v) for v in getattr(params, interval))
+    object.__setattr__(params, interval, bounds)
+    if not all(0.0 <= pi <= 1.0 for pi in proportions):
+        raise ValueError("type proportions must lie in [0, 1]")
+    if bounds[0] <= 0 or bounds[1] < bounds[0]:
+        raise ValueError(f"{interval} must be a positive interval")
+    if params.k < 2:
+        raise ValueError("need at least two services")
+    object.__setattr__(params, "group_sizes", _group_sizes(params.group_sizes))
 
 
 @dataclass(frozen=True)
@@ -58,13 +80,11 @@ class GaussianGroupParams:
     def __post_init__(self):
         object.__setattr__(self, "means", _as_matrix(self.means, 2, "means"))
         object.__setattr__(self, "variances", _as_matrix(self.variances, 2, "variances"))
-        object.__setattr__(self, "group_sizes", tuple(int(v) for v in self.group_sizes))
         if self.variances.shape != self.means.shape:
             raise ValueError("means and variances must have matching shapes")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
-        if min(self.group_sizes) < 1:
-            raise ValueError("both groups need at least one individual")
+        object.__setattr__(self, "group_sizes", _group_sizes(self.group_sizes))
 
     @property
     def k(self) -> int:
@@ -115,22 +135,13 @@ class SF1Params:
     capacities: CapacityVector
     u_max_range: tuple[float, float] = (1.0, 2.0)
     k: int = 3
-    attribute: str = GROUP_ATTRIBUTE
-    type_attribute: str = "type_b"
+    attribute: ClassVar[str] = GROUP_ATTRIBUTE
+    type_attribute: ClassVar[str] = "type_b"
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(v) for v in self.group_sizes))
-        object.__setattr__(self, "u_max_range", tuple(float(v) for v in self.u_max_range))
         if not 0.0 < self.r_low < self.r_high <= 1.0:
             raise ValueError("require 0 < r_low < r_high <= 1")
-        if not (0.0 <= self.pi0 <= 1.0 and 0.0 <= self.pi1 <= 1.0):
-            raise ValueError("type proportions must lie in [0, 1]")
-        if self.u_max_range[0] <= 0 or self.u_max_range[1] < self.u_max_range[0]:
-            raise ValueError("u_max_range must be a positive interval")
-        if self.k < 2:
-            raise ValueError("need at least two services")
-        if min(self.group_sizes) < 1:
-            raise ValueError("both groups need at least one individual")
+        _check_stylized(self, (self.pi0, self.pi1), "u_max_range")
 
     def sample(self, seed: int) -> Population:
         gen = generator(seed)
@@ -165,22 +176,13 @@ class SF2Params:
     capacities: CapacityVector
     spread_range: tuple[float, float] = (0.5, 1.0)
     k: int = 3
-    attribute: str = GROUP_ATTRIBUTE
-    type_attribute: str = "type_c"
+    attribute: ClassVar[str] = GROUP_ATTRIBUTE
+    type_attribute: ClassVar[str] = "type_c"
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(v) for v in self.group_sizes))
-        object.__setattr__(self, "spread_range", tuple(float(v) for v in self.spread_range))
         if not 0.0 < self.u_low < self.u_high:
             raise ValueError("require 0 < u_low < u_high")
-        if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p1 <= 1.0):
-            raise ValueError("type proportions must lie in [0, 1]")
-        if self.spread_range[0] <= 0 or self.spread_range[1] < self.spread_range[0]:
-            raise ValueError("spread_range must be a positive interval")
-        if self.k < 2:
-            raise ValueError("need at least two services")
-        if min(self.group_sizes) < 1:
-            raise ValueError("both groups need at least one individual")
+        _check_stylized(self, (self.p0, self.p1), "spread_range")
 
     def sample(self, seed: int) -> Population:
         gen = generator(seed)
@@ -254,12 +256,20 @@ def _aggregate(values: Sequence[float | None]) -> MetricEstimate | None:
     )
 
 
+def _replica(
+    params: PopulationParams, allocator: Allocator, base_seed: int, rep: int
+) -> tuple[Population, Allocation]:
+    """Replication ``rep``'s population, sampled with seed ``base_seed + rep``,
+    and its allocation under the policy seed derived from that seed."""
+    pop_seed = base_seed + rep
+    pop = params.sample(pop_seed)
+    return pop, allocator(pop, params.capacities, spawn_seed(pop_seed, _POLICY_STREAM))
+
+
 def _replicate_once(
     params: PopulationParams, allocator: Allocator, base_seed: int, rep: int
 ) -> dict[str, float | None]:
-    pop_seed = base_seed + rep
-    pop = params.sample(pop_seed)
-    alloc = allocator(pop, params.capacities, spawn_seed(pop_seed, _POLICY_STREAM))
+    pop, alloc = _replica(params, allocator, base_seed, rep)
     report = delta_metrics(pop, alloc, params.attribute)
     du0, du1 = report.mean_delta_u
     residual = report.delta_improvement + report.delta_regret - (du1 - du0)
@@ -269,10 +279,7 @@ def _replicate_once(
     g1 = pop.group_mask(params.attribute, 1)
     best = np.argmax(pop.utilities, axis=1) + 1 == alloc.assignment
     return {
-        "delta_improvement": report.delta_improvement,
-        "delta_regret": report.delta_regret,
-        "delta_gain": report.delta_gain,
-        "delta_shortfall": report.delta_shortfall,
+        **{key: getattr(report, key) for key in METRIC_KEYS},
         "best_service_fraction_group0": float(np.mean(best[~g1])),
         "best_service_fraction_group1": float(np.mean(best[g1])),
         "mean_delta_u_group0": du0,
@@ -354,8 +361,7 @@ def allocate_group_priority(
     with remaining capacity, then everyone else does. A deterministic way to
     build a policy that favors the prioritized group on improvement.
     """
-    if caps.total < pop.n:
-        raise InfeasibleError("infeasible: total capacity below population size")
+    _check_instance(pop, caps)
     mask = pop.group_mask(attribute, first_group)
     order = np.concatenate([np.nonzero(mask)[0], np.nonzero(~mask)[0]])
     remaining = caps.capacities.copy()
@@ -734,8 +740,7 @@ def _check_sf1(seed: int) -> CheckOutcome:
     resid = []
     allocator = compile_spec(PolicySpec("random"))
     for r in range(reps):
-        pop = skewed.sample(seed + r)
-        alloc = allocator(pop, skewed.capacities, spawn_seed(seed + r, _POLICY_STREAM))
+        pop, alloc = _replica(skewed, allocator, seed, r)
         ident = sf1_identity(pop, alloc, skewed)
         resid.append(ident["delta_gain"] - ident["delta_gain_predicted"])
     est = _aggregate(resid)
@@ -762,8 +767,7 @@ def _check_sf2(seed: int) -> CheckOutcome:
     resid_i, resid_g = [], []
     allocator = compile_spec(PolicySpec("random"))
     for r in range(reps):
-        pop = params.sample(seed + r)
-        alloc = allocator(pop, params.capacities, spawn_seed(seed + r, _POLICY_STREAM))
+        pop, alloc = _replica(params, allocator, seed, r)
         ident = sf2_identity(pop, alloc, params)
         resid_i.append(ident["delta_improvement"] - ident["delta_improvement_predicted"])
         resid_g.append(ident["delta_gain"] - ident["delta_gain_predicted"])

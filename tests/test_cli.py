@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, write_synthetic_csv
 
+from fairalloc._io import load_json
 from fairalloc.audit import AuditSchema, export_csv
 from fairalloc.cli import main
 
@@ -115,6 +117,20 @@ class TestSolve:
             "--output-dir", str(out),
         ) == 0
         assert (out / "allocation.csv").read_text().splitlines() == ["id,service", "a,65", "b,66"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_mode_follows_umask(self, population_csv, tmp_path, umask):
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert run_cli(
+                "solve", "--population", population_csv, "--capacities", "1,1",
+                "--output-dir", str(out),
+            ) == 0
+        finally:
+            os.umask(old)
+        for name in ("allocation.csv", "fairness_report.json"):
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):
@@ -427,6 +443,29 @@ class TestAudit:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("names", [
+        ["a/../../../escaped2"], ["x\0y"], ["x", "x"], [""], ["."], [".."], ["a\\b"],
+    ], ids=["traversal", "nul", "repeated", "empty", "dot", "dotdot", "backslash"])
+    def test_bad_pair_name_exits_2_before_writing(self, tmp_path, capsys, names):
+        data = tmp_path / "in" / "data.csv"
+        data.parent.mkdir()
+        write_synthetic_csv(data, n=200, seed=4)
+        config = load_json("homeless")
+        config["pairs"] = [
+            {"name": name, "group1": "children", "group0": "~children"} for name in names
+        ]
+        (tmp_path / "in" / "schema.json").write_text(json.dumps(config))
+        out = tmp_path / "a" / "b" / "out"
+        assert run_cli(
+            "audit", "--data", str(data), "--config", str(tmp_path / "in" / "schema.json"),
+            "--output-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"schema-mismatch: pair name {names[-1]!r}" in err
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                         if p.is_file())
+        assert written == ["in/data.csv", "in/schema.json"]
+
     def test_empty_group_exit_2(self, tmp_path):
         ds = build_tradeoff_dataset()
         all_ones = type(ds)(
@@ -570,9 +609,20 @@ class TestExitCodeContract:
 class TestCheck:
     def test_check_passes(self, capsys):
         assert run_cli("check", "--seed", "7") == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
-        assert "[FAIL]" not in out
+        assert capsys.readouterr().out == CHECK_SEED_7_STDOUT
+
+
+# the exact ``check --seed 7`` output: it pins every check's seeds and figures
+CHECK_SEED_7_STDOUT = """\
+[PASS] additive-identity: max |dI + dR - dDU| = 8.882e-16
+[PASS] mixture-interpolation: mixture dI 0.02028 vs midpoint 0.02019 (ci 0.00109)
+[PASS] sf1-multiplicative-tradeoff: pi0=pi1: |dG|=0.0019<=2ci=0.0593; calibrated: dG~0 \
+(0.0063), dS=0.2725>0; decomposition residual 0.00546 (ci 0.02266)
+[PASS] sf2-normalization-tradeoff: worst policy: dI=0.0, dG=0.0; residuals dI -0.00356 \
+(ci 0.00659), dG -0.00144 (ci 0.00931)
+[PASS] improvement-regret-sign-flip: sign flip at lambda=0.481636
+5/5 checks passed
+"""
 
 
 class TestThreadCap:
