@@ -1,5 +1,6 @@
-"""File input and output helpers: the one validated CSV reader, JSON configs
-and shipped presets, and deterministic atomic writes."""
+"""File input and output helpers: the one validated CSV reader, the CSV
+text of every output file, JSON configs and shipped presets, and
+deterministic atomic writes."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +51,24 @@ def write_text_atomic(path: str | Path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Echo:
+    """A file for ``csv.writer`` whose ``write`` returns the line it is given."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def csv_text(rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text of ``rows``, one line each, each ended by a line feed. A
+    field is quoted only when it holds a comma, a double quote or a line
+    break, so that ``csv.reader`` reads every field back; other fields are
+    written as ``str`` gives them, so callers format floats with ``repr``."""
+    # the writer quotes a field holding any character of its line terminator;
+    # with "\r\n" that covers a lone "\r" on every Python version
+    writer = csv.writer(_Echo(), lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in rows)
 
 
 def dump_json(obj) -> str:

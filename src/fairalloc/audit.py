@@ -15,11 +15,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._io import CsvColumns, dump_json, expect, read_csv, write_text_atomic
+from ._io import CsvColumns, csv_text, dump_json, expect, read_csv, write_text_atomic
 from .core import (
     Allocation,
     FairnessReport,
     Population,
+    _first_best,
     _frozen_array,
     delta_metrics,
     envelope,
@@ -108,7 +109,7 @@ class AuditSchema:
 @dataclass(frozen=True)
 class AuditDataset:
     """Validated audit records; utilities are 1 - p, elementwise, built once
-    and read-only."""
+    and read-only. Both matrices are stored service-major (Fortran order)."""
 
     ids: tuple[str, ...]
     probabilities: np.ndarray
@@ -119,6 +120,9 @@ class AuditDataset:
 
     def __post_init__(self):
         p = _frozen_array(self.probabilities, np.float64)
+        if not np.all(np.isfinite(p)):
+            # a NaN would have no best service
+            raise ValueError("probabilities must be finite")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
         object.__setattr__(self, "observed", _frozen_array(self.observed, np.int64))
@@ -194,14 +198,14 @@ def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema):
         + [schema.observed_column]
         + list(schema.group_columns.values())
     )
-    lines = [",".join(header)]
+    rows = [header]
     for i in range(dataset.n):
         row = [dataset.ids[i]]
         row += [repr(float(v)) for v in dataset.probabilities[i]]
         row.append(dataset.service_names[dataset.observed[i] - 1])
         row += [str(int(dataset.groups[attr][i])) for attr in schema.group_columns]
-        lines.append(",".join(row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        rows.append(row)
+    write_text_atomic(path, csv_text(rows))
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ def _shares_for_mask(dataset: AuditDataset, mask: np.ndarray, label: str) -> Sha
     count = int(mask.sum())
     if count == 0:
         raise EmptyGroupError(f"empty-group: {label}")
-    best = np.argmax(dataset.utilities[mask], axis=1)  # ties go to the lowest index
+    best = _first_best(dataset.utilities[mask])
     counts = np.bincount(best, minlength=dataset.k)
     return ShareRow(label=label, count=count, shares=tuple(float(c) / count for c in counts))
 
@@ -464,25 +468,23 @@ def write_report_bundle(report: AuditReport, outdir: str) -> list[str]:
     write_text_atomic(json_path, dump_json(report.to_dict()))
     written.append(str(json_path))
 
-    share_lines = ["pair,group,count," + ",".join(report.service_names)]
-    rows = [("all", report.overall_shares)] + [
+    share_rows = [("all", report.overall_shares)] + [
         (p.pair.name, row) for p in report.pairs for row in p.shares
     ]
-    for pair_name, row in rows:
-        shares = ",".join(repr(float(s)) for s in row.shares)
-        share_lines.append(f"{pair_name},{row.label},{row.count},{shares}")
+    rows = [("pair", "group", "count", *report.service_names)]
+    rows += [(pair_name, row.label, row.count, *(repr(float(s)) for s in row.shares))
+             for pair_name, row in share_rows]
     shares_path = outdir_path / "shares.csv"
-    write_text_atomic(shares_path, "\n".join(share_lines) + "\n")
+    write_text_atomic(shares_path, csv_text(rows))
     written.append(str(shares_path))
 
     for p in report.pairs:
         for value, curve in ((0, p.delta_u.kde_0), (1, p.delta_u.kde_1)):
-            lines = ["grid,density,bandwidth"]
-            lines += [
-                f"{repr(float(g))},{repr(float(d))},{repr(curve.bandwidth)}"
-                for g, d in zip(curve.grid, curve.density)
-            ]
+            bandwidth = repr(curve.bandwidth)
+            rows = [("grid", "density", "bandwidth")]
+            rows += [(repr(g), repr(d), bandwidth)
+                     for g, d in zip(curve.grid.tolist(), curve.density.tolist())]
             path = outdir_path / f"kde_{p.pair.name}_{value}.csv"
-            write_text_atomic(path, "\n".join(lines) + "\n")
+            write_text_atomic(path, csv_text(rows))
             written.append(str(path))
     return written

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import CsvColumns, dump_json, load_json, read_csv, write_text_atomic
+from ._io import CsvColumns, csv_text, dump_json, load_json, read_csv, write_text_atomic
 from .audit import (
     DEFAULT_BANDWIDTH,
     DEFAULT_FAIR_TOLERANCE,
@@ -106,13 +106,13 @@ def cmd_simulate(args) -> int:
     payload = result.to_dict()
     payload["params"] = args.params
     write_text_atomic(outdir / "result.json", dump_json(payload))
-    lines = ["metric,estimate,ci95_half_width,replications"]
+    rows = [("metric", "estimate", "ci95_half_width", "replications")]
     for name, est in list(result.metrics.items()) + list(result.aux.items()):
         if est is None:
-            lines.append(f"{name},,,0")
+            rows.append((name, "", "", 0))
         else:
-            lines.append(f"{name},{est.estimate!r},{est.ci_half_width!r},{est.replications}")
-    write_text_atomic(outdir / "metrics.csv", "\n".join(lines) + "\n")
+            rows.append((name, repr(est.estimate), repr(est.ci_half_width), est.replications))
+    write_text_atomic(outdir / "metrics.csv", csv_text(rows))
     print(f"wrote {outdir / 'result.json'} and {outdir / 'metrics.csv'}")
     return EXIT_OK
 
@@ -128,8 +128,7 @@ def cmd_solve(args) -> int:
 
     # both payloads are built before either file is written, so a failure
     # leaves no partial output
-    lines = ["id,service"]
-    lines += [f"{ids[i]},{alloc.assignment[i]}" for i in range(pop.n)]
+    allocation = csv_text([("id", "service"), *zip(ids, alloc.assignment.tolist())])
     total = float(alloc.realized(pop).sum())
     reports = {}
     for attribute in pop.groups:
@@ -144,7 +143,7 @@ def cmd_solve(args) -> int:
     }
     report = dump_json(payload)
     outdir = Path(args.output_dir)
-    write_text_atomic(outdir / "allocation.csv", "\n".join(lines) + "\n")
+    write_text_atomic(outdir / "allocation.csv", allocation)
     write_text_atomic(outdir / "fairness_report.json", report)
     print(f"total utility {total!r}; wrote {outdir / 'allocation.csv'}")
     return EXIT_OK

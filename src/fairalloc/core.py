@@ -5,6 +5,15 @@ service, additively (improvement, regret) or multiplicatively (gain,
 shortfall). Deltas are always reported as group-1 mean minus group-0 mean;
 note the asymmetric reading for regret: a positive regret delta favors
 group 0, while positive deltas of the other three metrics favor group 1.
+
+Layout rule: every individual x service matrix is stored service-major
+(Fortran order), so each of the K service columns is contiguous, and a
+per-individual reduction over the services is a pass over those K columns
+(``_reduce_services``, ``_first_best``), not N walks over short rows. No
+float sum runs along the service axis (only int and bool sums do): numpy
+sums a contiguous row of 8 or more floats in pairwise blocks but the rows
+of a service-major matrix one column at a time, so the last bits of such a
+sum would follow the layout.
 """
 
 from __future__ import annotations
@@ -22,10 +31,36 @@ METRICS = ("improvement", "regret", "gain", "shortfall")
 _GROUP1_POSITIVE = {"improvement": True, "regret": False, "gain": True, "shortfall": True}
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only, in place, and return it."""
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    """Read-only copy of ``values``; a matrix is stored service-major."""
+    return _freeze(np.array(values, dtype=dtype, order="F"))
+
+
+def _reduce_services(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over each row of ``values``: one entry per
+    individual, reduced over the services. It runs on a service-major copy
+    (no copy when ``values`` is one), where numpy makes one pass per column,
+    in index order, rather than one short loop per row."""
+    return ufunc.reduce(np.asfortranarray(values), axis=1)
+
+
+def _first_best(values: np.ndarray, worst: bool = False) -> np.ndarray:
+    """0-based column of each row's largest (``worst``: smallest) entry,
+    ties to the lowest index: what ``np.argmax``/``np.argmin(axis=1)`` give
+    on rows without NaN, in column passes (on a service-major matrix
+    ``argmax(axis=1)`` still walks the rows one by one)."""
+    values = np.asfortranarray(values)
+    k = values.shape[1]
+    extreme = _reduce_services(np.minimum if worst else np.maximum, values)
+    # a column where the row reaches its extreme scores k - j: the first scores most
+    score = (values == extreme[:, None]) * np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
+    return k - _reduce_services(np.maximum, score).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -35,7 +70,8 @@ class Population:
     Attributes:
         utilities: N x K matrix; ``utilities[i, k]`` is the utility individual
             ``i`` derives from service ``k + 1`` (service indices are 1-based
-            throughout the public API). Higher is better.
+            throughout the public API). Higher is better. Stored read-only
+            and service-major (Fortran order), whatever the input's layout.
         groups: attribute name -> length-N vector with values in {0, 1}.
     """
 
@@ -167,14 +203,14 @@ class UtilityEnvelope:
 
 def envelope(pop: Population) -> UtilityEnvelope:
     """Compute each individual's worst/best utility, spread, and ratio."""
-    u_min = pop.utilities.min(axis=1)
-    u_max = pop.utilities.max(axis=1)
+    u_min = _reduce_services(np.minimum, pop.utilities)
+    u_max = _reduce_services(np.maximum, pop.utilities)
     ratio = u_min / u_max if u_min.min() > 0.0 else None
     return UtilityEnvelope(
-        u_min=_frozen_array(u_min, np.float64),
-        u_max=_frozen_array(u_max, np.float64),
-        delta_u=_frozen_array(u_max - u_min, np.float64),
-        ratio_r=None if ratio is None else _frozen_array(ratio, np.float64),
+        u_min=_freeze(u_min),
+        u_max=_freeze(u_max),
+        delta_u=_freeze(u_max - u_min),
+        ratio_r=None if ratio is None else _freeze(ratio),
     )
 
 

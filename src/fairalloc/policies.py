@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from ._io import expect
 from ._rng import generator, spawn_seed
-from .core import Allocation, CapacityVector, Population
+from .core import Allocation, CapacityVector, Population, _first_best, _reduce_services
 from .errors import InfeasibleError
 
 DEFAULT_TIE_BREAK_SCALE = 1e7
@@ -113,12 +113,12 @@ def _check_instance(pop: Population, caps: CapacityVector):
 
 def allocate_best(pop: Population) -> Allocation:
     """Everyone gets their highest-utility service, ignoring capacities."""
-    return Allocation(np.argmax(pop.utilities, axis=1) + 1)
+    return Allocation(_first_best(pop.utilities) + 1)
 
 
 def allocate_worst(pop: Population) -> Allocation:
     """Everyone gets their lowest-utility service, ignoring capacities."""
-    return Allocation(np.argmin(pop.utilities, axis=1) + 1)
+    return Allocation(_first_best(pop.utilities, worst=True) + 1)
 
 
 def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocation:
@@ -199,7 +199,7 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     """
     n, k = allowed.shape
     feasible = _completion_feasible_hall if k <= _MAX_SUBSET_K else _completion_feasible_lp
-    out = np.argmax(allowed, axis=1) + 1
+    out = _first_best(allowed) + 1
     choice = allowed.sum(axis=1) > 1
     assigned = np.bincount(out[~choice] - 1, minlength=k)
     multi = np.flatnonzero(choice)
@@ -294,9 +294,16 @@ def _max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.n
 def _distinct_rows(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a boolean matrix, how often each occurs, and an
     order of the row indices that lists each distinct row's copies together,
-    in the same order. Works for any number of columns (``np.unique(axis=0)``
-    sorts a structured view, about 20 times slower)."""
-    words = np.packbits(allowed, axis=1)
+    in the same order. Rows sort as bit strings, column 0 first. Works for
+    any number of columns: each row's bits are packed into bytes, as
+    ``np.packbits(axis=1)`` packs them, in column passes rather than row by
+    row (``np.unique(axis=0)`` sorts a structured view, about 20 times
+    slower)."""
+    k = allowed.shape[1]
+    bits = np.asfortranarray(allowed).view(np.uint8) << (7 - np.arange(k) % 8).astype(np.uint8)
+    words = np.column_stack(
+        [_reduce_services(np.bitwise_or, bits[:, j : j + 8]) for j in range(0, k, 8)]
+    )
     order = np.lexsort(words.T[::-1])
     words = words[order]
     first = np.ones(len(words), dtype=bool)
@@ -313,7 +320,7 @@ def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
     flow = np.zeros(member.shape, dtype=np.int64)
     size = member.sum(axis=1)
     single = np.flatnonzero(size == 1)  # distinct sets: one row per service
-    service = np.argmax(member[single], axis=1)
+    service = _first_best(member[single])
     flow[single, service] = np.minimum(count[single], caps[service])
     left = count - flow.sum(axis=1)
     room = caps - flow.sum(axis=0)
@@ -354,14 +361,16 @@ def _solve_transport(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, list[
     p = np.zeros(k, dtype=np.int64)
     while True:
         surplus = w - p
-        member, count, order = _distinct_rows(surplus == surplus.max(axis=1, keepdims=True))
+        top = _reduce_services(np.maximum, surplus)
+        member, count, order = _distinct_rows(surplus == top[:, None])
         flow, left, room = _demand_flow(member, count, caps)
         reached = _max_flow(member, left, flow, room, np.zeros(k, dtype=bool))
         if left.any():
             # raising the reached services by one saves more than they cost;
             # go until only c(T) individuals still gain from the raise
             c_t = int(caps[reached].sum())
-            gap = surplus[:, reached].max(axis=1) - surplus[:, ~reached].max(axis=1)
+            gap = (_reduce_services(np.maximum, surplus[:, reached])
+                   - _reduce_services(np.maximum, surplus[:, ~reached]))
             p[reached] += np.partition(gap, n - c_t - 1)[n - c_t - 1]
         else:
             free = p == 0
@@ -375,7 +384,8 @@ def _solve_transport(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, list[
             c_u = int(caps[lower].sum())
             step = int(p[lower].min())
             if c_u <= n:
-                gap = surplus[:, reached].max(axis=1) - surplus[:, lower].max(axis=1)
+                gap = (_reduce_services(np.maximum, surplus[:, reached])
+                       - _reduce_services(np.maximum, surplus[:, lower]))
                 step = min(step, int(np.partition(gap, c_u - 1)[c_u - 1]))
             p[lower] -= step
         if p.max() >= 2**62:
@@ -406,7 +416,7 @@ def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, 
     if not all(0 <= q < 2**62 for q in prices):
         raise RuntimeError("internal: flow prices out of range")
     total = sum(w[np.arange(n), assignment].tolist())
-    surplus = (w - np.array(prices, dtype=np.int64)).max(axis=1)
+    surplus = _reduce_services(np.maximum, w - np.array(prices, dtype=np.int64))
     bound = sum(surplus.tolist()) + sum(c * q for c, q in zip(caps.tolist(), prices))
     if total != bound:
         raise RuntimeError("internal: flow solution failed its optimality certificate")
@@ -449,7 +459,7 @@ def allocate_utilitarian(
     # (complementary slackness, which holds for every optimal dual alike).
     p = np.array(prices, dtype=np.int64)
     surplus = w - p
-    allowed = surplus == surplus.max(axis=1, keepdims=True)
+    allowed = surplus == _reduce_services(np.maximum, surplus)[:, None]
     mandatory = np.where(p > 0, cap, 0)
     assignment = _lex_least_allowed(allowed, cap.copy(), mandatory)
     _certify_transport(w, cap, assignment - 1, prices)

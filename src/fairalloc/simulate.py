@@ -19,6 +19,7 @@ from .core import (
     Allocation,
     CapacityVector,
     Population,
+    _first_best,
     _frozen_array,
     delta_metrics,
     envelope,
@@ -277,7 +278,7 @@ def _replicate_once(
     if abs(residual) > 1e-9 * max(1.0, float(np.abs(pop.utilities).max())):
         raise RuntimeError(f"additive-identity violation: residual {residual:g}")
     g1 = pop.group_mask(params.attribute, 1)
-    best = np.argmax(pop.utilities, axis=1) + 1 == alloc.assignment
+    best = _first_best(pop.utilities) + 1 == alloc.assignment
     return {
         **{key: getattr(report, key) for key in METRIC_KEYS},
         "best_service_fraction_group0": float(np.mean(best[~g1])),
@@ -396,7 +397,7 @@ def gain_fair_allocator(params: SF1Params, q_high: float = 0.5) -> Allocator:
         q = np.where(type_b, q_b, q_a)
         take_best = uniform_open(gen, pop.n) < q
         assignment = np.where(
-            take_best, np.argmax(pop.utilities, axis=1), np.argmin(pop.utilities, axis=1)
+            take_best, _first_best(pop.utilities), _first_best(pop.utilities, worst=True)
         ) + 1
         alloc = Allocation(assignment)
         if not alloc.is_feasible(pop, caps):

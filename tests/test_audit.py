@@ -180,6 +180,15 @@ class TestShares:
         assert rows[0].label == "all"
         assert rows[0].shares == (0.0, 0.0, 1.0)  # both households peak at ES
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected(self, bad):
+        # a NaN row has no best service: shares would get a column too many
+        ds = build_tradeoff_dataset()
+        probabilities = ds.probabilities.copy()
+        probabilities[1, 1] = bad
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            dataclasses.replace(ds, probabilities=probabilities)
+
     def test_engineered_overall_shares(self):
         ds = build_synthetic_dataset()
         row = best_service_shares(ds)[0]

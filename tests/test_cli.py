@@ -1,6 +1,7 @@
 """CLI surface: exit codes, written artifacts, and byte-level determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, write_synthetic_csv
 
+from fairalloc import _io
 from fairalloc._io import load_json
 from fairalloc.audit import AuditSchema, export_csv
 from fairalloc.cli import main
@@ -56,6 +58,19 @@ class TestSolve:
         payload = json.loads((out / "fairness_report.json").read_text())
         assert payload["total_utility"] == 2.0
         assert "g" in payload["fairness"]
+
+    def test_awkward_ids_read_back(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+        path = tmp_path / "pop.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "u_1", "u_2"], *([i, "1.0", "0.0"] for i in ids)])
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "5,5",
+            "--output-dir", str(out),
+        ) == 0
+        with open(out / "allocation.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["id", "service"], *([i, "1"] for i in ids)]
 
     def test_brute_force_example(self, solve_fixture_csv, tmp_path):
         out = tmp_path / "out"
@@ -409,6 +424,41 @@ class TestAudit:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "improvement-regret-trade-off" in report["pairs"]["children"]["observed"]["flags"]
 
+    def test_awkward_names_read_back(self, tmp_path):
+        services = ["T,H", 'R"RH', "E\nS\r"]
+        pair = 'kids, "young"'
+        schema_dict = {
+            **TRADEOFF_SCHEMA,
+            "services": [{"name": name, "column": f"p{i}"} for i, name in enumerate(services)],
+            "pairs": [{"name": pair, "group1": "children", "group0": "~children"}],
+        }
+        schema = AuditSchema.from_dict(schema_dict)
+        dataset = type(build_tradeoff_dataset())(
+            ids=("a,1", 'b"2', "c\n3", "d"),
+            probabilities=1.0 - np.array([[0.5, 0.55, 0.58], [0.5, 0.551, 0.582],
+                                          [0.6, 0.537, 0.551], [0.5, 0.538, 0.553]]),
+            observed=np.array([1, 2, 3, 2]),
+            groups={"children": np.array([0, 0, 1, 1], dtype=np.int8)},
+            service_names=tuple(services),
+        )
+        data, config, out = tmp_path / "data.csv", tmp_path / "schema.json", tmp_path / "out"
+        export_csv(dataset, str(data), schema)
+        config.write_text(json.dumps(schema_dict))
+        assert run_cli(
+            "audit", "--data", str(data), "--config", str(config), "--output-dir", str(out),
+        ) == 0
+        with open(data, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["id", *dataset.ids]
+        with open(out / "shares.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["pair", "group", "count", *services]
+        assert [row[:3] for row in rows[1:]] == [
+            ["all", "all", "4"], [pair, f"{pair}:0", "2"], [pair, f"{pair}:1", "2"],
+        ]
+        assert all(len(row) == 6 for row in rows)
+        with open(out / f"kde_{pair}_1.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["grid", "density", "bandwidth"]
+
     def test_schema_errors_exit_2(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("id,wrong\n1,2\n")
@@ -636,3 +686,11 @@ class TestThreadCap:
         assert _thread_count(1) == 1
         monkeypatch.setenv("FAIRALLOC_THREADS", "junk")
         assert _thread_count(3) == 3
+
+
+def test_csv_text_quotes_only_what_it_must():
+    assert _io.csv_text([("id", "service"), ("a", 1), ("b", "")]) == "id,service\na,1\nb,\n"
+    awkward = [["a,b", 'q"x', "n\nl", "r\rr", "", " sp", "plain"], ["x"]]
+    text = _io.csv_text(awkward)
+    assert text.endswith("plain\nx\n")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == awkward

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairalloc import (
     Allocation,
@@ -20,6 +21,9 @@ from fairalloc import (
     regret_mean,
     shortfall_mean,
 )
+from fairalloc.audit import AuditDataset
+from fairalloc.core import _first_best, _reduce_services, metric_rows
+from fairalloc.policies import allocate_best, allocate_utilitarian, allocate_worst
 
 
 def oracle_mean(utilities, assignment, labels, value, kind):
@@ -342,3 +346,104 @@ class TestTypes:
         pop = Population(np.array([[0.1, 0.2]]))
         with pytest.raises(ValueError):
             pop.utilities[0, 0] = 5.0
+
+
+@st.composite
+def tied_matrices(draw, min_n=1, max_n=12, max_k=70):
+    """Matrices over a few values, +0.0 and -0.0: rows full of ties."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(1, max_k))
+    values = draw(st.lists(st.floats(-4.0, 4.0, width=64), min_size=1, max_size=3))
+    pool = np.array([0.0, -0.0, *values])
+    picks = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(0, len(pool) - 1)))
+    return pool[picks]
+
+
+def layouts(matrix):
+    """``matrix`` row-major, column-major and as a strided slice."""
+    n, k = matrix.shape
+    sliced = np.zeros((2 * n, 3 * k), dtype=matrix.dtype)
+    sliced[::2, 1::3] = matrix
+    return np.ascontiguousarray(matrix), np.asfortranarray(matrix), sliced[::2, 1::3]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestServiceMajorLayout:
+    """Every individual x service matrix is stored service-major, and the
+    per-individual reductions over the services are column passes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=tied_matrices())
+    def test_reduce_services_matches_numpy(self, u):
+        for ufunc, name in ((np.minimum, "min"), (np.maximum, "max")):
+            reduced = _reduce_services(ufunc, u)
+            for layout in layouts(u):
+                assert same_bits(_reduce_services(ufunc, layout), reduced)
+            rowwise = getattr(np.ascontiguousarray(u), name)(axis=1)
+            assert np.array_equal(reduced, rowwise)
+            if u.shape[1] <= 3:
+                # too short for a SIMD vector, a contiguous row is reduced in
+                # index order too: at paper scale (K = 3) the signs of zeros
+                # agree with the row-wise reduction
+                assert same_bits(reduced, rowwise)
+            if u.shape[0] > 1:
+                # several rows are reduced one column at a time, in index
+                # order, whatever the machine's SIMD width (a single row is
+                # one contiguous row)
+                folded = u[:, 0].copy()
+                for j in range(1, u.shape[1]):
+                    folded = ufunc(folded, u[:, j])
+                assert same_bits(reduced, folded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=tied_matrices())
+    def test_first_best_matches_argmax(self, u):
+        for values in (u, u > 0.0):
+            for layout in layouts(values):
+                assert same_bits(_first_best(layout), np.argmax(values, axis=1))
+                assert same_bits(_first_best(layout, worst=True), np.argmin(values, axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=tied_matrices(min_n=2, max_n=10, max_k=6), positive=st.booleans(), data=st.data())
+    def test_results_do_not_depend_on_input_layout(self, u, positive, data):
+        if positive:
+            u = np.abs(u) + 0.5
+        n, k = u.shape
+        labels = np.zeros(n, dtype=np.int8)
+        labels[data.draw(st.sampled_from(range(1, n)))] = 1
+        assignment = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
+        caps = CapacityVector(data.draw(hnp.arrays(np.int64, k, elements=st.integers(0, n)))
+                              + np.eye(k, dtype=np.int64)[0] * n)
+
+        def results(matrix):
+            pop, alloc = Population(matrix, {"g": labels}), Allocation(assignment)
+            env = envelope(pop)
+            rows = metric_rows(pop, alloc)
+            return (
+                [env.u_min.tobytes(), env.u_max.tobytes(), env.delta_u.tobytes(),
+                 None if env.ratio_r is None else env.ratio_r.tobytes()],
+                {name: None if row is None else row.tobytes() for name, row in rows.items()},
+                repr(delta_metrics(pop, alloc, "g")),
+                [allocate_utilitarian(pop, caps).assignment.tolist(),
+                 allocate_best(pop).assignment.tolist(), allocate_worst(pop).assignment.tolist()],
+            )
+
+        row_major, *others = layouts(u)
+        expected = results(row_major)
+        assert all(results(m) == expected for m in others)
+
+    def test_matrices_are_service_major_and_read_only(self):
+        u = np.arange(12.0).reshape(4, 3) / 20.0
+        for matrix in (
+            Population(u).utilities,
+            Population(u.tolist()).utilities,
+            Population(u).subset(np.array([2, 0])).utilities,
+            AuditDataset(("a", "b", "c", "d"), u, np.ones(4), {}, ("x", "y", "z")).probabilities,
+            AuditDataset(("a", "b", "c", "d"), u, np.ones(4), {}, ("x", "y", "z")).utilities,
+        ):
+            assert matrix.flags.f_contiguous and not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0

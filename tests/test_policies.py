@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from fairalloc import (
@@ -316,6 +317,28 @@ class TestFlowSolver:
         caps[0] += max(0, 60 - caps.sum())
         flow, prices = policies._solve_transport(w, caps)
         assert policies._certify_transport(w, caps, flow, prices) == highs_transport(w, caps)[0]
+
+
+def distinct_rows_rowwise(allowed):
+    """Row-wise reference of ``_distinct_rows``: each row packed into bytes
+    by ``np.packbits``, the rows sorted by their bytes."""
+    words = np.packbits(allowed, axis=1)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(len(words), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return allowed[order[starts]], np.diff(starts, append=len(words)), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(allowed=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=70)),
+       fortran=st.booleans())
+def test_distinct_rows_matches_rowwise(allowed, fortran):
+    matrix = np.asfortranarray(allowed) if fortran else allowed
+    got = policies._distinct_rows(matrix)
+    want = distinct_rows_rowwise(allowed)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # sha256 of the int64 assignment of experiment 2's population for each seed,
