@@ -15,11 +15,6 @@ from .core import (
     UtilityEnvelope,
     delta_metrics,
     envelope,
-    gain_mean,
-    improvement_mean,
-    mean_delta_u,
-    regret_mean,
-    shortfall_mean,
 )
 from .errors import (
     DataValidationError,
@@ -29,7 +24,6 @@ from .errors import (
     FairallocError,
     InfeasibleError,
     NoHeterogeneityError,
-    RatioUndefinedError,
     SchemaMismatchError,
 )
 from .policies import (

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import ndtri
 
 _TWO_53 = float(1 << 53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def generator(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -29,8 +30,13 @@ def spawn_seed(seed: int, stream: int) -> int:
 
 
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1); safe for inverse-CDF transforms."""
-    return (gen.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / _TWO_53
+    """Uniform draws strictly inside (0, 1); safe for inverse-CDF transforms.
+
+    The top integer, 2**53 - 1, plus one half rounds up to 2**53; that one
+    draw is clamped to the largest double below 1, and no other draw moves.
+    """
+    u = (gen.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / _TWO_53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:

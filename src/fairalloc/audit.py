@@ -320,8 +320,9 @@ def trade_off_flags(report: FairnessReport, tolerance: float) -> tuple[str, ...]
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"fair_tolerance must be finite and >= 0, got {tolerance!r}")
     flags = []
+    deltas = report.deltas
     for a, b in (("improvement", "regret"), ("gain", "shortfall")):
-        d_a, d_b = getattr(report, f"delta_{a}"), getattr(report, f"delta_{b}")
+        d_a, d_b = deltas[a], deltas[b]
         if d_a is None:  # multiplicative metrics undefined
             continue
         name_b = "equitability" if b == "shortfall" else b  # the flags' word for shortfall

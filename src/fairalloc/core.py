@@ -23,7 +23,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import EmptyGroupError, RatioUndefinedError
+from .errors import EmptyGroupError
 
 METRICS = ("improvement", "regret", "gain", "shortfall")
 
@@ -237,37 +237,6 @@ def metric_rows(pop: Population, alloc: Allocation) -> dict[str, np.ndarray | No
     }
 
 
-def _group_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int,
-                metric: str) -> float:
-    mask = _group_indices(pop, attribute, group_value)
-    row = metric_rows(pop, alloc)[metric]
-    if row is None:
-        raise RatioUndefinedError(
-            "ratio-undefined: multiplicative metrics need strictly positive utilities"
-        )
-    return float(np.mean(row[mask]))
-
-
-def improvement_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
-    """Group mean of (realized utility - worst-service utility)."""
-    return _group_mean(pop, alloc, attribute, group_value, "improvement")
-
-
-def regret_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
-    """Group mean of (best-service utility - realized utility)."""
-    return _group_mean(pop, alloc, attribute, group_value, "regret")
-
-
-def gain_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
-    """Group mean of (realized utility / worst-service utility); >= 1."""
-    return _group_mean(pop, alloc, attribute, group_value, "gain")
-
-
-def shortfall_mean(pop: Population, alloc: Allocation, attribute: str, group_value: int) -> float:
-    """Group mean of (realized utility / best-service utility); in (0, 1]."""
-    return _group_mean(pop, alloc, attribute, group_value, "shortfall")
-
-
 def favored_group(metric: str, delta: float) -> str:
     """Which group a delta favors under the metric's sign convention."""
     if delta == 0.0:
@@ -280,52 +249,47 @@ def favored_group(metric: str, delta: float) -> str:
 
 @dataclass(frozen=True)
 class FairnessReport:
-    """Per-group metric means, group-1-minus-group-0 deltas, and verdicts.
+    """Per-group metric means for a binary attribute, keyed by metric.
 
-    Gain/shortfall fields are None when any utility is non-positive
-    (multiplicative metrics undefined). ``mean_delta_u`` holds the group-0 and
-    group-1 means of the max gain (best - worst), the right-hand side of the
-    additive identity; it is not part of ``to_dict``.
+    ``means[m]`` holds the group-0 and group-1 means of each metric ``m`` in
+    ``METRICS``; gain and shortfall map to None when any utility is
+    non-positive (multiplicative metrics undefined). The deltas (group 1
+    minus group 0) and verdicts are read off ``means``. ``mean_delta_u``
+    holds the group means of the max gain (best - worst), the right-hand side
+    of the additive identity; it is not part of ``to_dict``.
     """
 
     attribute: str
-    improvement_mean_0: float
-    improvement_mean_1: float
-    regret_mean_0: float
-    regret_mean_1: float
-    delta_improvement: float
-    delta_regret: float
-    gain_mean_0: float | None = None
-    gain_mean_1: float | None = None
-    shortfall_mean_0: float | None = None
-    shortfall_mean_1: float | None = None
-    delta_gain: float | None = None
-    delta_shortfall: float | None = None
-    favored: Mapping[str, str | None] = field(default_factory=dict)
-    mean_delta_u: tuple[float, float] | None = None
+    means: Mapping[str, tuple[float, float] | None]
+    mean_delta_u: tuple[float, float]
+
+    @property
+    def deltas(self) -> dict[str, float | None]:
+        return {name: None if pair is None else pair[1] - pair[0]
+                for name, pair in self.means.items()}
+
+    @property
+    def favored(self) -> dict[str, str | None]:
+        return {name: None if d is None else favored_group(name, d)
+                for name, d in self.deltas.items()}
 
     @property
     def multiplicative_defined(self) -> bool:
-        return self.delta_gain is not None
+        return None not in self.means.values()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "attribute": self.attribute,
-            "improvement_mean": [self.improvement_mean_0, self.improvement_mean_1],
-            "regret_mean": [self.regret_mean_0, self.regret_mean_1],
-            "gain_mean": [self.gain_mean_0, self.gain_mean_1],
-            "shortfall_mean": [self.shortfall_mean_0, self.shortfall_mean_1],
-            "delta_improvement": self.delta_improvement,
-            "delta_regret": self.delta_regret,
-            "delta_gain": self.delta_gain,
-            "delta_shortfall": self.delta_shortfall,
-            "multiplicative_defined": self.multiplicative_defined,
-            "favored": dict(self.favored),
-        }
+        out: dict[str, Any] = {"attribute": self.attribute}
+        deltas = self.deltas
+        for name in METRICS:
+            out[f"{name}_mean"] = list(self.means[name] or (None, None))
+            out[f"delta_{name}"] = deltas[name]
+        out["multiplicative_defined"] = self.multiplicative_defined
+        out["favored"] = self.favored
+        return out
 
 
 def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> FairnessReport:
-    """All four metrics per group plus their deltas for a binary attribute.
+    """All four metrics per group, and the max gain, for a binary attribute.
 
     Raises:
         EmptyGroupError: if either group of the attribute is empty.
@@ -337,30 +301,5 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
         name: None if row is None else tuple(float(np.mean(row[m])) for m in masks)
         for name, row in metric_rows(pop, alloc).items()
     }
-    deltas = {name: None if means[name] is None else means[name][1] - means[name][0]
-              for name in METRICS}
-    gain = means["gain"] or (None, None)
-    shortfall = means["shortfall"] or (None, None)
-    return FairnessReport(
-        attribute=attribute,
-        improvement_mean_0=means["improvement"][0],
-        improvement_mean_1=means["improvement"][1],
-        regret_mean_0=means["regret"][0],
-        regret_mean_1=means["regret"][1],
-        delta_improvement=deltas["improvement"],
-        delta_regret=deltas["regret"],
-        gain_mean_0=gain[0],
-        gain_mean_1=gain[1],
-        shortfall_mean_0=shortfall[0],
-        shortfall_mean_1=shortfall[1],
-        delta_gain=deltas["gain"],
-        delta_shortfall=deltas["shortfall"],
-        favored={name: None if d is None else favored_group(name, d) for name, d in deltas.items()},
-        mean_delta_u=means["delta_u"],
-    )
-
-
-def mean_delta_u(pop: Population, attribute: str, group_value: int) -> float:
-    """Group mean of the per-individual maximum utility gain (best - worst)."""
-    mask = _group_indices(pop, attribute, group_value)
-    return float(np.mean(envelope(pop).delta_u[mask]))
+    mean_delta_u = means.pop("delta_u")
+    return FairnessReport(attribute, means, mean_delta_u)

@@ -15,12 +15,6 @@ class EmptyGroupError(FairallocError):
     code = "empty-group"
 
 
-class RatioUndefinedError(FairallocError):
-    """Multiplicative metrics requested while some utility is not strictly positive."""
-
-    code = "ratio-undefined"
-
-
 class InfeasibleError(FairallocError):
     """Capacities cannot accommodate the population."""
 

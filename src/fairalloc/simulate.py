@@ -272,15 +272,16 @@ def _replicate_once(
 ) -> dict[str, float | None]:
     pop, alloc = _replica(params, allocator, base_seed, rep)
     report = delta_metrics(pop, alloc, params.attribute)
+    deltas = report.deltas
     du0, du1 = report.mean_delta_u
-    residual = report.delta_improvement + report.delta_regret - (du1 - du0)
+    residual = deltas["improvement"] + deltas["regret"] - (du1 - du0)
     # exact in real arithmetic; the rounding error grows with the utilities' size
     if abs(residual) > 1e-9 * max(1.0, float(np.abs(pop.utilities).max())):
         raise RuntimeError(f"additive-identity violation: residual {residual:g}")
     g1 = pop.group_mask(params.attribute, 1)
     best = _first_best(pop.utilities) + 1 == alloc.assignment
     return {
-        **{key: getattr(report, key) for key in METRIC_KEYS},
+        **{f"delta_{name}": deltas[name] for name in METRICS},
         "best_service_fraction_group0": float(np.mean(best[~g1])),
         "best_service_fraction_group1": float(np.mean(best[g1])),
         "mean_delta_u_group0": du0,
@@ -290,8 +291,9 @@ def _replicate_once(
 
 
 def _spec_worker(args) -> dict[str, float | None]:
-    params, spec, base_seed, rep = args
-    return _replicate_once(params, compile_spec(spec), base_seed, rep)
+    params, spec, base_seed, rep, float_errors = args
+    with np.errstate(**float_errors):
+        return _replicate_once(params, compile_spec(spec), base_seed, rep)
 
 
 def run_experiment(
@@ -331,7 +333,10 @@ def run_experiment(
         spec, allocator, label = None, policy, getattr(policy, "__name__", "custom")
 
     if threads > 1 and spec is not None:
-        jobs = [(params, spec, base_seed, r) for r in range(replications)]
+        # a forked worker inherits the caller's numpy error handling, a
+        # spawned or forkserver one starts from numpy's defaults
+        float_errors = np.geterr()
+        jobs = [(params, spec, base_seed, r, float_errors) for r in range(replications)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_spec_worker, jobs))
     else:
@@ -429,15 +434,15 @@ def sf1_identity(pop: Population, alloc: Allocation, params: SF1Params) -> dict[
     gain_low_r, gain_high_r = _conditional_means(rows["gain"], type_b)
     short_low_r, short_high_r = _conditional_means(rows["shortfall"], type_b)
 
-    report = delta_metrics(pop, alloc, params.attribute)
+    deltas = delta_metrics(pop, alloc, params.attribute).deltas
     return {
         "pi0_hat": pi0_hat,
         "pi1_hat": pi1_hat,
         "alpha_high": gain_high_r,
         "alpha_low": gain_low_r,
-        "delta_gain": report.delta_gain,
+        "delta_gain": deltas["gain"],
         "delta_gain_predicted": (pi0_hat - pi1_hat) * (gain_high_r - gain_low_r),
-        "delta_shortfall": report.delta_shortfall,
+        "delta_shortfall": deltas["shortfall"],
         "delta_shortfall_predicted": (pi0_hat - pi1_hat) * (short_high_r - short_low_r),
     }
 
@@ -456,16 +461,16 @@ def sf2_identity(pop: Population, alloc: Allocation, params: SF2Params) -> dict[
     p1_hat = float(np.mean(type_c[g1]))
     beta_low, beta_high = _conditional_means(realized, type_c)
 
-    report = delta_metrics(pop, alloc, params.attribute)
+    deltas = delta_metrics(pop, alloc, params.attribute).deltas
     return {
         "p0_hat": p0_hat,
         "p1_hat": p1_hat,
         "beta_low": beta_low,
         "beta_high": beta_high,
-        "delta_improvement": report.delta_improvement,
+        "delta_improvement": deltas["improvement"],
         "delta_improvement_predicted": (p1_hat - p0_hat)
         * ((beta_low - params.u_low) - (beta_high - params.u_high)),
-        "delta_gain": report.delta_gain,
+        "delta_gain": deltas["gain"],
         "delta_gain_predicted": (p1_hat - p0_hat)
         * (beta_low / params.u_low - beta_high / params.u_high),
     }
@@ -676,8 +681,9 @@ def _check_additive_identity(seed: int) -> CheckOutcome:
         pop = Population(utilities, {"group": labels})
         alloc = Allocation(gen.integers(1, k + 1, n))
         report = delta_metrics(pop, alloc, "group")
+        deltas = report.deltas
         du0, du1 = report.mean_delta_u
-        worst = max(worst, abs(report.delta_improvement + report.delta_regret - (du1 - du0)))
+        worst = max(worst, abs(deltas["improvement"] + deltas["regret"] - (du1 - du0)))
     return CheckOutcome(
         "additive-identity", worst <= 1e-12, f"max |dI + dR - dDU| = {worst:.3e}"
     )

@@ -285,8 +285,8 @@ class TestObservedAudit:
     def test_engineered_tradeoff_flag(self):
         ds = build_tradeoff_dataset()
         outcome = audit_observed(ds, pair_from_attribute("children"))
-        assert outcome.report.delta_improvement == pytest.approx(-0.013)
-        assert -outcome.report.delta_regret == pytest.approx(0.016)
+        assert outcome.report.deltas["improvement"] == pytest.approx(-0.013)
+        assert -outcome.report.deltas["regret"] == pytest.approx(0.016)
         assert "improvement-regret-trade-off" in outcome.flags
 
     def test_improvement_fair_regret_unfair(self):
@@ -301,8 +301,9 @@ class TestObservedAudit:
             service_names=("TH", "RRH", "ES"),
         )
         outcome = audit_observed(fixture, pair_from_attribute("children"))
-        assert abs(outcome.report.delta_improvement) <= outcome.tolerance
-        assert abs(outcome.report.delta_regret) > outcome.tolerance
+        deltas = outcome.report.deltas
+        assert abs(deltas["improvement"]) <= outcome.tolerance
+        assert abs(deltas["regret"]) > outcome.tolerance
         assert "improvement-fair-regret-unfair" in outcome.flags
 
     def test_flag_logic_multiplicative(self):
@@ -310,18 +311,13 @@ class TestObservedAudit:
 
         report = FairnessReport(
             attribute="g",
-            improvement_mean_0=0.1,
-            improvement_mean_1=0.2,
-            regret_mean_0=0.2,
-            regret_mean_1=0.1,
-            delta_improvement=0.1,
-            delta_regret=-0.1,
-            gain_mean_0=1.5,
-            gain_mean_1=1.2,
-            shortfall_mean_0=0.7,
-            shortfall_mean_1=0.9,
-            delta_gain=-0.3,
-            delta_shortfall=0.2,
+            means={
+                "improvement": (0.1, 0.2),
+                "regret": (0.2, 0.1),
+                "gain": (1.5, 1.2),
+                "shortfall": (0.7, 0.9),
+            },
+            mean_delta_u=(0.3, 0.3),
         )
         flags = trade_off_flags(report, 1e-3)
         assert "gain-equitability-trade-off" in flags
@@ -341,7 +337,8 @@ class TestRunAudit:
         for pair in report.pairs:
             fr = pair.observed.report
             du_diff = (pair.delta_u.mean_1 - pair.delta_u.mean_0)
-            assert fr.delta_improvement + fr.delta_regret == pytest.approx(du_diff, abs=1e-12)
+            lhs = fr.deltas["improvement"] + fr.deltas["regret"]
+            assert lhs == pytest.approx(du_diff, abs=1e-12)
 
         files = write_report_bundle(report, str(tmp_path / "out"))
         names = {f.split("/")[-1] for f in files}

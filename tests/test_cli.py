@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -285,8 +286,9 @@ class TestInternalError:
 
         def flipped(pop, alloc, attribute):
             report = true_delta_metrics(pop, alloc, attribute)
-            object.__setattr__(report, "delta_regret", -report.delta_regret)
-            return report
+            # swapped group means negate the regret delta
+            regret = report.means["regret"][::-1]
+            return dataclasses.replace(report, means={**report.means, "regret": regret})
 
         monkeypatch.setattr(sim, "delta_metrics", flipped)
         params_path = tmp_path / "params.json"

@@ -12,17 +12,11 @@ from fairalloc import (
     CapacityVector,
     EmptyGroupError,
     Population,
-    RatioUndefinedError,
     delta_metrics,
     envelope,
-    gain_mean,
-    improvement_mean,
-    mean_delta_u,
-    regret_mean,
-    shortfall_mean,
 )
 from fairalloc.audit import AuditDataset
-from fairalloc.core import _first_best, _reduce_services, metric_rows
+from fairalloc.core import METRICS, _first_best, _reduce_services, metric_rows
 from fairalloc.policies import allocate_best, allocate_utilitarian, allocate_worst
 
 
@@ -43,6 +37,12 @@ def oracle_mean(utilities, assignment, labels, value, kind):
             }[kind]
         )
     return sum(acc) / len(acc)
+
+
+def group_mean_delta_u(pop, value):
+    """Group mean of the max gain, from the envelope alone: the right-hand
+    side of the additive identity, computed apart from ``delta_metrics``."""
+    return float(np.mean(envelope(pop).delta_u[pop.groups["g"] == value]))
 
 
 FIXTURE_U = [[0.2, 0.6, 0.4], [0.5, 0.1, 0.3], [0.9, 0.8, 0.7]]
@@ -83,64 +83,58 @@ class TestEnvelope:
 class TestMetricExamples:
     def test_worst_assignment_zero_improvement(self, fixture_pop):
         worst = Allocation(np.argmin(fixture_pop.utilities, axis=1) + 1)
-        for value in (0, 1):
-            assert improvement_mean(fixture_pop, worst, "g", value) == 0.0
+        assert delta_metrics(fixture_pop, worst, "g").means["improvement"] == (0.0, 0.0)
 
     def test_single_member_improvement(self):
         pop = Population(np.array([[0.2, 0.6]]), {"g": [1]})
-        assert improvement_mean(pop, Allocation([2]), "g", 1) == pytest.approx(0.4)
+        assert metric_rows(pop, Allocation([2]))["improvement"] == pytest.approx([0.4])
 
     def test_best_assignment_zero_regret(self, fixture_pop):
         best = Allocation(np.argmax(fixture_pop.utilities, axis=1) + 1)
-        for value in (0, 1):
-            assert regret_mean(fixture_pop, best, "g", value) == 0.0
+        assert delta_metrics(fixture_pop, best, "g").means["regret"] == (0.0, 0.0)
 
     def test_single_member_regret(self):
         pop = Population(np.array([[0.2, 0.6]]), {"g": [1]})
-        assert regret_mean(pop, Allocation([1]), "g", 1) == pytest.approx(0.4)
+        assert metric_rows(pop, Allocation([1]))["regret"] == pytest.approx([0.4])
 
     def test_gain_examples(self):
         pop = Population(np.array([[0.2, 0.4]]), {"g": [0]})
-        assert gain_mean(pop, Allocation([2]), "g", 0) == pytest.approx(2.0)
-        assert gain_mean(pop, Allocation([1]), "g", 0) == 1.0
+        assert metric_rows(pop, Allocation([2]))["gain"] == pytest.approx([2.0])
+        assert metric_rows(pop, Allocation([1]))["gain"].tolist() == [1.0]
 
     def test_shortfall_examples(self):
         pop = Population(np.array([[0.2, 0.4]]), {"g": [0]})
-        assert shortfall_mean(pop, Allocation([2]), "g", 0) == 1.0
-        assert shortfall_mean(pop, Allocation([1]), "g", 0) == pytest.approx(0.5)
+        assert metric_rows(pop, Allocation([2]))["shortfall"].tolist() == [1.0]
+        assert metric_rows(pop, Allocation([1]))["shortfall"] == pytest.approx([0.5])
 
     def test_fixture_matches_oracle(self, fixture_pop, fixture_alloc):
-        for kind, fn in (
-            ("improvement", improvement_mean),
-            ("regret", regret_mean),
-            ("gain", gain_mean),
-            ("shortfall", shortfall_mean),
-        ):
+        means = delta_metrics(fixture_pop, fixture_alloc, "g").means
+        for kind in METRICS:
             for value in (0, 1):
                 expected = oracle_mean(FIXTURE_U, FIXTURE_ASSIGN, FIXTURE_LABELS, value, kind)
-                assert fn(fixture_pop, fixture_alloc, "g", value) == pytest.approx(
-                    expected, abs=1e-12
-                )
+                assert means[kind][value] == pytest.approx(expected, abs=1e-12)
         # frozen values from the oracle
-        assert improvement_mean(fixture_pop, fixture_alloc, "g", 1) == pytest.approx(0.2)
-        assert regret_mean(fixture_pop, fixture_alloc, "g", 1) == pytest.approx(0.1)
-        assert gain_mean(fixture_pop, fixture_alloc, "g", 0) == pytest.approx(3.0)
-        assert shortfall_mean(fixture_pop, fixture_alloc, "g", 1) == pytest.approx(8.0 / 9.0)
+        assert means["improvement"][1] == pytest.approx(0.2)
+        assert means["regret"][1] == pytest.approx(0.1)
+        assert means["gain"][0] == pytest.approx(3.0)
+        assert means["shortfall"][1] == pytest.approx(8.0 / 9.0)
 
     def test_empty_group_raises(self, fixture_pop, fixture_alloc):
         pop = Population(np.array(FIXTURE_U), {"g": [1, 1, 1]})
         with pytest.raises(EmptyGroupError):
-            improvement_mean(pop, fixture_alloc, "g", 0)
+            delta_metrics(pop, fixture_alloc, "g")
 
     def test_nonpositive_utilities_block_multiplicative(self):
         pop = Population(np.array([[0.0, 0.5], [0.2, 0.3]]), {"g": [0, 1]})
         alloc = Allocation([2, 2])
-        with pytest.raises(RatioUndefinedError):
-            gain_mean(pop, alloc, "g", 0)
-        with pytest.raises(RatioUndefinedError):
-            shortfall_mean(pop, alloc, "g", 1)
+        rows = metric_rows(pop, alloc)
+        assert rows["gain"] is None and rows["shortfall"] is None
         report = delta_metrics(pop, alloc, "g")
-        assert report.delta_gain is None and not report.multiplicative_defined
+        assert report.means["gain"] is None and report.means["shortfall"] is None
+        assert report.deltas["gain"] is None and report.favored["shortfall"] is None
+        assert not report.multiplicative_defined
+        payload = report.to_dict()
+        assert payload["gain_mean"] == [None, None] and payload["delta_shortfall"] is None
 
 
 class TestDeltaMetrics:
@@ -148,10 +142,12 @@ class TestDeltaMetrics:
         # group 0: u=(0.1, 0.3) assigned 2; group 1: u=(0.1, 0.5) assigned 1
         pop = Population(np.array([[0.1, 0.3], [0.1, 0.5]]), {"g": [0, 1]})
         report = delta_metrics(pop, Allocation([2, 1]), "g")
-        assert report.delta_improvement == pytest.approx(-0.2)
-        assert report.delta_regret == pytest.approx(0.4)
-        lhs = report.delta_improvement + report.delta_regret
-        assert lhs == pytest.approx(mean_delta_u(pop, "g", 1) - mean_delta_u(pop, "g", 0))
+        assert report.means["improvement"] == pytest.approx((0.2, 0.0))
+        assert report.means["regret"] == pytest.approx((0.0, 0.4))
+        assert report.deltas["improvement"] == pytest.approx(-0.2)
+        assert report.deltas["regret"] == pytest.approx(0.4)
+        lhs = report.deltas["improvement"] + report.deltas["regret"]
+        assert lhs == pytest.approx(group_mean_delta_u(pop, 1) - group_mean_delta_u(pop, 0))
         assert report.favored["improvement"] == "group0"
         assert report.favored["regret"] == "group0"
 
@@ -159,10 +155,8 @@ class TestDeltaMetrics:
         u = np.array([[0.1, 0.4], [0.3, 0.2], [0.1, 0.4], [0.3, 0.2]])
         pop = Population(u, {"g": [0, 0, 1, 1]})
         report = delta_metrics(pop, Allocation([1, 2, 1, 2]), "g")
-        assert report.delta_improvement == 0.0
-        assert report.delta_regret == 0.0
-        assert report.delta_gain == 0.0
-        assert report.delta_shortfall == 0.0
+        assert report.deltas == dict.fromkeys(METRICS, 0.0)
+        assert report.favored == dict.fromkeys(METRICS, "tied")
 
     def test_observed_style_sign_disagreement_representable(self):
         # engineered so dI = -0.013 while -dR = +0.016
@@ -170,8 +164,8 @@ class TestDeltaMetrics:
             np.array([[0.5, 0.55, 0.58], [0.5, 0.537, 0.551]]), {"g": [0, 1]}
         )
         report = delta_metrics(pop, Allocation([2, 2]), "g")
-        assert report.delta_improvement == pytest.approx(-0.013)
-        assert -report.delta_regret == pytest.approx(0.016)
+        assert report.deltas["improvement"] == pytest.approx(-0.013)
+        assert -report.deltas["regret"] == pytest.approx(0.016)
         assert report.favored["improvement"] == "group0"
         assert report.favored["regret"] == "group1"
 
@@ -209,22 +203,16 @@ class TestBitExactness:
             ref["regret", value] = float(np.mean(u_max[m] - realized[m]))
             ref["gain", value] = float(np.mean(realized[m] / u_min[m])) if positive else None
             ref["shortfall", value] = float(np.mean(realized[m] / u_max[m])) if positive else None
-            assert mean_delta_u(pop, "g", value) == float(np.mean(u_max[m] - u_min[m]))
             assert report.mean_delta_u[value] == float(np.mean(u_max[m] - u_min[m]))
 
-        wrappers = {"improvement": improvement_mean, "regret": regret_mean,
-                    "gain": gain_mean, "shortfall": shortfall_mean}
-        for metric, fn in wrappers.items():
+        payload = report.to_dict()
+        for metric in METRICS:
             r0, r1 = ref[metric, 0], ref[metric, 1]
-            assert getattr(report, f"{metric}_mean_0") == r0
-            assert getattr(report, f"{metric}_mean_1") == r1
-            assert getattr(report, f"delta_{metric}") == (None if r0 is None else r1 - r0)
-            for value in (0, 1):
-                if ref[metric, value] is None:
-                    with pytest.raises(RatioUndefinedError):
-                        fn(pop, alloc, "g", value)
-                else:
-                    assert fn(pop, alloc, "g", value) == ref[metric, value]
+            delta = None if r0 is None else r1 - r0
+            assert report.means[metric] == (None if r0 is None else (r0, r1))
+            assert report.deltas[metric] == delta
+            assert payload[f"{metric}_mean"] == [r0, r1]
+            assert payload[f"delta_{metric}"] == delta
         assert report.multiplicative_defined == positive
 
 
@@ -251,19 +239,20 @@ def instances(draw, positive=False, max_n=24, max_k=4):
 @given(instances())
 def test_additive_identity_property(instance):
     pop, alloc, _ = instance
-    report = delta_metrics(pop, alloc, "g")
-    du = mean_delta_u(pop, "g", 1) - mean_delta_u(pop, "g", 0)
+    deltas = delta_metrics(pop, alloc, "g").deltas
+    du = group_mean_delta_u(pop, 1) - group_mean_delta_u(pop, 0)
     # magnitudes are O(50), so 1e-12 absolute tolerance is ~1e-14 relative
-    assert abs(report.delta_improvement + report.delta_regret - du) <= 1e-12
+    assert abs(deltas["improvement"] + deltas["regret"] - du) <= 1e-12
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(instances())
 def test_per_group_additive_split(instance):
     pop, alloc, _ = instance
+    means = delta_metrics(pop, alloc, "g").means
     for value in (0, 1):
-        total = improvement_mean(pop, alloc, "g", value) + regret_mean(pop, alloc, "g", value)
-        assert total == pytest.approx(mean_delta_u(pop, "g", value), abs=1e-12)
+        total = means["improvement"][value] + means["regret"][value]
+        assert total == pytest.approx(group_mean_delta_u(pop, value), abs=1e-12)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -273,11 +262,12 @@ def test_metric_ranges(instance):
     env = envelope(pop)
     realized = alloc.realized(pop)
     assert np.all(env.u_min <= realized) and np.all(realized <= env.u_max)
+    means = delta_metrics(pop, alloc, "g").means
     for value in (0, 1):
-        assert improvement_mean(pop, alloc, "g", value) >= 0.0
-        assert regret_mean(pop, alloc, "g", value) >= 0.0
-        assert gain_mean(pop, alloc, "g", value) >= 1.0
-        assert 0.0 < shortfall_mean(pop, alloc, "g", value) <= 1.0 + 1e-15
+        assert means["improvement"][value] >= 0.0
+        assert means["regret"][value] >= 0.0
+        assert means["gain"][value] >= 1.0
+        assert 0.0 < means["shortfall"][value] <= 1.0 + 1e-15
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -285,11 +275,9 @@ def test_metric_ranges(instance):
 def test_group_relabeling_negates_deltas(instance):
     pop, alloc, _ = instance
     flipped = Population(pop.utilities, {"g": 1 - pop.groups["g"]})
-    a, b = delta_metrics(pop, alloc, "g"), delta_metrics(flipped, alloc, "g")
-    assert b.delta_improvement == -a.delta_improvement
-    assert b.delta_regret == -a.delta_regret
-    assert b.delta_gain == -a.delta_gain
-    assert b.delta_shortfall == -a.delta_shortfall
+    a, b = delta_metrics(pop, alloc, "g").deltas, delta_metrics(flipped, alloc, "g").deltas
+    for metric in METRICS:
+        assert b[metric] == -a[metric]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -297,10 +285,10 @@ def test_group_relabeling_negates_deltas(instance):
 def test_additive_metrics_shift_invariant(instance, shift):
     pop, alloc, _ = instance
     shifted = Population(pop.utilities + shift, pop.groups)
-    a, b = delta_metrics(pop, alloc, "g"), delta_metrics(shifted, alloc, "g")
+    a, b = delta_metrics(pop, alloc, "g").deltas, delta_metrics(shifted, alloc, "g").deltas
     tol = 1e-9 * max(1.0, shift)
-    assert b.delta_improvement == pytest.approx(a.delta_improvement, abs=tol)
-    assert b.delta_regret == pytest.approx(a.delta_regret, abs=tol)
+    assert b["improvement"] == pytest.approx(a["improvement"], abs=tol)
+    assert b["regret"] == pytest.approx(a["regret"], abs=tol)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -308,9 +296,9 @@ def test_additive_metrics_shift_invariant(instance, shift):
 def test_multiplicative_metrics_scale_invariant(instance, scale):
     pop, alloc, _ = instance
     scaled = Population(pop.utilities * scale, pop.groups)
-    a, b = delta_metrics(pop, alloc, "g"), delta_metrics(scaled, alloc, "g")
-    assert b.delta_gain == pytest.approx(a.delta_gain, rel=1e-9, abs=1e-9)
-    assert b.delta_shortfall == pytest.approx(a.delta_shortfall, rel=1e-9, abs=1e-9)
+    a, b = delta_metrics(pop, alloc, "g").deltas, delta_metrics(scaled, alloc, "g").deltas
+    assert b["gain"] == pytest.approx(a["gain"], rel=1e-9, abs=1e-9)
+    assert b["shortfall"] == pytest.approx(a["shortfall"], rel=1e-9, abs=1e-9)
 
 
 class TestTypes:

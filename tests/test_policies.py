@@ -26,9 +26,8 @@ from fairalloc import (
     allocate_worst,
     apply_policy,
     compile_spec,
-    improvement_mean,
+    delta_metrics,
     policies,
-    regret_mean,
 )
 from fairalloc.simulate import load_experiment_config
 
@@ -402,14 +401,12 @@ class TestBestWorst:
     def test_worst_zeroes_improvement(self):
         pop = Population(np.random.default_rng(5).random((10, 3)), {"g": [0, 1] * 5})
         alloc = allocate_worst(pop)
-        assert improvement_mean(pop, alloc, "g", 0) == 0.0
-        assert improvement_mean(pop, alloc, "g", 1) == 0.0
+        assert delta_metrics(pop, alloc, "g").means["improvement"] == (0.0, 0.0)
 
     def test_best_zeroes_regret(self):
         pop = Population(np.random.default_rng(6).random((10, 3)), {"g": [0, 1] * 5})
         alloc = allocate_best(pop)
-        assert regret_mean(pop, alloc, "g", 0) == 0.0
-        assert regret_mean(pop, alloc, "g", 1) == 0.0
+        assert delta_metrics(pop, alloc, "g").means["regret"] == (0.0, 0.0)
 
     def test_argmax_tie_goes_low(self):
         pop = Population(np.array([[0.5, 0.5], [0.2, 0.2]]))

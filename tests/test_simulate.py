@@ -2,6 +2,9 @@
 stylized-framework verification harnesses."""
 
 import dataclasses
+import functools
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from fairalloc.simulate import (
     sf1_identity,
     sf2_identity,
 )
-from fairalloc._rng import spawn_seed
+from fairalloc._rng import spawn_seed, standard_normal, uniform_open
 
 
 def exp1_params(n_per_group=300, caps=None):
@@ -49,6 +52,33 @@ def exp2_params(n_per_group=300):
         group_sizes=(n_per_group, n_per_group),
         capacities=CapacityVector([cap] * 3),
     )
+
+
+class _StubGenerator:
+    """Stands in for ``np.random.Generator``: ``integers`` returns ``high``
+    minus each of the given offsets."""
+
+    def __init__(self, *offsets):
+        self.offsets = np.array(offsets, dtype=np.int64)
+
+    def integers(self, low, high, size=None):
+        assert size == self.offsets.size
+        return high - self.offsets
+
+
+class TestUniformOpen:
+    def test_top_integer_draw_stays_below_one(self):
+        # (2**53 - 1) + 0.5 rounds to 2**53 in float64: unclamped, u = 1.0 and z = inf
+        assert uniform_open(_StubGenerator(1, 1), 2).tolist() == [np.nextafter(1.0, 0.0)] * 2
+        assert np.isfinite(standard_normal(_StubGenerator(1), 1)).all()
+
+    def test_clamp_moves_no_other_draw(self):
+        offsets = (2, 3, 2**52, 2**53)  # the draws 2**53 - 2, 2**53 - 3, 2**52 and 0
+        draws = (1 << 53) - np.array(offsets)
+        expected = (draws.astype(np.float64) + 0.5) / float(1 << 53)
+        u = uniform_open(_StubGenerator(*offsets), len(offsets))
+        assert u.tolist() == expected.tolist()
+        assert 0.0 < u.min() and u.max() < 1.0
 
 
 class TestGaussianSampler:
@@ -171,9 +201,9 @@ class TestStylizedSamplers:
         alloc = compile_spec(PolicySpec("assign-worst-ignoring-capacity"))(
             pop, params.capacities, 0
         )
-        report = delta_metrics(pop, alloc, "group")
-        assert report.delta_improvement == 0.0
-        assert report.delta_gain == 0.0
+        means = delta_metrics(pop, alloc, "group").means
+        assert means["improvement"] == (0.0, 0.0)
+        assert means["gain"] == (1.0, 1.0)
 
     def test_sf_identities_within_ci(self):
         sf1 = SF1Params(
@@ -247,6 +277,20 @@ class TestRunExperiment:
         assert pools == ([] if expected is None else [expected])
         assert result.to_dict() == run_experiment(params, PolicySpec("random"), reps, 3).to_dict()
 
+    def test_workers_keep_the_callers_float_guard(self, monkeypatch):
+        # spawned workers inherit no numpy error state: the guard must travel
+        # with each job, or the overflow below is a warning and an inf estimate
+        spawn = functools.partial(ProcessPoolExecutor, mp_context=mp.get_context("spawn"))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", spawn)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        params = simulate.params_from_dict({
+            "means": [[1e308, 0.3, 0.4], [0.4, 0.5, 0.63]],
+            "variances": [[1e-4, 4e-4, 9e-4]] * 2,
+            "group_sizes": [20, 20], "capacities": [20, 20, 20],
+        })
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="in divide"):
+            run_experiment(params, PolicySpec("random"), 2, 0, threads=2)
+
     def test_exp1_random_signs(self):
         params = exp1_params(300, caps=[200, 200, 200])
         res = run_experiment(params, PolicySpec("random"), 40, 9)
@@ -307,8 +351,9 @@ class TestMutationSanity:
 
         def flipped(pop, alloc, attribute):
             report = true_delta_metrics(pop, alloc, attribute)
-            object.__setattr__(report, "delta_regret", -report.delta_regret)
-            return report
+            # swapped group means negate the regret delta
+            regret = report.means["regret"][::-1]
+            return dataclasses.replace(report, means={**report.means, "regret": regret})
 
         monkeypatch.setattr(sim, "delta_metrics", flipped)
         outcome = sim._check_additive_identity(7)
@@ -325,7 +370,7 @@ class TestGroupPriority:
         favored1 = allocate_group_priority(pop, params.capacities, "group", 1)
         r0 = delta_metrics(pop, favored0, "group")
         r1 = delta_metrics(pop, favored1, "group")
-        assert r0.delta_improvement < 0 < r1.delta_improvement
+        assert r0.deltas["improvement"] < 0 < r1.deltas["improvement"]
         assert favored0.is_feasible(pop, params.capacities)
 
 
