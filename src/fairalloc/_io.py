@@ -12,6 +12,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -126,28 +127,68 @@ class CsvColumns:
 def read_csv(
     path: str, columns: Callable[[list[str]], CsvColumns], delimiter: str = ","
 ) -> tuple[list[str], np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """Read a CSV whose first line is the header; ``columns`` maps the header
-    to the columns to parse. Blank lines are skipped; every other row must
-    have one field per header column. All row problems are raised together,
-    each with its 1-based line number (the header is line 1). Returns the
-    ids (ordinals "1", "2", ... without an id column), the float matrix, the
-    int8 vector of each flag column and each row's index into ``labels``.
+    """Read a UTF-8 CSV, with or without a byte order mark, whose first line
+    is the header; ``columns`` maps the header to the columns to parse. Blank
+    lines are skipped; every other row must have one field per header column.
+    All row problems are raised together, each with the 1-based physical line
+    its row starts on (the header is line 1). Returns the ids (ordinals "1",
+    "2", ... without an id column), the float matrix, the int8 vector of each
+    flag column and each row's index into ``labels``.
 
     Raises:
         ValueError: if ``delimiter`` is not exactly one character.
         SchemaMismatchError: if the file is empty, or a named column is
             missing or appears more than once in the header.
-        DataValidationError: if any row is invalid, or there is none.
+        DataValidationError: if any row is invalid, or there is none, or the
+            file is not valid UTF-8.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be exactly one character, not {delimiter!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             return _read_rows(reader, columns)
         except csv.Error as exc:  # an oversized field, or a NUL byte before Python 3.11
             line = f"schema-mismatch(line {reader.line_num}): {exc}"
             raise DataValidationError([line]) from None
+        except UnicodeDecodeError:
+            line = f"schema-mismatch(line {_first_bad_utf8_line(path)}): not valid UTF-8"
+            raise DataValidationError([line]) from None
+
+
+def _line_breaks(raw: bytes) -> int:
+    r"""Line ends in ``raw`` as a text file with ``newline=""`` splits lines:
+    ``\n``, ``\r\n`` and a lone ``\r``."""
+    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+
+
+def _first_bad_utf8_line(path: str) -> int:
+    r"""The physical line holding the first byte that is not valid UTF-8. A
+    multi-byte character never holds a ``\n`` byte, so each ``\n``-ended
+    piece of the file decodes on its own."""
+    line = 1
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return line + _line_breaks(raw[: exc.start])
+            line += _line_breaks(raw)
+    return line
+
+
+# full-width rows validated together, one column at a time; this many raw
+# rows are held at once, whatever the file size
+_CHUNK_ROWS = 4096
+_FLAG_VALUES = {"0": 0, "1": 1}
+
+
+def _to_float(text: str) -> float:
+    """``float(text)``, or NaN for text ``float`` rejects."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
@@ -167,53 +208,96 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     id_at = None if cols.id is None else header.index(cols.id)
     label_index = {name: i for i, name in enumerate(cols.labels)}
     lo, hi = cols.bounds
-    ids, floats, labels, errors = [], [], [], []
-    flags: dict[str, list[bool]] = {c: [] for c in cols.flags}
-    flag_at = [(c, header.index(c)) for c in flags]  # a column named twice is read once
+    # a column named twice is read once
+    flag_at = [(c, header.index(c)) for c in dict.fromkeys(cols.flags)]
+    # each check's place among a row's errors: floats, label, flags, id
+    label_order = len(float_at)
+    id_order = label_order + 1 + len(flag_at)
+    errors: list[tuple[int, int, str]] = []  # (line, place in its row, message)
     id_lines: dict[str, int] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            errors.append(f"schema-mismatch(line {line}): expected {len(header)} fields")
-            continue
-        n_errors = len(errors)
-        values = []
-        for c, j in float_at:
+    ids: list[str] = []
+    floats: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    flags: dict[str, list[np.ndarray]] = {c: [] for c, _ in flag_at}
+
+    def check(rows: list[tuple[str, ...]], lines: list[int]):
+        """Validate and parse a chunk of full-width rows, one column at a time."""
+        fields = list(zip(*rows))
+        block = np.empty((len(rows), len(float_at)))
+        for order, (c, j) in enumerate(float_at):
+            col = fields[j]
             try:
-                value = float(row[j])
+                values = np.fromiter(map(float, col), np.float64, len(col))
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                errors.append(f"range-violation(line {line}): {c}={row[j]!r} is not finite")
-            elif not lo <= value <= hi:
-                errors.append(f"range-violation(line {line}): {c}={row[j]!r} "
-                              f"not in [{lo:g}, {hi:g}]")
-            values.append(value)
-        if label_at is not None and row[label_at] not in label_index:
-            errors.append(f"label-violation(line {line}): {cols.label}={row[label_at]!r} "
-                          f"not one of {list(cols.labels)}")
-        for c, j in flag_at:
-            if row[j] not in ("0", "1"):
-                errors.append(f"range-violation(line {line}): {c}={row[j]!r} must be 0 or 1")
-        if id_at is not None:
-            first = id_lines.setdefault(row[id_at], line)
+                values = np.fromiter(map(_to_float, col), np.float64, len(col))
+            finite = np.isfinite(values)
+            for i in np.flatnonzero(~finite):
+                errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
+                                                f"{c}={col[i]!r} is not finite"))
+            for i in np.flatnonzero(finite & ~((lo <= values) & (values <= hi))):
+                errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
+                                                f"{c}={col[i]!r} not in [{lo:g}, {hi:g}]"))
+            block[:, order] = values
+        floats.append(block)
+        if label_at is not None:
+            col = fields[label_at]
+            index = np.fromiter(map(label_index.get, col, repeat(-1)), np.int64, len(col))
+            for i in np.flatnonzero(index < 0):
+                errors.append((lines[i], label_order,
+                               f"label-violation(line {lines[i]}): {cols.label}={col[i]!r} "
+                               f"not one of {list(cols.labels)}"))
+            labels.append(index)
+        for order, (c, j) in enumerate(flag_at, start=label_order + 1):
+            col = fields[j]
+            if set(col) <= _FLAG_VALUES.keys():
+                flags[c].append(np.frombuffer("".join(col).encode(), np.int8) - ord("0"))
+                continue
+            values = np.fromiter(map(_FLAG_VALUES.get, col, repeat(-1)), np.int8, len(col))
+            for i in np.flatnonzero(values < 0):
+                errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
+                                                f"{c}={col[i]!r} must be 0 or 1"))
+            flags[c].append(values)
+        if id_at is None:
+            return
+        col = fields[id_at]
+        ids.extend(col)
+        if len(set(col)) == len(col) and id_lines.keys().isdisjoint(col):
+            id_lines.update(zip(col, lines))
+            return
+        for text, line in zip(col, lines):
+            first = id_lines.setdefault(text, line)
             if first != line:
-                errors.append(f"duplicate-id(line {line}): {row[id_at]!r} already on line {first}")
-        if len(errors) == n_errors:
-            ids.append(row[id_at] if id_at is not None else str(len(ids) + 1))
-            floats.append(values)
-            for c, j in flag_at:
-                flags[c].append(row[j] == "1")
-            if label_at is not None:
-                labels.append(label_index[row[label_at]])
+                errors.append((line, id_order, f"duplicate-id(line {line}): {text!r} "
+                                               f"already on line {first}"))
+
+    # rows are held as tuples: a tuple of strings leaves the cyclic garbage
+    # collector's care at its first pass, while a held list would be rescanned
+    rows: list[tuple[str, ...]] = []
+    lines: list[int] = []
+    start = reader.line_num + 1  # a record's number is the line it starts on
+    for row in reader:
+        if not row:
+            pass  # a blank line
+        elif len(row) != len(header):
+            errors.append((start, 0, f"schema-mismatch(line {start}): "
+                                     f"expected {len(header)} fields"))
+        else:
+            rows.append(tuple(row))
+            lines.append(start)
+            if len(rows) == _CHUNK_ROWS:
+                check(rows, lines)
+                rows, lines = [], []
+        start = reader.line_num + 1
+    if rows:
+        check(rows, lines)
     if errors:
-        raise DataValidationError(errors)
-    if not ids:
+        raise DataValidationError([message for _, _, message in sorted(errors)])
+    if not floats:
         raise DataValidationError(["schema-mismatch(line 2): no data rows"])
+    matrix = np.concatenate(floats)
     return (
-        ids,
-        np.array(floats, dtype=np.float64),
-        {c: np.array(v, dtype=np.int8) for c, v in flags.items()},
-        np.array(labels, dtype=np.int64),
+        ids if id_at is not None else [str(i) for i in range(1, len(matrix) + 1)],
+        matrix,
+        {c: np.concatenate(parts) for c, parts in flags.items()},
+        np.concatenate(labels) if labels else np.empty(0, np.int64),
     )

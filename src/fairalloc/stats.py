@@ -12,9 +12,9 @@ from .errors import DegenerateVarianceError, EmptySampleError
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 DEFAULT_GRID_SIZE = 512
 DEFAULT_GRID_PADDING = 3.0  # bandwidths beyond the sample range
-# bytes of one block of grid-row x sample kernel values; each temporary of
-# ``kde`` is about this size, whatever the sample or grid size
-_KDE_CHUNK_BYTES = 1 << 20
+# bytes of one block of grid-row x sample kernel values; ``kde`` works in two
+# buffers of about this size, whatever the sample or grid size
+_KDE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,20 @@ def kde(
     else:
         grid = np.asarray(grid, dtype=np.float64)
     # Each density value is one contiguous row sum, so a block of grid rows
-    # gives the same bytes as the whole grid x sample matrix at once.
-    rows = max(1, _KDE_CHUNK_BYTES // (8 * x.size))
+    # gives the same bytes as the whole grid x sample matrix at once. Each
+    # block runs the steps of exp(-0.5 * z * z) in the same order, in place.
+    rows = max(1, min(grid.size, _KDE_CHUNK_BYTES // (8 * x.size)))
+    z_buf, k_buf = np.empty((rows, x.size)), np.empty((rows, x.size))
     sums = np.empty(grid.size)
     for lo in range(0, grid.size, rows):
-        z = (grid[lo : lo + rows, None] - x[None, :]) / bandwidth
-        sums[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+        hi = min(lo + rows, grid.size)
+        z, k = z_buf[: hi - lo], k_buf[: hi - lo]
+        np.subtract(grid[lo:hi, None], x, out=z)
+        np.divide(z, bandwidth, out=z)
+        np.multiply(-0.5, z, out=k)
+        np.multiply(k, z, out=k)
+        np.exp(k, out=k)
+        np.sum(k, axis=1, out=sums[lo:hi])
     density = sums / (x.size * bandwidth * _SQRT_2PI)
     return KdeCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 

@@ -59,6 +59,8 @@ CALLS: dict[str, tuple[str, ...]] = {
     "audit-custom-tuned": (*_AUDIT, "--bandwidth", "0.05", "--fair-tolerance", "0.02"),
     # the paper's audit size, on the shipped schema
     "audit-homeless": ("audit", "--data", "homeless.csv", "--config", "homeless"),
+    # 9,000 rows: more than two of the CSV reader's 4,096-row chunks
+    "audit-homeless-chunks": ("audit", "--data", "homeless-9000.csv", "--config", "homeless"),
 }
 
 
@@ -81,6 +83,7 @@ def run_corpus(workdir: Path) -> tuple[dict[str, int], dict[str, str]]:
     The calls see relative paths only, so no output holds ``workdir``."""
     shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
     write_synthetic_csv(workdir / "homeless.csv")
+    write_synthetic_csv(workdir / "homeless-9000.csv", n=9000)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

@@ -1,5 +1,5 @@
 """Byte identity of the CLI's outputs: the golden corpus (``golden/record.py``)
-runs about fifteen seeded calls, and every file they read and write must match
+runs about twenty seeded calls, and every file they read and write must match
 the digest recorded in ``golden/digests.json``."""
 
 import json

@@ -71,7 +71,9 @@ class TestKdeBlocks:
 
     @pytest.mark.parametrize("n, grid_size", [
         (1, 512),
-        (997, 512),  # 131 rows a block; 512 is not a multiple of it
+        (997, 512),  # 32 rows a block: the grid is exactly 16 blocks
+        (stats._KDE_CHUNK_BYTES // (8 * 131), 512),  # 131 rows a block; 512 is not a multiple
+        (BLOCK_ROWS_ONE // 64, 50),  # 64 rows a block: the grid is shorter than one block
         (5000, 7),
         (BLOCK_ROWS_ONE, 5),  # exactly one row a block
         (BLOCK_ROWS_ONE + 1, 3),  # one row a block by the max(1, ...) floor
