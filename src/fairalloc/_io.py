@@ -148,9 +148,6 @@ def read_csv(
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             return _read_rows(reader, columns)
-        except csv.Error as exc:  # an oversized field, or a NUL byte before Python 3.11
-            line = f"schema-mismatch(line {reader.line_num}): {exc}"
-            raise DataValidationError([line]) from None
         except UnicodeDecodeError:
             line = f"schema-mismatch(line {_first_bad_utf8_line(path)}): not valid UTF-8"
             raise DataValidationError([line]) from None
@@ -191,8 +188,17 @@ def _to_float(text: str) -> float:
         return math.nan
 
 
+def _csv_error(line: int, exc: csv.Error) -> DataValidationError:
+    """An oversized field, or a NUL byte before Python 3.11, in the record
+    that starts on ``line``."""
+    return DataValidationError([f"schema-mismatch(line {line}): {exc}"])
+
+
 def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise _csv_error(1, exc) from None
     if header is None:
         raise SchemaMismatchError("schema-mismatch: file is empty")
     cols = columns(header)
@@ -275,19 +281,22 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     rows: list[tuple[str, ...]] = []
     lines: list[int] = []
     start = reader.line_num + 1  # a record's number is the line it starts on
-    for row in reader:
-        if not row:
-            pass  # a blank line
-        elif len(row) != len(header):
-            errors.append((start, 0, f"schema-mismatch(line {start}): "
-                                     f"expected {len(header)} fields"))
-        else:
-            rows.append(tuple(row))
-            lines.append(start)
-            if len(rows) == _CHUNK_ROWS:
-                check(rows, lines)
-                rows, lines = [], []
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            if not row:
+                pass  # a blank line
+            elif len(row) != len(header):
+                errors.append((start, 0, f"schema-mismatch(line {start}): "
+                                         f"expected {len(header)} fields"))
+            else:
+                rows.append(tuple(row))
+                lines.append(start)
+                if len(rows) == _CHUNK_ROWS:
+                    check(rows, lines)
+                    rows, lines = [], []
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise _csv_error(start, exc) from None
     if rows:
         check(rows, lines)
     if errors:

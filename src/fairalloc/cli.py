@@ -117,9 +117,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _parse_capacities(text: str) -> list[int]:
+    """The comma-separated integers of ``--capacities``."""
+    caps = []
+    for place, field in enumerate(text.split(","), start=1):
+        try:
+            caps.append(int(field))
+        except ValueError:
+            raise ValueError(
+                f"--capacities: field {place} is {field!r}, not an integer"
+            ) from None
+    return caps
+
+
 def cmd_solve(args) -> int:
     ids, pop = load_population_csv(args.population)
-    caps = CapacityVector([int(x) for x in args.capacities.split(",")])
+    caps = CapacityVector(_parse_capacities(args.capacities))
     spec = PolicySpec(
         _POLICY_ALIASES[args.policy],
         tie_break_scale=args.tie_break_scale,

@@ -12,7 +12,6 @@ walks straight to the lexicographic minimum.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -134,30 +133,33 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     return Allocation(slots[gen.permutation(slots.size)][: pop.n])
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_bits(k: int) -> np.ndarray:
-    """Read-only (2^k, k) matrix: row S holds the bits of service subset S."""
-    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
-    bits.setflags(write=False)
-    return bits
-
-
-def _completion_feasible_hall(counts: dict[int, int], lo: np.ndarray, hi: np.ndarray, k: int) -> bool:
-    """Feasibility of assigning the remaining individuals (counted by allowed-set
-    bitmask) so every service fill lands in [lo, hi]. Hall/Hoffman conditions,
-    checked over all service subsets at once."""
-    confined = np.zeros(1 << k, dtype=np.int64)
-    confined[list(counts)] = list(counts.values())
-    # subset-sum transform: confined[S] counts individuals whose allowed set
-    # lies inside S; each axis of the (2,)*k cube is one service bit
+def _confined_counts(masks: list[int], k: int) -> np.ndarray:
+    """Entry S (service j is bit j) counts the masks that lie inside S."""
+    confined = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << k)
+    # subset-sum transform: each axis of the (2,)*k cube is one service bit
     cube = confined.reshape((2,) * k)
     for axis in range(k):
         cube = np.cumsum(cube, axis=axis)
-    confined = cube.reshape(-1)
-    bits = _subset_bits(k)
-    total = confined[-1]
+    return cube.reshape(-1)
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Entry S (service j is bit j) holds the sum of ``values`` over S, built
+    by doubling: the subsets holding service j are those without it, plus j."""
+    sums = np.zeros(1, dtype=np.int64)
+    for v in values.tolist():
+        sums = np.concatenate((sums, sums + v))
+    return sums
+
+
+def _completion_feasible_hall(confined: np.ndarray, need: np.ndarray, room: np.ndarray) -> bool:
+    """Feasibility of assigning the remaining individuals so every service
+    fill lands in its bounds, by the Hall/Hoffman conditions over all service
+    subsets S at once: ``confined[S]`` individuals must fit in ``room[S]``
+    places, and the ``need[S]`` places still owed to S need as many
+    individuals allowed somewhere in S."""
     # confined[full ^ S] is confined[::-1], since full ^ S == full - S
-    return not (np.any(confined > bits @ hi) or np.any(bits @ lo > total - confined[::-1]))
+    return not (np.any(confined > room) or np.any(need > confined[-1] - confined[::-1]))
 
 
 def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarray, k: int) -> bool:
@@ -195,10 +197,11 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     An individual with one allowed service takes it in every such assignment,
     so all of them are placed up front from one count; only individuals with
     a choice are walked, in order, each to its least service that leaves a
-    feasible completion.
+    feasible completion. Up to ``_MAX_SUBSET_K`` services that is a Hall test
+    against subset tables kept current as individuals are fixed; beyond, an
+    LP probe per candidate.
     """
     n, k = allowed.shape
-    feasible = _completion_feasible_hall if k <= _MAX_SUBSET_K else _completion_feasible_lp
     out = _first_best(allowed) + 1
     choice = allowed.sum(axis=1) > 1
     assigned = np.bincount(out[~choice] - 1, minlength=k)
@@ -206,27 +209,47 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     # allowed sets as Python-int bitmasks (service k is bit k), exact for any K
     rows = np.packbits(allowed[multi], axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    counts: dict[int, int] = {}
-    for m in masks:
-        counts[m] = counts.get(m, 0) + 1
+    hall = k <= _MAX_SUBSET_K
+    if hall:
+        # the Hall tables over the 2^K service subsets, built once and then
+        # moved by one individual or one service at a time
+        subsets = np.arange(1 << k)
+        confined = _confined_counts(masks, k)
+        room = _subset_sums(caps - assigned)
+        need = _subset_sums(np.maximum(mandatory - assigned, 0))
+    else:
+        counts: dict[int, int] = {}
+        for m in masks:
+            counts[m] = counts.get(m, 0) + 1
 
     for i, m in zip(multi.tolist(), masks):
-        counts[m] -= 1
-        if counts[m] == 0:
-            del counts[m]
-        placed = False
+        if hall:
+            confined -= (subsets & m) == m
+        else:
+            counts[m] -= 1
+            if counts[m] == 0:
+                del counts[m]
         for kk in range(k):
             if not (m >> kk & 1) or assigned[kk] >= caps[kk]:
                 continue
-            assigned[kk] += 1
-            lo_rem = np.maximum(mandatory - assigned, 0)
-            hi_rem = caps - assigned
-            if feasible(counts, lo_rem, hi_rem, k):
+            if hall:
+                member = (subsets >> kk) & 1
+                trial_room = room - member
+                trial_need = need - member if mandatory[kk] > assigned[kk] else need
+                ok = _completion_feasible_hall(confined, trial_need, trial_room)
+            else:
+                assigned[kk] += 1
+                ok = _completion_feasible_lp(
+                    counts, np.maximum(mandatory - assigned, 0), caps - assigned, k
+                )
+                assigned[kk] -= 1
+            if ok:
+                if hall:
+                    room, need = trial_room, trial_need
+                assigned[kk] += 1
                 out[i] = kk + 1
-                placed = True
                 break
-            assigned[kk] -= 1
-        if not placed:
+        else:
             raise RuntimeError("internal: no feasible completion during tie resolution")
     return out
 

@@ -148,6 +148,21 @@ class TestSolve:
         for name in ("allocation.csv", "fairness_report.json"):
             assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("capacities, message", [
+        ("1,x", "--capacities: field 2 is 'x', not an integer"),
+        ("", "--capacities: field 1 is '', not an integer"),
+        ("1,,1", "--capacities: field 2 is '', not an integer"),
+        ("1.5,1", "--capacities: field 1 is '1.5', not an integer"),
+    ])
+    def test_bad_capacities_exit_2(self, population_csv, tmp_path, capsys, capacities, message):
+        assert run_cli(
+            "solve", "--population", population_csv, f"--capacities={capacities}",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid literal" not in err
+
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):
         assert run_cli(
@@ -183,6 +198,21 @@ class TestPopulationCsvValidation:
             "--output-dir", str(tmp_path / "out"),
         ) == 2
         assert "schema-mismatch(line 2): no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("id,u_1,u_2,g\na,1.0,0.0,0\nb,\"" + "0123456789\n" * 20_000 + "\",1.0,1\n", 3),
+        ("id,u_1,\"" + "u\n" * 70_000 + "\",g\na,1.0,0.0,0\n", 1),
+    ], ids=["record", "header"])
+    def test_oversized_field_names_its_starting_line(self, tmp_path, capsys, text, line):
+        # the csv module detects the oversized field many lines further on
+        path = tmp_path / "pop.csv"
+        path.write_text(text)
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2,2",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert (f"schema-mismatch(line {line}): field larger than field limit"
+                in capsys.readouterr().err)
 
     def test_repeated_header_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pop.csv"

@@ -144,7 +144,9 @@ def highs_transport(w, caps):
 
 
 def hall_loop(counts, lo, hi, k):
-    """Reference loop for ``_completion_feasible_hall``."""
+    """Reference loop for the Hall test of ``_completion_feasible_hall``, from
+    the remaining individuals counted by allowed-set bitmask and the per-service
+    fill bounds [lo, hi] left."""
     n_subsets = 1 << k
     confined = [0] * n_subsets
     for mask, cnt in counts.items():
@@ -191,7 +193,7 @@ def lex_least_loop(allowed, caps, mandatory):
             assigned[kk] += 1
             lo_rem = np.maximum(mandatory - assigned, 0)
             hi_rem = caps - assigned
-            if policies._completion_feasible_hall(counts, lo_rem, hi_rem, k):
+            if hall_loop(counts, lo_rem, hi_rem, k):
                 out[i] = kk + 1
                 placed = True
                 break
@@ -281,9 +283,48 @@ class TestFlowSolver:
             counts = {int(m): int(rng.integers(1, 6)) for m in masks}
             hi = rng.integers(0, 8, k)
             lo = np.minimum(rng.integers(0, 4, k), hi)
-            assert policies._completion_feasible_hall(counts, lo, hi, k) == hall_loop(
+            confined = policies._confined_counts(
+                [m for m, cnt in counts.items() for _ in range(cnt)], k
+            )
+            need, room = policies._subset_sums(lo), policies._subset_sums(hi)
+            assert policies._completion_feasible_hall(confined, need, room) == hall_loop(
                 counts, lo, hi, k
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subset_sums_match_bit_product(self, seed):
+        rng = np.random.default_rng(4100 + seed)
+        for k in range(11):
+            values = rng.integers(-50, 50, k)
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+            assert policies._subset_sums(values).tolist() == (bits @ values).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lp_probe_matches_hall_beyond_subset_k(self, monkeypatch, seed):
+        # K=13 ties go through the LP probe; the Hall tables cover 13 services
+        # too when the cut-off is raised, and must pick the same assignment.
+        # Tight capacities and lower bounds make some probes reject.
+        rng = np.random.default_rng(4200 + seed)
+        n, k = 20, 13
+        hidden = rng.integers(0, k, n)
+        allowed = rng.random((n, k)) < 0.3
+        allowed[np.arange(n), hidden] = True
+        fills = np.bincount(hidden, minlength=k)
+        caps = fills + (rng.random(k) < 0.3)
+        mandatory = np.where(rng.random(k) < 0.7, fills, 0)
+        verdicts = []
+        lp_probe = policies._completion_feasible_lp
+
+        def counted(*args):
+            verdicts.append(lp_probe(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(policies, "_completion_feasible_lp", counted)
+        by_lp = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        assert verdicts.count(False) > 0
+        monkeypatch.setattr(policies, "_MAX_SUBSET_K", 13)
+        by_hall = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        assert by_lp.tolist() == by_hall.tolist()
 
 
     @settings(max_examples=200, deadline=None)
