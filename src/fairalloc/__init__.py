@@ -53,9 +53,6 @@ from .audit import (
     AuditReport,
     AuditSchema,
     GroupPair,
-    audit_observed,
-    best_service_shares,
-    delta_u_analysis,
     ingest_csv,
     run_audit,
 )

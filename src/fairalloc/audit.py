@@ -61,6 +61,18 @@ class AuditSchema:
     id_column: str = "id"
 
     def __post_init__(self):
+        # a service name keys a share in report.json and heads a shares.csv
+        # column, beside the keys and columns "pair", "group" and "count"
+        seen = set()
+        for name in self.service_names:
+            if name in ("pair", "group", "count"):
+                raise SchemaMismatchError(
+                    f"schema-mismatch: service name {name!r} is reserved "
+                    "('pair', 'group' and 'count' name share columns)"
+                )
+            if name in seen:
+                raise SchemaMismatchError(f"schema-mismatch: service name {name!r} is repeated")
+            seen.add(name)
         # a pair name keys report.json and names the kde_<pair>_<group>.csv files
         seen = set()
         for pair in self.pairs:
@@ -231,18 +243,6 @@ def _shares_for_mask(dataset: AuditDataset, mask: np.ndarray, label: str) -> Sha
     return ShareRow(label=label, count=count, shares=tuple(float(c) / count for c in counts))
 
 
-def best_service_shares(dataset: AuditDataset, attribute: str | None = None) -> list[ShareRow]:
-    """Best-service share rows; one 'all' row, or one row per attribute value."""
-    if attribute is None:
-        return [_shares_for_mask(dataset, np.ones(dataset.n, dtype=bool), "all")]
-    if attribute not in dataset.groups:
-        raise SchemaMismatchError(f"schema-mismatch: unknown attribute {attribute!r}")
-    column = dataset.groups[attribute]
-    return [
-        _shares_for_mask(dataset, column == value, f"{attribute}={value}") for value in (0, 1)
-    ]
-
-
 @dataclass(frozen=True)
 class DeltaUAnalysis:
     """Group comparison of the per-household max utility gain."""
@@ -279,18 +279,6 @@ def _pair_masks(dataset: AuditDataset, pair: GroupPair) -> tuple[np.ndarray, np.
     return mask0, mask1
 
 
-def pair_from_attribute(attribute: str) -> GroupPair:
-    return GroupPair(name=attribute, group1=attribute, group0=f"~{attribute}")
-
-
-def delta_u_analysis(
-    dataset: AuditDataset, pair: GroupPair, bandwidth: float = DEFAULT_BANDWIDTH
-) -> DeltaUAnalysis:
-    """Means, Welch test, and KDE curves of the max gain for a group pair."""
-    mask0, mask1 = _pair_masks(dataset, pair)
-    return _delta_u_for_masks(envelope(dataset.population()).delta_u, mask0, mask1, bandwidth)
-
-
 def _delta_u_for_masks(
     delta_u: np.ndarray, mask0: np.ndarray, mask1: np.ndarray, bandwidth: float
 ) -> DeltaUAnalysis:
@@ -313,12 +301,7 @@ def trade_off_flags(report: FairnessReport, tolerance: float) -> tuple[str, ...]
     ``tolerance`` declares a delta "fair" when its magnitude is at most that
     value; disagreement between the worst-baseline and best-baseline metric
     of the same normalization raises a trade-off flag.
-
-    Raises:
-        ValueError: if ``tolerance`` is not finite and >= 0.
     """
-    if not (np.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"fair_tolerance must be finite and >= 0, got {tolerance!r}")
     flags = []
     deltas = report.deltas
     for a, b in (("improvement", "regret"), ("gain", "shortfall")):
@@ -350,18 +333,6 @@ class ObservedAudit:
             "flags": list(self.flags),
             "fair_tolerance": self.tolerance,
         }
-
-
-def audit_observed(
-    dataset: AuditDataset, pair: GroupPair, fair_tolerance: float = DEFAULT_FAIR_TOLERANCE
-) -> ObservedAudit:
-    """Core fairness metrics of the observed assignment for a group pair.
-
-    Capacity feasibility is deliberately not re-checked: the records define
-    the capacities implicitly.
-    """
-    mask0, mask1 = _pair_masks(dataset, pair)
-    return _observed_for_masks(dataset, pair, mask0, mask1, fair_tolerance)
 
 
 def _observed_for_masks(
@@ -429,13 +400,20 @@ def run_audit(
     bandwidth: float = DEFAULT_BANDWIDTH,
     fair_tolerance: float = DEFAULT_FAIR_TOLERANCE,
 ) -> AuditReport:
-    """Run every configured pair analysis over the dataset."""
-    delta_u = None  # max gains of the whole dataset, computed once
+    """Run every configured pair analysis over the dataset.
+
+    Raises:
+        ValueError: if ``bandwidth`` is not finite and > 0, or
+            ``fair_tolerance`` is not finite and >= 0.
+    """
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+    if not (np.isfinite(fair_tolerance) and fair_tolerance >= 0):
+        raise ValueError(f"fair_tolerance must be finite and >= 0, got {fair_tolerance!r}")
+    delta_u = envelope(dataset.population()).delta_u  # max gains of the whole dataset
     pairs = []
     for pair in schema.pairs:
         mask0, mask1 = _pair_masks(dataset, pair)
-        if delta_u is None:
-            delta_u = envelope(dataset.population()).delta_u
         pairs.append(
             PairAudit(
                 pair=pair,
@@ -452,7 +430,7 @@ def run_audit(
     return AuditReport(
         service_names=dataset.service_names,
         n=dataset.n,
-        overall_shares=best_service_shares(dataset)[0],
+        overall_shares=_shares_for_mask(dataset, np.ones(dataset.n, dtype=bool), "all"),
         pairs=tuple(pairs),
         bandwidth=bandwidth,
     )

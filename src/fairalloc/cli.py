@@ -3,9 +3,9 @@ audit datasets, and run the theory verification suite.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid input (also
 inputs so large or small that a float64 result overflows, divides by zero or
-is undefined), 3 infeasible capacities, 4 internal error (a broken internal
-invariant, such as the additive identity; reported as one line on stderr, no
-traceback).
+is undefined, or that the work does not fit in memory), 3 infeasible
+capacities, 4 internal error (a broken internal invariant, such as the
+additive identity; reported as one line on stderr, no traceback).
 All randomness flows from --seed (default 0); repeated invocations with
 identical flags produce byte-identical outputs.
 """
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (FairallocError, ValueError, OSError, KeyError, FloatingPointError,
-            OverflowError) as exc:  # a json.JSONDecodeError is a ValueError
+            OverflowError, MemoryError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RuntimeError as exc:

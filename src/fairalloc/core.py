@@ -141,9 +141,6 @@ class CapacityVector:
         """Exact sum; an int64 sum can wrap for capacities near 2**63."""
         return sum(self.capacities.tolist())
 
-    def feasible_for(self, pop: Population) -> bool:
-        return self.k == pop.k and self.total >= pop.n
-
 
 @dataclass(frozen=True)
 class Allocation:

@@ -19,21 +19,21 @@ from conftest import (
 
 import fairalloc
 from fairalloc import (
+    Allocation,
     DataValidationError,
+    DegenerateVarianceError,
     EmptyGroupError,
     SchemaMismatchError,
-    audit_observed,
-    best_service_shares,
-    delta_u_analysis,
+    delta_metrics,
     ingest_csv,
     run_audit,
 )
 from fairalloc.audit import (
+    DEFAULT_FAIR_TOLERANCE,
     AuditSchema,
     GroupPair,
     eval_group_expr,
     export_csv,
-    pair_from_attribute,
     trade_off_flags,
     write_report_bundle,
 )
@@ -57,6 +57,15 @@ SMALL_SCHEMA = AuditSchema.from_dict(
         "pairs": [{"name": "children", "group1": "children", "group0": "~children"}],
     }
 )
+
+# the overall share row alone: no pair, so no Welch test and no KDE
+NO_PAIRS = dataclasses.replace(SMALL_SCHEMA, pairs=())
+
+
+def observed_report(dataset):
+    """The fairness report of the observed assignment between the children
+    groups, for fixtures too small for ``run_audit``'s Welch test."""
+    return delta_metrics(dataset.population(), Allocation(dataset.observed), "children")
 
 
 @pytest.fixture
@@ -175,10 +184,9 @@ class TestGroupExpr:
 
 class TestShares:
     def test_unique_best(self):
-        ds = build_tradeoff_dataset()
-        rows = best_service_shares(ds)
-        assert rows[0].label == "all"
-        assert rows[0].shares == (0.0, 0.0, 1.0)  # both households peak at ES
+        row = run_audit(build_tradeoff_dataset(), NO_PAIRS).overall_shares
+        assert row.label == "all"
+        assert row.shares == (0.0, 0.0, 1.0)  # both households peak at ES
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_probability_rejected(self, bad):
@@ -190,8 +198,7 @@ class TestShares:
             dataclasses.replace(ds, probabilities=probabilities)
 
     def test_engineered_overall_shares(self):
-        ds = build_synthetic_dataset()
-        row = best_service_shares(ds)[0]
+        row = run_audit(build_synthetic_dataset(), SMALL_SCHEMA).overall_shares
         assert row.shares[0] == pytest.approx(0.68, abs=0.01)
         assert row.shares[1] == pytest.approx(0.27, abs=0.01)
         assert row.shares[2] == pytest.approx(0.05, abs=0.01)
@@ -206,12 +213,14 @@ class TestShares:
             groups={"children": np.array([0, 1], dtype=np.int8)},
             service_names=("TH", "RRH", "ES"),
         )
-        row = best_service_shares(tied)[0]
+        row = run_audit(tied, NO_PAIRS).overall_shares
         assert row.shares == (1.0, 0.0, 0.0)
 
     def test_per_group_rows_sum_to_one(self):
         ds = build_synthetic_dataset(n=500, seed=8)
-        for row in best_service_shares(ds, "children"):
+        (pair,) = run_audit(ds, SMALL_SCHEMA).pairs
+        assert [row.count for row in pair.shares] == [pair.n_0, pair.n_1]
+        for row in pair.shares:
             assert sum(row.shares) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_transform_invariance(self):
@@ -223,7 +232,9 @@ class TestShares:
             groups=ds.groups,
             service_names=ds.service_names,
         )
-        assert best_service_shares(ds)[0].shares == best_service_shares(squeezed)[0].shares
+        before, after = (run_audit(d, SMALL_SCHEMA) for d in (ds, squeezed))
+        assert before.overall_shares.shares == after.overall_shares.shares
+        assert before.pairs[0].shares == after.pairs[0].shares
 
     def test_empty_group(self):
         ds = build_tradeoff_dataset()
@@ -235,7 +246,7 @@ class TestShares:
             service_names=ds.service_names,
         )
         with pytest.raises(EmptyGroupError):
-            best_service_shares(no_group, "children")
+            run_audit(no_group, SMALL_SCHEMA)
 
 
 class TestDeltaUAnalysis:
@@ -248,12 +259,13 @@ class TestDeltaUAnalysis:
             groups={"g": np.array([0] * base.n + [1] * base.n, dtype=np.int8)},
             service_names=base.service_names,
         )
-        result = delta_u_analysis(doubled, pair_from_attribute("g"))
-        assert result.welch.t_statistic == pytest.approx(0.0, abs=1e-12)
+        schema = dataclasses.replace(SMALL_SCHEMA, pairs=(GroupPair("g", "g", "~g"),))
+        (pair,) = run_audit(doubled, schema).pairs
+        assert pair.delta_u.welch.t_statistic == pytest.approx(0.0, abs=1e-12)
 
     def test_calibrated_group_means(self):
-        ds = build_synthetic_dataset()
-        result = delta_u_analysis(ds, pair_from_attribute("children"))
+        (pair,) = run_audit(build_synthetic_dataset(), SMALL_SCHEMA).pairs
+        result = pair.delta_u
         assert result.mean_1 == pytest.approx(0.04, abs=1e-3)  # with children
         assert result.mean_0 == pytest.approx(0.07, abs=1e-3)  # without children
         assert result.welch.p_value < 1e-6
@@ -261,11 +273,8 @@ class TestDeltaUAnalysis:
         assert np.all(result.kde_0.grid == result.kde_1.grid)
 
     def test_degenerate_single_household_group(self):
-        ds = build_tradeoff_dataset()
-        from fairalloc import DegenerateVarianceError
-
         with pytest.raises(DegenerateVarianceError):
-            delta_u_analysis(ds, pair_from_attribute("children"))
+            run_audit(build_tradeoff_dataset(), SMALL_SCHEMA)
 
 
 class TestObservedAudit:
@@ -279,15 +288,14 @@ class TestObservedAudit:
             groups={"children": np.array([1, 1, 0, 0], dtype=np.int8)},
             service_names=("TH", "RRH", "ES"),
         )
-        outcome = audit_observed(agree, pair_from_attribute("children"))
-        assert "improvement-regret-trade-off" not in outcome.flags
+        flags = trade_off_flags(observed_report(agree), DEFAULT_FAIR_TOLERANCE)
+        assert "improvement-regret-trade-off" not in flags
 
     def test_engineered_tradeoff_flag(self):
-        ds = build_tradeoff_dataset()
-        outcome = audit_observed(ds, pair_from_attribute("children"))
-        assert outcome.report.deltas["improvement"] == pytest.approx(-0.013)
-        assert -outcome.report.deltas["regret"] == pytest.approx(0.016)
-        assert "improvement-regret-trade-off" in outcome.flags
+        report = observed_report(build_tradeoff_dataset())
+        assert report.deltas["improvement"] == pytest.approx(-0.013)
+        assert -report.deltas["regret"] == pytest.approx(0.016)
+        assert "improvement-regret-trade-off" in trade_off_flags(report, DEFAULT_FAIR_TOLERANCE)
 
     def test_improvement_fair_regret_unfair(self):
         # group 1 mirrors group 0's improvement but not its regret
@@ -300,11 +308,10 @@ class TestObservedAudit:
             groups={"children": np.array([0, 1], dtype=np.int8)},
             service_names=("TH", "RRH", "ES"),
         )
-        outcome = audit_observed(fixture, pair_from_attribute("children"))
-        deltas = outcome.report.deltas
-        assert abs(deltas["improvement"]) <= outcome.tolerance
-        assert abs(deltas["regret"]) > outcome.tolerance
-        assert "improvement-fair-regret-unfair" in outcome.flags
+        report = observed_report(fixture)
+        assert abs(report.deltas["improvement"]) <= DEFAULT_FAIR_TOLERANCE
+        assert abs(report.deltas["regret"]) > DEFAULT_FAIR_TOLERANCE
+        assert "improvement-fair-regret-unfair" in trade_off_flags(report, DEFAULT_FAIR_TOLERANCE)
 
     def test_flag_logic_multiplicative(self):
         from fairalloc.core import FairnessReport
@@ -347,15 +354,11 @@ class TestRunAudit:
 
     def test_overlapping_pair_rejected(self):
         ds = build_synthetic_dataset(n=100, seed=2)
-        with pytest.raises(ValueError):
-            audit_observed(ds, GroupPair("bad", "children", "children | disability"))
-
-    def test_pairs_match_per_pair_functions(self):
-        ds = build_synthetic_dataset(n=800, seed=12)
-        report = run_audit(ds, homeless_schema(), bandwidth=0.1, fair_tolerance=0.02)
-        for p in report.pairs:
-            assert p.delta_u.to_dict() == delta_u_analysis(ds, p.pair, 0.1).to_dict()
-            assert p.observed.to_dict() == audit_observed(ds, p.pair, 0.02).to_dict()
+        schema = dataclasses.replace(
+            SMALL_SCHEMA, pairs=(GroupPair("bad", "children", "children | disability"),)
+        )
+        with pytest.raises(ValueError, match="group expressions overlap"):
+            run_audit(ds, schema)
 
     def test_shared_work_computed_once(self, monkeypatch):
         import fairalloc.audit as audit_module
@@ -382,10 +385,16 @@ class TestRunAudit:
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
     def test_bad_fair_tolerance_rejected(self, tolerance):
         ds = build_synthetic_dataset(n=100, seed=2)
-        with pytest.raises(ValueError, match="fair_tolerance must be finite and >= 0"):
-            run_audit(ds, homeless_schema(), fair_tolerance=tolerance)
-        with pytest.raises(ValueError, match="fair_tolerance must be finite and >= 0"):
-            audit_observed(ds, pair_from_attribute("children"), tolerance)
+        for schema in (homeless_schema(), NO_PAIRS):  # checked even with no pair to audit
+            with pytest.raises(ValueError, match="fair_tolerance must be finite and >= 0"):
+                run_audit(ds, schema, fair_tolerance=tolerance)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        ds = build_synthetic_dataset(n=100, seed=2)
+        for schema in (homeless_schema(), NO_PAIRS):
+            with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+                run_audit(ds, schema, bandwidth=bandwidth)
 
 
 # Reads the child's own peak RSS (VmHWM). Its ru_maxrss would not do: on

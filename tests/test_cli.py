@@ -163,6 +163,24 @@ class TestSolve:
         assert message in err
         assert "invalid literal" not in err
 
+    def test_out_of_memory_exits_2(self, population_csv, tmp_path, monkeypatch, capsys):
+        # allocate_random shuffles all c_k slots, so a huge capacity runs out
+        # of memory; raised here rather than allocated, which could get the
+        # test process killed where memory is overcommitted
+        import fairalloc.cli as cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "apply_policy", out_of_memory)
+        assert run_cli(
+            "solve", "--population", population_csv, "--capacities", "1000000000000,1",
+            "--policy", "random", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_tie_break_scale_exits_2(self, population_csv, tmp_path, capsys, scale):
         assert run_cli(
@@ -524,6 +542,47 @@ class TestAudit:
         assert "fair_tolerance must be finite and >= 0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--bandwidth", "nan", "bandwidth must be finite and > 0, got nan"),
+        ("--bandwidth", "inf", "bandwidth must be finite and > 0, got inf"),
+        ("--bandwidth", "-1", "bandwidth must be finite and > 0, got -1.0"),
+        ("--fair-tolerance", "nan", "fair_tolerance must be finite and >= 0, got nan"),
+    ], ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-negative", "tolerance-nan"])
+    def test_bad_argument_without_pairs_exits_2(self, tmp_path, capsys, option, value, message):
+        # with no pair to audit, no KDE or verdict ever reads the value
+        data = tmp_path / "in" / "data.csv"
+        data.parent.mkdir()
+        write_synthetic_csv(data, n=200, seed=4)
+        config = tmp_path / "in" / "schema.json"
+        config.write_text(json.dumps(dict(load_json("homeless"), pairs=[])))
+        assert run_cli(
+            "audit", "--data", str(data), "--config", str(config), f"{option}={value}",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("names, message", [
+        (["A", "A", "B"], "service name 'A' is repeated"),
+        (["TH", "count", "ES"], "service name 'count' is reserved"),
+        (["group", "RRH", "ES"], "service name 'group' is reserved"),
+        (["TH", "RRH", "pair"], "service name 'pair' is reserved"),
+    ], ids=["repeated", "count", "group", "pair"])
+    def test_bad_service_name_exits_2_before_writing(self, tmp_path, capsys, names, message):
+        data = tmp_path / "in" / "data.csv"
+        data.parent.mkdir()
+        export_csv(build_tradeoff_dataset(), str(data), AuditSchema.from_dict(TRADEOFF_SCHEMA))
+        services = [dict(s, name=name) for s, name in zip(TRADEOFF_SCHEMA["services"], names)]
+        config = tmp_path / "in" / "schema.json"
+        config.write_text(json.dumps(dict(TRADEOFF_SCHEMA, services=services)))
+        assert run_cli(
+            "audit", "--data", str(data), "--config", str(config),
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert f"schema-mismatch: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("names", [
         ["a/../../../escaped2"], ["x\0y"], ["x", "x"], [""], ["."], [".."], ["a\\b"],

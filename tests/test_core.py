@@ -11,13 +11,19 @@ from fairalloc import (
     Allocation,
     CapacityVector,
     EmptyGroupError,
+    InfeasibleError,
     Population,
     delta_metrics,
     envelope,
 )
 from fairalloc.audit import AuditDataset
 from fairalloc.core import METRICS, _first_best, _reduce_services, metric_rows
-from fairalloc.policies import allocate_best, allocate_utilitarian, allocate_worst
+from fairalloc.policies import (
+    allocate_best,
+    allocate_random,
+    allocate_utilitarian,
+    allocate_worst,
+)
 
 
 def oracle_mean(utilities, assignment, labels, value, kind):
@@ -319,8 +325,13 @@ class TestTypes:
             CapacityVector([-1, 2])
         caps = CapacityVector([2, 1])
         assert caps.total == 3
-        assert caps.feasible_for(Population(np.zeros((3, 2))))
-        assert not caps.feasible_for(Population(np.zeros((4, 2))))
+        # the instance rule of every capacitated policy: K matches, total >= N
+        pop = Population(np.zeros((3, 2)))
+        assert allocate_random(pop, caps, 0).is_feasible(pop, caps)
+        with pytest.raises(InfeasibleError):
+            allocate_random(Population(np.zeros((4, 2))), caps, 0)
+        with pytest.raises(ValueError, match="capacity vector length"):
+            allocate_random(Population(np.zeros((3, 3))), caps, 0)
 
     def test_allocation_feasibility(self):
         pop = Population(np.zeros((3, 2)))
