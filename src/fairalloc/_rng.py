@@ -14,6 +14,17 @@ _TWO_53 = float(1 << 53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
+def check_seed(seed: int, field: str) -> int:
+    """Return ``seed`` if numpy can seed a generator with it (it is >= 0).
+
+    Raises:
+        ValueError: naming ``field`` otherwise.
+    """
+    if seed < 0:
+        raise ValueError(f"{field} must be >= 0, got {seed}")
+    return seed
+
+
 def generator(seed: int, stream: int | None = None) -> np.random.Generator:
     """Return a PCG64 generator for ``seed``, optionally on a named sub-stream."""
     if stream is None:

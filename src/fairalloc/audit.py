@@ -50,6 +50,27 @@ class GroupPair:
     group0: str
 
 
+def _check_service_names(names: Sequence[str], k: int | None = None) -> None:
+    """A service name keys a share in report.json and heads a shares.csv
+    column, beside the keys and columns "pair", "group" and "count": no name
+    may repeat or be one of those three, and a dataset names all ``k`` of
+    its services."""
+    if k is not None and len(names) != k:
+        raise SchemaMismatchError(
+            f"schema-mismatch: {len(names)} service names for {k} services"
+        )
+    seen = set()
+    for name in names:
+        if name in ("pair", "group", "count"):
+            raise SchemaMismatchError(
+                f"schema-mismatch: service name {name!r} is reserved "
+                "('pair', 'group' and 'count' name share columns)"
+            )
+        if name in seen:
+            raise SchemaMismatchError(f"schema-mismatch: service name {name!r} is repeated")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class AuditSchema:
     """Maps service names and group attributes to CSV columns."""
@@ -61,18 +82,7 @@ class AuditSchema:
     id_column: str = "id"
 
     def __post_init__(self):
-        # a service name keys a share in report.json and heads a shares.csv
-        # column, beside the keys and columns "pair", "group" and "count"
-        seen = set()
-        for name in self.service_names:
-            if name in ("pair", "group", "count"):
-                raise SchemaMismatchError(
-                    f"schema-mismatch: service name {name!r} is reserved "
-                    "('pair', 'group' and 'count' name share columns)"
-                )
-            if name in seen:
-                raise SchemaMismatchError(f"schema-mismatch: service name {name!r} is repeated")
-            seen.add(name)
+        _check_service_names(self.service_names)
         # a pair name keys report.json and names the kde_<pair>_<group>.csv files
         seen = set()
         for pair in self.pairs:
@@ -135,6 +145,7 @@ class AuditDataset:
         if not np.all(np.isfinite(p)):
             # a NaN would have no best service
             raise ValueError("probabilities must be finite")
+        _check_service_names(self.service_names, p.shape[1])
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
         object.__setattr__(self, "observed", _frozen_array(self.observed, np.int64))

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._io import CsvColumns, csv_text, dump_json, load_json, read_csv, write_text_atomic
+from ._rng import check_seed
 from .audit import (
     DEFAULT_BANDWIDTH,
     DEFAULT_FAIR_TOLERANCE,
@@ -233,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # audit takes no seed
+            check_seed(args.seed, "--seed")
         # an inf or NaN result would be written as a number; fail instead
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return args.func(args)

@@ -8,6 +8,10 @@ the lexicographically least one, recovered from that dual: every optimal
 assignment uses only zero-reduced-cost arcs and fills every service with a
 positive price, so a greedy first-fit with a Hall-type feasibility check
 walks straight to the lexicographic minimum.
+
+``scipy.optimize`` and ``scipy.sparse`` are imported on the first LP
+feasibility probe, which only tie resolution over more than
+``_MAX_SUBSET_K`` services makes; importing the package does not load them.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from ._io import expect
-from ._rng import generator, spawn_seed
+from ._rng import check_seed, generator, spawn_seed
 from .core import Allocation, CapacityVector, Population, _first_best, _reduce_services
 from .errors import InfeasibleError
 
@@ -62,6 +64,8 @@ class PolicySpec:
         for field, value, kind in (("lambda", self.lam, "number"), ("seed", self.seed, "integer")):
             if value is not None:
                 expect(value, kind, f"policy {field}")
+        if self.seed is not None:
+            check_seed(self.seed, "policy seed")
         if self.kind == KIND_MIXTURE:
             if self.lam is None or not (0.0 <= self.lam <= 1.0):
                 raise ValueError("mixture requires lambda in [0, 1]")
@@ -162,10 +166,21 @@ def _completion_feasible_hall(confined: np.ndarray, need: np.ndarray, room: np.n
     return not (np.any(confined > room) or np.any(need > confined[-1] - confined[::-1]))
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call rather than
+    with the package: that import takes about as long as all the package's
+    other imports together, and only the LP feasibility probe needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarray, k: int) -> bool:
     """LP feasibility probe for the same question; used when K is too large for
     subset enumeration. The constraint polytope is integral, so LP emptiness
     decides integral feasibility."""
+    from scipy import sparse
+
     masks = sorted(counts)
     if not masks:
         return bool(np.all(lo <= 0))

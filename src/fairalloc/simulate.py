@@ -13,7 +13,7 @@ from typing import Any, ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._io import expect, load_json
-from ._rng import generator, spawn_seed, standard_normal, uniform_open
+from ._rng import check_seed, generator, spawn_seed, standard_normal, uniform_open
 from .core import (
     METRICS,
     Allocation,
@@ -640,7 +640,9 @@ def config_from_dict(data: Mapping[str, Any], name: str = "") -> ExperimentConfi
         params=params_from_dict(data),
         policy=PolicySpec.from_dict(data.get("policy", {"kind": "random"})),
         replications=expect(data.get("replications", 100), "integer", "replications"),
-        base_seed=expect(data.get("base_seed", 0), "integer", "base_seed"),
+        base_seed=check_seed(
+            expect(data.get("base_seed", 0), "integer", "base_seed"), "base_seed"
+        ),
     )
 
 

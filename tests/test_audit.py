@@ -197,6 +197,17 @@ class TestShares:
         with pytest.raises(ValueError, match="probabilities must be finite"):
             dataclasses.replace(ds, probabilities=probabilities)
 
+    @pytest.mark.parametrize("names, message", [
+        (("A", "A", "count"), "service name 'A' is repeated"),
+        (("A", "B", "count"), "service name 'count' is reserved"),
+        (("A",), "1 service names for 3 services"),
+        (("A", "B", "C", "D"), "4 service names for 3 services"),
+    ], ids=["repeated", "reserved", "too-few", "too-many"])
+    def test_bad_service_names_rejected(self, names, message):
+        # the names key the share rows, so a dataset checks them as a schema does
+        with pytest.raises(SchemaMismatchError, match=message):
+            dataclasses.replace(build_tradeoff_dataset(), service_names=names)
+
     def test_engineered_overall_shares(self):
         row = run_audit(build_synthetic_dataset(), SMALL_SCHEMA).overall_shares
         assert row.shares[0] == pytest.approx(0.68, abs=0.01)

@@ -326,6 +326,24 @@ def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--params", "experiment1", "--reps", "2"],
+    ["check"],
+    ["solve", "--population", "{population}", "--capacities", "1,1", "--policy", "random"],
+    ["solve", "--population", "{population}", "--capacities", "1,1"],
+], ids=["simulate", "check", "solve-random", "solve-utilitarian"])
+def test_negative_seed_flag_exits_2(population_csv, tmp_path, capsys, argv):
+    # numpy's own error names no flag, and a utilitarian solve never seeds
+    # numpy, so it would write the seed into fairness_report.json
+    out = tmp_path / "out"
+    argv = [a.format(population=population_csv) for a in argv] + ["--seed", "-1"]
+    if argv[0] != "check":
+        argv += ["--output-dir", str(out)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 class TestInternalError:
     def test_broken_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
         import fairalloc.simulate as sim
@@ -403,7 +421,10 @@ class TestSimulate:
         ({"kind": "sf1", "r_high": 0.9, "r_low": 5e-324, "pi0": 0.6, "pi1": 0.4},
          "overflow encountered"),
         ({"capacities": [10**30, 20, 20]}, "int too large"),
-    ], ids=["huge-mean", "subnormal-ratio", "huge-capacity"])
+        ({"base_seed": -3}, "error: base_seed must be >= 0, got -3"),
+        ({"policy": {"kind": "random", "seed": -5}}, "error: policy seed must be >= 0, got -5"),
+    ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "negative-base-seed",
+            "negative-policy-seed"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
