@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid input (also
 inputs so large or small that a float64 result overflows, divides by zero or
 is undefined, or that the work does not fit in memory), 3 infeasible
 capacities, 4 internal error (a broken internal invariant, such as the
-additive identity; reported as one line on stderr, no traceback).
+additive identity, or any other unexpected exception; reported as one line
+on stderr, no traceback).
 All randomness flows from --seed (default 0); repeated invocations with
 identical flags produce byte-identical outputs.
 """
@@ -248,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception as exc:  # any other fault is a bug, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 

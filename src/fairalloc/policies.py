@@ -330,24 +330,37 @@ def _max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.n
 
 
 def _distinct_rows(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a boolean matrix, how often each occurs, and an
-    order of the row indices that lists each distinct row's copies together,
-    in the same order. Rows sort as bit strings, column 0 first. Works for
-    any number of columns: each row's bits are packed into bytes, as
-    ``np.packbits(axis=1)`` packs them, in column passes rather than row by
-    row (``np.unique(axis=0)`` sorts a structured view, about 20 times
-    slower)."""
-    k = allowed.shape[1]
+    """The distinct rows of a boolean matrix, how often each occurs, and a
+    sort key per row. Rows sort as bit strings, column 0 first; the distinct
+    rows come in that order, and a stable argsort of the keys lists each
+    distinct row's copies together, in the same order, as a ``np.lexsort``
+    of the rows would. Equal rows share a key.
+
+    Each row's bits are packed into bytes, as ``np.packbits(axis=1)`` packs
+    them, in column passes rather than row by row (``np.unique(axis=0)``
+    sorts a structured view, about 20 times slower). Up to 8 columns a row's
+    key is its one byte, read as a K-bit code with column 0 the high bit, and
+    the codes are counted without a sort; beyond, the rows are sorted and a
+    row's key is the rank of its distinct row. Works for any number of
+    columns."""
+    n, k = allowed.shape
     bits = np.asfortranarray(allowed).view(np.uint8) << (7 - np.arange(k) % 8).astype(np.uint8)
-    words = np.column_stack(
-        [_reduce_services(np.bitwise_or, bits[:, j : j + 8]) for j in range(0, k, 8)]
-    )
+    blocks = [_reduce_services(np.bitwise_or, bits[:, j : j + 8]) for j in range(0, k, 8)]
+    if k <= 8:
+        codes = blocks[0] >> (8 - k)
+        count = np.bincount(codes, minlength=1 << k)
+        present = np.flatnonzero(count)
+        member = ((present[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
+        return member, count[present], codes
+    words = np.column_stack(blocks)
     order = np.lexsort(words.T[::-1])
     words = words[order]
-    first = np.ones(len(words), dtype=bool)
+    first = np.ones(n, dtype=bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
-    return allowed[order[starts]], np.diff(starts, append=len(words)), order
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+    return allowed[order[starts]], np.diff(starts, append=n), rank
 
 
 def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
@@ -374,33 +387,40 @@ def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
     return flow, left, room
 
 
-def _solve_transport(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _solve_transport(
+    w: np.ndarray, caps: np.ndarray, p0: list[int] | None = None
+) -> tuple[np.ndarray, list[int]]:
     """Maximum-weight assignment of N individuals to K capacitated services.
 
     Minimizes the transport dual ``f(p) = sum_i max_k(w_ik - p_k) + sum_k
-    c_k p_k`` over integer prices p >= 0 by steepest descent from p = 0.
-    ``f`` is L-natural convex in p (Murota, *Discrete Convex Analysis*, 2003),
-    so a point that no step p +- 1_S improves is a global minimum (Murota &
-    Shioura, *Oper. Res. Lett.* 42, 2014). Each individual demands the
-    services where ``w - p`` peaks; one max flow from the distinct demand sets
-    to the services finds the steepest raise (the services reachable in its
-    residual graph, when not everyone can be served), and a second, with the
-    price-0 services also fed by the source, the steepest lowering (the
-    services it cannot fill). The step length is the exact line search, an
-    order statistic of the individuals' gaps. ``f`` is an integer and falls
-    on every step, so the descent ends. Every array is O(N K); nothing is
-    sized by the 2^K service subsets. ``w`` holds exact integer weights and
-    ``caps`` must sum to at least N.
+    c_k p_k`` over integer prices p >= 0 by steepest descent from ``p0``
+    (default p = 0; any prices >= 0 will do, and an optimal dual of a similar
+    instance is a start a few steps from the minimum). ``f`` is L-natural
+    convex in p (Murota, *Discrete Convex Analysis*, 2003), so a point that
+    no step p +- 1_S improves is a global minimum, and the descent reaches
+    one from any start (Murota & Shioura, *Oper. Res. Lett.* 42, 2014). Each
+    individual demands the services where ``w - p`` peaks; one max flow from
+    the distinct demand sets to the services finds the steepest raise (the
+    services reachable in its residual graph, when not everyone can be
+    served), and a second, with the price-0 services also fed by the source,
+    the steepest lowering (the services it cannot fill). The step length is
+    the exact line search, an order statistic of the individuals' gaps. ``f``
+    is an integer and falls on every step, so the descent ends. A step needs
+    only the demand sets and their counts; the individuals are put in demand
+    set order once, after the last. Every array is O(N K), but for the
+    counts of at most 2^8 demand codes when K <= 8; nothing else is sized by
+    the 2^K service subsets. ``w`` holds exact integer weights and ``caps``
+    must sum to at least N.
 
     Returns a 0-based optimal assignment, read off the final flow, and an
     optimal dual p, Python ints. The dual need not be the least one.
     """
     n, k = w.shape
-    p = np.zeros(k, dtype=np.int64)
+    p = np.zeros(k, dtype=np.int64) if p0 is None else np.array(p0, dtype=np.int64)
     while True:
         surplus = w - p
         top = _reduce_services(np.maximum, surplus)
-        member, count, order = _distinct_rows(surplus == top[:, None])
+        member, count, key = _distinct_rows(surplus == top[:, None])
         flow, left, room = _demand_flow(member, count, caps)
         reached = _max_flow(member, left, flow, room, np.zeros(k, dtype=bool))
         if left.any():
@@ -431,6 +451,7 @@ def _solve_transport(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, list[
 
     # the final flow serves everyone and fills every priced service: split
     # each demand set's flow over its individuals
+    order = np.argsort(key, kind="stable")
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = np.repeat(np.tile(np.arange(k), len(member)), flow.ravel())
     return assignment, p.tolist()
@@ -465,6 +486,8 @@ def allocate_utilitarian(
     pop: Population,
     caps: CapacityVector,
     tie_break_scale: float = DEFAULT_TIE_BREAK_SCALE,
+    *,
+    _dual: list[int] | None = None,
 ) -> Allocation:
     """Feasible allocation maximizing total utility.
 
@@ -472,6 +495,12 @@ def allocate_utilitarian(
     differ by less than 1/tie_break_scale may therefore tie. Among optimal
     assignments, returns the lexicographically least vector (individual 1's
     service first). Deterministic.
+
+    ``_dual``, a list kept by a compiled allocator across calls, carries the
+    service prices of the last solve: when it holds K of them the dual
+    descent starts there, and it is overwritten with this solve's optimal
+    prices. Every optimal dual admits the same optimal assignments, so the
+    start changes the solver's work, never the result.
 
     Raises:
         ValueError: if ``tie_break_scale`` is not finite and positive.
@@ -489,7 +518,10 @@ def allocate_utilitarian(
     # no service can take more than N, so the feasible set is the same and no
     # int64 sum of capacities (here or in the Hall probes) can wrap
     cap = np.minimum(caps.capacities, n)
-    _, prices = _solve_transport(w, cap)
+    p0 = _dual if _dual is not None and len(_dual) == pop.k else None
+    _, prices = _solve_transport(w, cap, p0)
+    if _dual is not None:
+        _dual[:] = prices
 
     # With an optimal dual p (LP duals sigma = -p, pi_i = -max_k(w_ik - p_k)),
     # the optimal assignments are exactly those using zero-reduced-cost arcs,
@@ -568,15 +600,19 @@ def compile_spec(spec: PolicySpec) -> Allocator:
     """Turn a PolicySpec into a callable allocator.
 
     Specs with an explicit ``seed`` pin their stream regardless of the seed
-    passed at call time.
+    passed at call time. A utilitarian allocator (a mixture's child too)
+    starts each solve from the optimal prices of its last one, so it is not
+    safe to call from two threads at once; its results do not depend on the
+    calls before.
     """
     if spec.kind == KIND_MIXTURE:
         child_a, child_b = (compile_spec(c) for c in spec.children)
+    dual: list[int] = []  # a utilitarian allocator's last optimal prices
 
     def run(pop: Population, caps: CapacityVector, seed: int) -> Allocation:
         s = spec.seed if spec.seed is not None else seed
         if spec.kind == KIND_UTILITARIAN:
-            return allocate_utilitarian(pop, caps, spec.tie_break_scale)
+            return allocate_utilitarian(pop, caps, spec.tie_break_scale, _dual=dual)
         if spec.kind == KIND_RANDOM:
             return allocate_random(pop, caps, s)
         if spec.kind == KIND_BEST:

@@ -290,10 +290,13 @@ def _replicate_once(
     }
 
 
-def _spec_worker(args) -> dict[str, float | None]:
-    params, spec, base_seed, rep, float_errors = args
+def _spec_worker(args) -> list[dict[str, float | None]]:
+    """The rows of one contiguous chunk of replications, under one compiled
+    allocator, so that a utilitarian solve warm-starts from the last."""
+    params, spec, base_seed, reps, float_errors = args
+    allocator = compile_spec(spec)
     with np.errstate(**float_errors):
-        return _replicate_once(params, compile_spec(spec), base_seed, rep)
+        return [_replicate_once(params, allocator, base_seed, r) for r in reps]
 
 
 def run_experiment(
@@ -314,9 +317,10 @@ def run_experiment(
     the group difference in mean max gain) is asserted in every replication.
 
     ``threads`` > 1 runs the replications of a ``PolicySpec`` policy in that
-    many worker processes, at most one per replication and per CPU; the
-    default runs them serially. The environment is not consulted: the CLI
-    applies the ``FAIRALLOC_THREADS`` cap before calling.
+    many worker processes, at most one per replication and per CPU, each on
+    one contiguous chunk of them; the default runs them serially. The
+    environment is not consulted: the CLI applies the ``FAIRALLOC_THREADS``
+    cap before calling.
 
     Raises:
         ValueError: if ``replications`` < 2.
@@ -336,9 +340,11 @@ def run_experiment(
         # a forked worker inherits the caller's numpy error handling, a
         # spawned or forkserver one starts from numpy's defaults
         float_errors = np.geterr()
-        jobs = [(params, spec, base_seed, r, float_errors) for r in range(replications)]
+        cuts = [replications * t // threads for t in range(threads + 1)]
+        jobs = [(params, spec, base_seed, range(a, b), float_errors)
+                for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_spec_worker, jobs))
+            rows = [row for chunk in pool.map(_spec_worker, jobs) for row in chunk]
     else:
         rows = [_replicate_once(params, allocator, base_seed, r) for r in range(replications)]
 

@@ -1,11 +1,14 @@
 """Shared fixture builders: synthetic audit datasets engineered to known
-summary statistics, used by the audit, CLI, and acceptance tests."""
+summary statistics, used by the audit, CLI, and acceptance tests, and a
+recorder of the utilitarian policy's dual solves."""
 
 import json
 from importlib import resources
 
 import numpy as np
+import pytest
 
+from fairalloc import policies
 from fairalloc.audit import AuditDataset, AuditSchema, export_csv
 
 SYNTH_N = 3375
@@ -106,3 +109,20 @@ def build_tradeoff_dataset() -> AuditDataset:
         groups={"children": np.array([0, 1], dtype=np.int8)},
         service_names=("TH", "RRH", "ES"),
     )
+
+
+@pytest.fixture
+def transport_calls(monkeypatch):
+    """Records (start prices or None, returned prices) of every
+    ``policies._solve_transport`` call the test makes."""
+    calls = []
+    solve = policies._solve_transport
+
+    def recorded(w, caps, p0=None):
+        start = None if p0 is None else list(p0)
+        assignment, prices = solve(w, caps, p0)
+        calls.append((start, prices))
+        return assignment, prices
+
+    monkeypatch.setattr(policies, "_solve_transport", recorded)
+    return calls

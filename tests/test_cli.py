@@ -374,6 +374,32 @@ class TestInternalError:
         assert err.startswith("internal error: additive-identity violation")
         assert not (tmp_path / "out" / "result.json").exists()
 
+    @pytest.mark.parametrize("error", [IndexError, TypeError, AssertionError, ZeroDivisionError])
+    @pytest.mark.parametrize("target", ["metric_rows", "solve_transport", "kde"])
+    def test_unexpected_exception_exits_4(self, population_csv, tmp_path, monkeypatch, capsys,
+                                          target, error):
+        from fairalloc import audit, core, policies
+
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        out = str(tmp_path / "out")
+        solve = ["solve", "--population", population_csv, "--capacities", "1,1", "--output-dir", out]
+        if target == "kde":
+            data = tmp_path / "data.csv"
+            write_synthetic_csv(data, n=200, seed=4)
+            # audit imports kde by name: patch the name it calls
+            monkeypatch.setattr(audit, "kde", broken)
+            argv = ["audit", "--data", str(data), "--config", "homeless", "--output-dir", out]
+        elif target == "solve_transport":
+            monkeypatch.setattr(policies, "_solve_transport", broken)
+            argv = solve + ["--policy", "utilitarian"]
+        else:
+            monkeypatch.setattr(core, "metric_rows", broken)
+            argv = solve
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err == f"internal error: {error.__name__}: injected\n"
+
 
 class TestSimulate:
     def test_params_file_and_determinism(self, tmp_path):

@@ -203,6 +203,15 @@ def lex_least_loop(allowed, caps, mandatory):
     return out
 
 
+def lex_least_under_dual(w, caps, prices):
+    """The lexicographically least assignment that complementary slackness
+    allows under the optimal dual ``prices``."""
+    surplus = w - np.array(prices)
+    allowed = surplus == surplus.max(axis=1, keepdims=True)
+    mandatory = np.where(np.array(prices) > 0, caps, 0)
+    return policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+
+
 @st.composite
 def tie_structures(draw):
     """(allowed, caps, mandatory) around a hidden feasible assignment: extra
@@ -231,15 +240,27 @@ class TestFlowSolver:
         highs_total, pi, sigma = highs_transport(w, caps)
         assert total == highs_total
 
-        surplus = w - np.array(prices)
-        allowed = surplus == surplus.max(axis=1, keepdims=True)
-        mandatory = np.where(np.array(prices) > 0, caps, 0)
         rc = -w - pi[:, None] - sigma[None, :]
         highs_mandatory = np.where(sigma < 0, caps, 0)
-        ours = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        ours = lex_least_under_dual(w, caps, prices)
         theirs = policies._lex_least_allowed(rc == 0, caps.copy(), highs_mandatory)
         assert ours.tolist() == theirs.tolist()
         assert sum(w[np.arange(n), ours - 1].tolist()) == total
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=transport_instances(), data=st.data())
+    def test_warm_start_matches_cold_start(self, instance, data):
+        # any prices >= 0 start the descent, far above the optimum too; the
+        # dual reached may differ, the tie-resolved assignment may not
+        w, caps = instance
+        p0 = data.draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**40)),
+                                min_size=w.shape[1], max_size=w.shape[1]))
+        flow, prices = policies._solve_transport(w, caps, p0)
+        total = policies._certify_transport(w, caps, flow, prices)
+        cold_flow, cold_prices = policies._solve_transport(w, caps)
+        assert total == policies._certify_transport(w, caps, cold_flow, cold_prices)
+        assert (lex_least_under_dual(w, caps, prices).tolist()
+                == lex_least_under_dual(w, caps, cold_prices).tolist())
 
     def test_certificate_rejects_tampering(self):
         w = np.array([[10, 0], [0, 10]], dtype=np.int64)
@@ -376,7 +397,21 @@ def distinct_rows_rowwise(allowed):
        fortran=st.booleans())
 def test_distinct_rows_matches_rowwise(allowed, fortran):
     matrix = np.asfortranarray(allowed) if fortran else allowed
-    got = policies._distinct_rows(matrix)
+    member, count, key = policies._distinct_rows(matrix)
+    got = member, count, np.argsort(key, kind="stable")
+    want = distinct_rows_rowwise(allowed)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(allowed=hnp.arrays(bool, st.tuples(st.integers(1, 300), st.integers(1, 8))),
+       fortran=st.booleans())
+def test_distinct_rows_counts_codes_up_to_8_columns(allowed, fortran):
+    # up to 8 columns each row's key is its bits read with column 0 highest
+    matrix = np.asfortranarray(allowed) if fortran else allowed
+    member, count, key = policies._distinct_rows(matrix)
+    assert key.tolist() == [int("".join("01"[b] for b in row), 2) for row in allowed.tolist()]
+    got = member, count, np.argsort(key, kind="stable")
     want = distinct_rows_rowwise(allowed)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -564,3 +599,18 @@ class TestPolicySpec:
         caps = CapacityVector([6, 6])
         alloc = compile_spec(spec)(pop, caps, 3)
         assert alloc.is_feasible(pop, caps)
+
+    def test_compiled_utilitarian_warm_starts_on_the_same_k(self, transport_calls):
+        rng = np.random.default_rng(4)
+        cases = []
+        for k in (3, 3, 4):
+            pop = Population(rng.random((40, k)))
+            caps = CapacityVector([40 // k] + [40 // k + 1] * (k - 1))
+            cases.append((pop, caps, allocate_utilitarian(pop, caps)))
+        transport_calls.clear()
+        allocate = compile_spec(PolicySpec("utilitarian"))
+        for pop, caps, cold in cases:
+            assert allocate(pop, caps, 0).assignment.tolist() == cold.assignment.tolist()
+        calls = transport_calls
+        assert [start for start, _ in calls] == [None, calls[0][1], None]
+        assert any(calls[0][1])  # the capacities bind: a warm start is not p = 0

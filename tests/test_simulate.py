@@ -250,6 +250,23 @@ class TestRunExperiment:
         parallel = run_experiment(params, PolicySpec("random"), 8, 3, threads=2)
         assert serial.to_dict() == parallel.to_dict()
 
+    @pytest.mark.parametrize("policy", [
+        PolicySpec("utilitarian"),
+        PolicySpec("mixture", lam=0.5, children=(PolicySpec("utilitarian"), PolicySpec("random"))),
+    ], ids=["utilitarian", "mixture"])
+    def test_threads_do_not_change_warm_started_results(self, policy):
+        # each worker warm-starts the utilitarian solves of its own chunk only
+        params = exp1_params(60, caps=[45, 45, 45])
+        serial = run_experiment(params, policy, 8, 3, threads=1)
+        parallel = run_experiment(params, policy, 8, 3, threads=2)
+        assert serial.to_dict() == parallel.to_dict()
+
+    def test_replications_warm_start_from_the_last_dual(self, transport_calls):
+        config = load_experiment_config("experiment2")
+        run_experiment(config.params, config.policy, 3, 0)
+        calls = transport_calls
+        assert [start for start, _ in calls] == [None, calls[0][1], calls[1][1]]
+
     @pytest.mark.parametrize(
         "threads, reps, expected", [(5000, 2, 2), (8, 8, 4), (3, 8, 3), (1, 8, None)]
     )
