@@ -76,9 +76,16 @@ def load_population_csv(path: str) -> tuple[list[str], Population]:
 
     def columns(header: list[str]) -> CsvColumns:
         util_cols = [c for c in header if re.fullmatch(r"u_\d+", c)]
-        util_cols.sort(key=lambda c: int(c[2:]))
         if not util_cols:
             raise SchemaMismatchError("schema-mismatch: no u_<k> utility columns found")
+        # service k is column u_k, so the names must number 1..K exactly
+        # (a repeated name is reported by read_csv)
+        names = sorted(set(util_cols), key=lambda c: int(c[2:]))
+        if names != [f"u_{j}" for j in range(1, len(names) + 1)]:
+            raise SchemaMismatchError(
+                "schema-mismatch: utility columns must be u_1..u_K, found " + ", ".join(util_cols)
+            )
+        util_cols.sort(key=lambda c: int(c[2:]))
         return CsvColumns(
             floats=util_cols,
             flags=[c for c in header if c != "id" and c not in util_cols],
@@ -124,11 +131,14 @@ def _parse_capacities(text: str) -> list[int]:
     caps = []
     for place, field in enumerate(text.split(","), start=1):
         try:
-            caps.append(int(field))
+            cap = int(field)
         except ValueError:
             raise ValueError(
                 f"--capacities: field {place} is {field!r}, not an integer"
             ) from None
+        if not -(2**63) <= cap < 2**63:
+            raise ValueError(f"--capacities: field {place} is {field!r}, outside the int64 range")
+        caps.append(cap)
     return caps
 
 

@@ -7,7 +7,9 @@ dual. Among all utility-maximizing assignments it deterministically returns
 the lexicographically least one, recovered from that dual: every optimal
 assignment uses only zero-reduced-cost arcs and fills every service with a
 positive price, so a greedy first-fit with a Hall-type feasibility check
-walks straight to the lexicographic minimum.
+walks straight to the lexicographic minimum. The walk moves by runs of
+consecutive individuals with the same allowed services, fixing at each
+service as many of a run as it can take in one step.
 
 ``scipy.optimize`` and ``scipy.sparse`` are imported on the first LP
 feasibility probe, which only tie resolution over more than
@@ -16,6 +18,7 @@ feasibility probe, which only tie resolution over more than
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -39,7 +42,8 @@ KIND_WORST = "assign-worst-ignoring-capacity"
 KINDS = (KIND_UTILITARIAN, KIND_RANDOM, KIND_MIXTURE, KIND_BEST, KIND_WORST)
 
 # Hall-style subset enumeration is exponential in K; beyond this many services
-# tie resolution falls back to an LP feasibility probe per candidate.
+# tie resolution finds how many members of a run a service can take by a
+# binary search over LP feasibility probes.
 _MAX_SUBSET_K = 12
 
 
@@ -140,11 +144,19 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
 def _confined_counts(masks: list[int], k: int) -> np.ndarray:
     """Entry S (service j is bit j) counts the masks that lie inside S."""
     confined = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << k)
-    # subset-sum transform: each axis of the (2,)*k cube is one service bit
-    cube = confined.reshape((2,) * k)
-    for axis in range(k):
-        cube = np.cumsum(cube, axis=axis)
-    return cube.reshape(-1)
+    # subset-sum transform, one service bit at a time: the subsets holding
+    # service j gain the counts of the same subsets without it
+    for j in range(k):
+        view = _split_by_service(confined, j)
+        view[:, 1] += view[:, 0]
+    return confined
+
+
+def _split_by_service(table: np.ndarray, j: int) -> np.ndarray:
+    """A view of a table over the service subsets (service j is bit j) in
+    which ``[:, 0]`` holds the subsets without service j and ``[:, 1]`` the
+    same subsets with it."""
+    return table.reshape(-1, 2, 1 << j)
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -210,11 +222,18 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     assignment exists.
 
     An individual with one allowed service takes it in every such assignment,
-    so all of them are placed up front from one count; only individuals with
-    a choice are walked, in order, each to its least service that leaves a
-    feasible completion. Up to ``_MAX_SUBSET_K`` services that is a Hall test
-    against subset tables kept current as individuals are fixed; beyond, an
-    LP probe per candidate.
+    so all of them are placed up front from one count. The individuals with
+    a choice are walked in order, by runs of consecutive ones with the same
+    allowed set. Members of a run are interchangeable, so each takes a
+    service no lower than the one before: were a later member able to take a
+    lower service, swapping it with an earlier one would be feasible too. A
+    run therefore visits its services in ascending order, and at each fixes
+    at once the most of its remaining members that the service can take
+    while leaving a feasible completion. Up to ``_MAX_SUBSET_K`` services
+    that count is read off subset tables kept current as members are fixed,
+    and each move is confirmed by the Hall test; beyond, it is a binary
+    search over LP probes, since a completion that takes t members also
+    takes fewer.
     """
     n, k = allowed.shape
     out = _first_best(allowed) + 1
@@ -227,7 +246,7 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
     hall = k <= _MAX_SUBSET_K
     if hall:
         # the Hall tables over the 2^K service subsets, built once and then
-        # moved by one individual or one service at a time
+        # moved by one batch of run members at a time
         subsets = np.arange(1 << k)
         confined = _confined_counts(masks, k)
         room = _subset_sums(caps - assigned)
@@ -237,36 +256,87 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
         for m in masks:
             counts[m] = counts.get(m, 0) + 1
 
-    for i, m in zip(multi.tolist(), masks):
+    start = 0
+    for m, run in itertools.groupby(masks):
+        left = sum(1 for _ in run)
         if hall:
-            confined -= (subsets & m) == m
-        else:
-            counts[m] -= 1
-            if counts[m] == 0:
-                del counts[m]
+            common = subsets & m
+            inside = common == m  # the subsets that confine the run
+            meets = common != 0  # the subsets the run can serve
+            spare = slack = None
         for kk in range(k):
             if not (m >> kk & 1) or assigned[kk] >= caps[kk]:
                 continue
             if hall:
-                member = (subsets >> kk) & 1
-                trial_room = room - member
-                trial_need = need - member if mandatory[kk] > assigned[kk] else need
-                ok = _completion_feasible_hall(confined, trial_need, trial_room)
+                # Fixing t members at kk takes t places from every subset S
+                # holding kk. Where S also confines the run, t of its
+                # confined individuals leave with them, so only the other
+                # such subsets bound t, by their spare room beyond the
+                # individuals confined to them. It also takes t individuals
+                # from every S the run meets, so those bound t by their
+                # slack, the individuals that can serve S beyond the places
+                # owed to it; where S holds kk, up to the places still owed
+                # to kk are paid with them. The largest t within every bound
+                # keeps a feasible completion; n stands for no bound, as
+                # t <= n.
+                if spare is None:  # the tables moved since last read
+                    spare = np.where(inside, n, room - confined)
+                    slack = np.where(meets, confined[-1] - confined[::-1] - need, n)
+                owed = max(int(mandatory[kk] - assigned[kk]), 0)
+                free, short = _split_by_service(spare, kk), _split_by_service(slack, kk)
+                t = min(left, owed + int(short[:, 1].min()), int(free[:, 1].min()),
+                        int(short[:, 0].min()))
+                if t:
+                    confined[inside] -= t
+                    _split_by_service(room, kk)[:, 1] -= t
+                    _split_by_service(need, kk)[:, 1] -= min(t, owed)
+                    if not _completion_feasible_hall(confined, need, room):
+                        raise RuntimeError("internal: tie resolution left no feasible completion")
+                    spare = None
             else:
-                assigned[kk] += 1
-                ok = _completion_feasible_lp(
-                    counts, np.maximum(mandatory - assigned, 0), caps - assigned, k
-                )
-                assigned[kk] -= 1
-            if ok:
-                if hall:
-                    room, need = trial_room, trial_need
-                assigned[kk] += 1
-                out[i] = kk + 1
+                t = _lp_fit(counts, m, kk, min(left, int(caps[kk] - assigned[kk])),
+                            assigned, caps, mandatory)
+                counts[m] -= t
+                if counts[m] == 0:
+                    del counts[m]
+            assigned[kk] += t
+            out[multi[start : start + t]] = kk + 1
+            start += t
+            left -= t
+            if not left:
                 break
         else:
             raise RuntimeError("internal: no feasible completion during tie resolution")
     return out
+
+
+def _lp_fit(counts: dict[int, int], m: int, kk: int, top: int, assigned: np.ndarray,
+            caps: np.ndarray, mandatory: np.ndarray) -> int:
+    """The most members of the run of allowed set ``m``, at most ``top``, that
+    service ``kk`` can take with a feasible completion left, by LP probes:
+    the top count first, then a binary search below it."""
+
+    def fits(t: int) -> bool:
+        rest = dict(counts)
+        rest[m] -= t
+        if rest[m] == 0:
+            del rest[m]
+        fill = assigned.copy()
+        fill[kk] += t
+        return _completion_feasible_lp(
+            rest, np.maximum(mandatory - fill, 0), caps - fill, len(caps)
+        )
+
+    if fits(top):
+        return top
+    lo, hi = 0, top - 1  # fits(lo) holds: taking none leaves the current completion
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.ndarray,

@@ -163,6 +163,21 @@ class TestSolve:
         assert message in err
         assert "invalid literal" not in err
 
+    @pytest.mark.parametrize("capacities, field", [
+        ("99999999999999999999,1", "field 1 is '99999999999999999999'"),
+        ("1,9223372036854775808", "field 2 is '9223372036854775808'"),
+        ("1,-9223372036854775809", "field 2 is '-9223372036854775809'"),
+    ])
+    def test_capacities_beyond_int64_exit_2(self, population_csv, tmp_path, capsys, capacities,
+                                            field):
+        assert run_cli(
+            "solve", "--population", population_csv, f"--capacities={capacities}",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"--capacities: {field}, outside the int64 range" in err
+        assert "convert to C long" not in err
+
     def test_out_of_memory_exits_2(self, population_csv, tmp_path, monkeypatch, capsys):
         # allocate_random shuffles all c_k slots, so a huge capacity runs out
         # of memory; raised here rather than allocated, which could get the
@@ -231,6 +246,33 @@ class TestPopulationCsvValidation:
         ) == 2
         assert (f"schema-mismatch(line {line}): field larger than field limit"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("header, found", [
+        ("id,u_1,u_3,g", "u_1, u_3"),
+        ("id,u_01,u_1,g", "u_01, u_1"),
+        ("id,u_0,u_1,g", "u_0, u_1"),
+        ("id,u_2,u_3,g", "u_2, u_3"),
+    ], ids=["gap", "leading-zero", "u_0", "no-u_1"])
+    def test_utility_columns_must_number_1_to_k(self, tmp_path, capsys, header, found):
+        # the columns would otherwise be renumbered by position: u_3 read as service 2
+        path = tmp_path / "pop.csv"
+        path.write_text(f"{header}\na,1.0,0.0,0\nb,0.0,1.0,1\n")
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2,2", "--output-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"schema-mismatch: utility columns must be u_1..u_K, found {found}" in err
+        assert not out.exists()
+
+    def test_utility_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_2,g,u_1\na,0.0,0,1.0\nb,1.0,1,0.0\n")
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "1,1", "--output-dir", str(out),
+        ) == 0
+        assert (out / "allocation.csv").read_text().splitlines() == ["id,service", "a,1", "b,2"]
 
     def test_repeated_header_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pop.csv"

@@ -5,7 +5,9 @@ integerized totals compare exactly. The min-cost-flow solver behind it is
 also checked against HiGHS on tie-heavy integer instances."""
 
 import hashlib
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from fairalloc import (
     delta_metrics,
     policies,
 )
+from fairalloc.cli import load_population_csv
 from fairalloc.simulate import load_experiment_config
 
 
@@ -229,6 +232,50 @@ def tie_structures(draw):
     return allowed, caps, np.where(full, fills, 0)
 
 
+@st.composite
+def tie_runs(draw):
+    """(allowed, caps, mandatory) whose allowed sets come from a palette of
+    one to three masks, sorted or shuffled, so that runs of consecutive equal
+    sets are long; around a hidden feasible assignment, with zero capacities
+    and lower bounds up to its fills allowed; K <= 8."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 8))
+    palette = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
+    picks = np.array(draw(st.lists(st.integers(0, len(palette) - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        picks.sort()
+    allowed = ((np.array(palette)[picks, None] >> np.arange(k)) & 1).astype(bool)
+    offsets = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    hidden = [np.flatnonzero(row)[o % row.sum()] for row, o in zip(allowed, offsets)]
+    fills = np.bincount(hidden, minlength=k)
+    caps = fills + np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    mandatory = np.array([draw(st.integers(0, int(f))) for f in fills])
+    return allowed, caps, mandatory
+
+
+def confined_counts_cube(masks, k):
+    """``_confined_counts`` by its first form: one cumsum per axis of the
+    (2,)*k cube."""
+    confined = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << k)
+    cube = confined.reshape((2,) * k)
+    for axis in range(k):
+        cube = np.cumsum(cube, axis=axis)
+    return cube.reshape(-1)
+
+
+def tie_population(tmp_path, n, k):
+    """The benchmark's tie-heavy population: after the forced individuals,
+    one run of identical allowed sets over all K services."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / "ties.csv"
+    _, caps = inputs.write_tie_population(str(path), 0, n, k)
+    return load_population_csv(str(path))[1], CapacityVector(caps)
+
+
 class TestFlowSolver:
     @settings(max_examples=150, deadline=None)
     @given(instance=transport_instances())
@@ -367,6 +414,70 @@ class TestFlowSolver:
         assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
             lex_least_loop(allowed, caps.copy(), mandatory).tolist()
         )
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_confined_counts_match_cube(self, k):
+        rng = np.random.default_rng(4300 + k)
+        for size in (0, 1, 50):
+            masks = rng.integers(1, 1 << k, size).tolist()
+            assert (policies._confined_counts(masks, k).tolist()
+                    == confined_counts_cube(masks, k).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(structure=tie_runs())
+    def test_lex_least_matches_loop_on_runs(self, structure):
+        allowed, caps, mandatory = structure
+        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
+            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        )
+
+    @pytest.mark.parametrize("k", [13, 14])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_lp_runs_match_hall_beyond_subset_k(self, monkeypatch, seed, k):
+        # runs of three allowed sets, sorted so they are long; tight capacities
+        # and lower bounds make the top count reject and the search go below it
+        rng = np.random.default_rng(4400 + 10 * seed + k)
+        n = 40
+        palette = rng.random((3, k)) < 0.4
+        palette[np.arange(3), rng.integers(0, k, 3)] = True
+        allowed = palette[np.sort(rng.integers(0, 3, n))]
+        hidden = [rng.choice(np.flatnonzero(row)) for row in allowed]
+        fills = np.bincount(hidden, minlength=k)
+        caps = fills + (rng.random(k) < 0.3)
+        mandatory = np.where(rng.random(k) < 0.7, fills, 0)
+        verdicts = []
+        lp_probe = policies._completion_feasible_lp
+
+        def counted(*args):
+            verdicts.append(lp_probe(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(policies, "_completion_feasible_lp", counted)
+        by_lp = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        assert verdicts.count(False) > 0
+        monkeypatch.setattr(policies, "_MAX_SUBSET_K", k)
+        by_hall = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        assert by_lp.tolist() == by_hall.tolist()
+
+    @pytest.mark.parametrize("n, k, probe, bound", [
+        (100, 12, "_completion_feasible_hall", 12),  # one confirming Hall test per service
+        (400, 13, "_completion_feasible_lp", 13 * ((400 - 1).bit_length() + 1)),  # K (log2 N + 1)
+    ], ids=["hall", "lp"])
+    def test_tie_run_probes_per_service(self, tmp_path, monkeypatch, n, k, probe, bound):
+        pop, caps = tie_population(tmp_path, n, k)
+        calls = []
+        original = getattr(policies, probe)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(policies, probe, counted)
+        alloc = allocate_utilitarian(pop, caps)
+        assert 0 < len(calls) <= bound
+        assert alloc.is_feasible(pop, caps)
+        monkeypatch.setattr(policies, "_MAX_SUBSET_K", k)
+        assert allocate_utilitarian(pop, caps).assignment.tolist() == alloc.assignment.tolist()
 
     @pytest.mark.parametrize("k", [24, 30])
     def test_many_services(self, k):
