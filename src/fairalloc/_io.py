@@ -9,7 +9,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -36,17 +35,21 @@ _JSON_TYPES = {
 
 
 def write_text_atomic(path: str | Path, text: str):
-    """Write via a temp file in the target directory, then rename. The file
-    gets the mode a plain ``open`` would create, 0o666 less the umask."""
+    """Write via a temp file in the target directory, then rename. The temp
+    file is created with mode 0o666, which the kernel masks with the process
+    umask, so the file gets the mode a plain ``open`` would create."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

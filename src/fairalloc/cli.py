@@ -75,6 +75,12 @@ def load_population_csv(path: str) -> tuple[list[str], Population]:
     """
 
     def columns(header: list[str]) -> CsvColumns:
+        # a padded utility name would otherwise be read as a 0/1 group column
+        for c in header:
+            if c != c.strip() and re.fullmatch(r"u_\d+", c.strip()):
+                raise SchemaMismatchError(
+                    f"schema-mismatch: utility column {c!r} has surrounding whitespace"
+                )
         util_cols = [c for c in header if re.fullmatch(r"u_\d+", c)]
         if not util_cols:
             raise SchemaMismatchError("schema-mismatch: no u_<k> utility columns found")

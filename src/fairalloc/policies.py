@@ -436,19 +436,27 @@ def _distinct_rows(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
     """Greedy start for ``_max_flow``: one-service demand sets take what their
     service holds, then, service by service, the larger sets that name it,
-    fewest services first, fill what is left of it. Returns
-    (flow, left, room)."""
+    fewest services first, fill what is left of it. The rows of ``member``
+    are distinct, so each service has at most one one-service set and its
+    room is charged once; a service with no room left gives nothing and is
+    skipped. Returns (flow, left, room)."""
     flow = np.zeros(member.shape, dtype=np.int64)
+    left = count.astype(np.int64)
+    room = caps.astype(np.int64)
     size = member.sum(axis=1)
-    single = np.flatnonzero(size == 1)  # distinct sets: one row per service
-    service = _first_best(member[single])
-    flow[single, service] = np.minimum(count[single], caps[service])
-    left = count - flow.sum(axis=1)
-    room = caps - flow.sum(axis=0)
+    single = np.flatnonzero(size == 1)
+    service = member[single].argmax(axis=1)
+    give = np.minimum(left[single], room[service])
+    flow[single, service] = give
+    left[single] -= give
+    room[service] -= give
     multi = np.flatnonzero(size > 1)
     multi = multi[np.argsort(size[multi], kind="stable")]
-    for b in np.flatnonzero(member[multi].any(axis=0)).tolist():
-        rows = multi[member[multi, b] & (left[multi] > 0)]
+    sets = member[multi]
+    for b in np.flatnonzero(sets.any(axis=0)).tolist():
+        if room[b] <= 0:
+            continue
+        rows = multi[sets[:, b] & (left[multi] > 0)]
         want = left[rows]
         give = np.minimum(want, np.maximum(room[b] - (np.cumsum(want) - want), 0))
         flow[rows, b] = give
@@ -473,7 +481,9 @@ def _solve_transport(
     the distinct demand sets to the services finds the steepest raise (the
     services reachable in its residual graph, when not everyone can be
     served), and a second, with the price-0 services also fed by the source,
-    the steepest lowering (the services it cannot fill). The step length is
+    the steepest lowering (the services it cannot fill); when every priced
+    service is already full, as at every optimum of capacities that sum to
+    N, that flow could find no path and is not run. The step length is
     the exact line search, an order statistic of the individuals' gaps. ``f``
     is an integer and falls on every step, so the descent ends. A step needs
     only the demand sets and their counts; the individuals are put in demand
@@ -503,7 +513,8 @@ def _solve_transport(
         else:
             free = p == 0
             room[free] = 0
-            reached = _max_flow(member, left, flow, room, free)
+            if room.any():  # with every priced service full it finds no path
+                reached = _max_flow(member, left, flow, room, free)
             if not room.any():
                 break
             # lowering the unreached (priced) services by one frees more
@@ -527,13 +538,25 @@ def _solve_transport(
     return assignment, p.tolist()
 
 
+def _exact_sum(values: np.ndarray) -> int:
+    """The exact sum of int64 ``values`` as a Python int, for fewer than
+    2**31 of them. Each value splits into ``hi = v >> 31``, below 2**32 in
+    magnitude, and ``lo``, in [0, 2**31), so neither int64 part sum can
+    wrap."""
+    hi = values >> 31
+    lo = values - (hi << 31)
+    return (int(hi.sum()) << 31) + int(lo.sum())
+
+
 def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, prices: list[int]) -> int:
     """Exact optimality certificate of a transport solution; returns its total.
 
     For prices p >= 0, ``sum_i max_k(w_ik - p_k) + sum_k c_k p_k`` bounds every
     feasible total from above (weak duality), so a feasible assignment that
-    reaches the bound is optimal and p is an optimal dual. Totals are Python
-    ints: a sum of N weights below 2**53 can overflow int64.
+    reaches the bound is optimal and p is an optimal dual. A plain int64 sum
+    of N weights below 2**53 can wrap, so both sums over the N individuals
+    are taken exactly by ``_exact_sum``, in two int64 parts, and the totals
+    compared as Python ints.
 
     Raises:
         RuntimeError: if the assignment is infeasible or misses the bound.
@@ -544,9 +567,9 @@ def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, 
     # with |w| < 2**53, prices below 2**62 keep w - p inside int64
     if not all(0 <= q < 2**62 for q in prices):
         raise RuntimeError("internal: flow prices out of range")
-    total = sum(w[np.arange(n), assignment].tolist())
+    total = _exact_sum(w[np.arange(n), assignment])
     surplus = _reduce_services(np.maximum, w - np.array(prices, dtype=np.int64))
-    bound = sum(surplus.tolist()) + sum(c * q for c, q in zip(caps.tolist(), prices))
+    bound = _exact_sum(surplus) + sum(c * q for c, q in zip(caps.tolist(), prices))
     if total != bound:
         raise RuntimeError("internal: flow solution failed its optimality certificate")
     return total

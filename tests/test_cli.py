@@ -148,6 +148,27 @@ class TestSolve:
         for name in ("allocation.csv", "fairness_report.json"):
             assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_mode_without_reading_umask(self, population_csv, tmp_path, monkeypatch,
+                                               umask):
+        # setting the umask to read it would change it for every thread meanwhile
+        def forbidden(mask):
+            raise AssertionError("os.umask called")
+
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            monkeypatch.setattr(os, "umask", forbidden)
+            assert run_cli(
+                "solve", "--population", population_csv, "--capacities", "1,1",
+                "--output-dir", str(out),
+            ) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        for name in ("allocation.csv", "fairness_report.json"):
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
     @pytest.mark.parametrize("capacities, message", [
         ("1,x", "--capacities: field 2 is 'x', not an integer"),
         ("", "--capacities: field 1 is '', not an integer"),
@@ -273,6 +294,21 @@ class TestPopulationCsvValidation:
             "solve", "--population", str(path), "--capacities", "1,1", "--output-dir", str(out),
         ) == 0
         assert (out / "allocation.csv").read_text().splitlines() == ["id,service", "a,1", "b,2"]
+
+    @pytest.mark.parametrize("rows", ["a,1,0\nb,0,1\n", "a,1,0.5\nb,0,1\n"],
+                             ids=["0-1-values", "other-values"])
+    def test_padded_utility_header_exits_2(self, tmp_path, capsys, rows):
+        # "u_2 " is a utility name with stray whitespace, not a 0/1 group column
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_2 \n" + rows)
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "2", "--output-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "schema-mismatch: utility column 'u_2 ' has surrounding whitespace" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_repeated_header_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pop.csv"

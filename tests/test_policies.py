@@ -32,6 +32,7 @@ from fairalloc import (
     policies,
 )
 from fairalloc.cli import load_population_csv
+from fairalloc.core import _first_best
 from fairalloc.simulate import load_experiment_config
 
 
@@ -490,6 +491,20 @@ class TestFlowSolver:
         flow, prices = policies._solve_transport(w, caps)
         assert policies._certify_transport(w, caps, flow, prices) == highs_transport(w, caps)[0]
 
+    def test_certificate_sums_beyond_int64(self):
+        # 1,100 weights of 2**53 - 1 sum past 2**63: an int64 sum would wrap
+        big = 2**53 - 1
+        w = np.zeros((1100, 2), dtype=np.int64)
+        w[:, 0] = big
+        assignment = np.zeros(1100, dtype=np.int64)
+        total = policies._certify_transport(w, np.array([1100, 0]), assignment, [0, 0])
+        assert type(total) is int and total == 1100 * big
+        # one individual a unit short of the bound
+        w[:, 1] = big - 1
+        assignment[-1] = 1
+        with pytest.raises(RuntimeError, match="optimality certificate"):
+            policies._certify_transport(w, np.array([1100, 1]), assignment, [0, 0])
+
 
 def distinct_rows_rowwise(allowed):
     """Row-wise reference of ``_distinct_rows``: each row packed into bytes
@@ -544,6 +559,72 @@ def test_experiment2_assignments_pinned(seed):
     alloc = allocate_utilitarian(params.sample(seed), params.capacities)
     digest = hashlib.sha256(alloc.assignment.astype("<i8").tobytes()).hexdigest()
     assert digest == EXPERIMENT2_DIGESTS[seed]
+
+
+def test_last_descent_step_runs_one_max_flow(monkeypatch):
+    # experiment 2's capacities sum to N, so at the optimum every service is
+    # full and a flow lowering the priced services could find no path
+    events = []
+    for name in ("_demand_flow", "_max_flow"):
+        def recorded(*args, _name=name, _real=getattr(policies, name)):
+            events.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(policies, name, recorded)
+    params = load_experiment_config("experiment2").params
+    allocate = compile_spec(PolicySpec("utilitarian"))
+    for seed in (7, 8):  # a cold start, then a warm one
+        pop = params.sample(seed)
+        assert params.capacities.total == pop.n
+        events.clear()
+        allocate(pop, params.capacities, 0)
+        last_step = len(events) - events[::-1].index("_demand_flow")
+        assert events[last_step:] == ["_max_flow"]
+
+
+def demand_flow_reference(member, count, caps):
+    """``_demand_flow`` as first written: one-service sets placed by
+    ``_first_best`` and charged by two axis sums, every service visited."""
+    flow = np.zeros(member.shape, dtype=np.int64)
+    size = member.sum(axis=1)
+    single = np.flatnonzero(size == 1)
+    service = _first_best(member[single])
+    flow[single, service] = np.minimum(count[single], caps[service])
+    left = count - flow.sum(axis=1)
+    room = caps - flow.sum(axis=0)
+    multi = np.flatnonzero(size > 1)
+    multi = multi[np.argsort(size[multi], kind="stable")]
+    for b in np.flatnonzero(member[multi].any(axis=0)).tolist():
+        rows = multi[member[multi, b] & (left[multi] > 0)]
+        want = left[rows]
+        give = np.minimum(want, np.maximum(room[b] - (np.cumsum(want) - want), 0))
+        flow[rows, b] = give
+        left[rows] -= give
+        room[b] -= give.sum()
+    return flow, left, room
+
+
+@st.composite
+def demand_sets(draw):
+    """The distinct demand sets of up to 60 individuals over K <= 12
+    services (K > 8 groups by sorting), their counts, and capacities that are
+    often 0."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 12))
+    allowed = draw(hnp.arrays(bool, (n, k), elements=st.booleans()))
+    allowed[~allowed.any(axis=1), draw(st.integers(0, k - 1))] = True
+    caps = draw(st.lists(st.one_of(st.just(0), st.integers(0, n)), min_size=k, max_size=k))
+    member, count, _ = policies._distinct_rows(allowed)
+    return member, count, np.array(caps, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=demand_sets())
+def test_demand_flow_matches_reference(instance):
+    member, count, caps = instance
+    got = policies._demand_flow(member, count, caps)
+    want = demand_flow_reference(member, count, caps)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestRandom:
