@@ -465,6 +465,104 @@ def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
     return flow, left, room
 
 
+def _single_price_gains(member: np.ndarray, count: np.ndarray, caps: np.ndarray,
+                        lowerable: np.ndarray) -> bool:
+    """Whether moving one price alone lowers the transport dual, read off the
+    demand sets and their counts: raising p_j by one lowers f when more
+    individuals than c_j demand j alone, and lowering it (where allowed) when
+    fewer than c_j demand it at all."""
+    wanted = count @ member
+    alone = (count * (member.sum(axis=1) == 1)) @ member
+    return bool(((alone > caps) | ((wanted < caps) & lowerable)).any())
+
+
+def _search_price(wt: np.ndarray, other: np.ndarray, caps: list[int], p: list[int], j: int,
+                  balanced: bool) -> bool:
+    """Exact line search of the transport dual ``f`` along price j, the
+    other prices fixed; updates ``p[j]`` and returns whether it moved.
+    ``wt`` holds the weights one row per service and ``other`` each
+    individual's best surplus over the other services.
+
+    Along p_j, ``f`` is ``sum_i max(gap_i - p_j, 0) + c_j p_j`` plus a
+    constant, where ``gap_i = w_ij - other_i``. Its minimizers run from the
+    order statistic of the gaps that leaves at most c_j individuals strictly
+    preferring j to the one that leaves at least c_j preferring it weakly. A
+    price below them rises to the first, one above falls to the second, and
+    one between stays, so a move always lowers the integer ``f``. Unless
+    ``balanced`` (capacities summing to N), the price is clamped at 0."""
+    n = wt.shape[1]
+    gap = wt[j] - other
+    c, q = caps[j], p[j]
+    if c == 0:  # the minimizers start at the largest gap and have no end
+        q = max(q, int(gap.max()))
+    elif c < n:
+        ranked = np.partition(gap, n - c - 1)
+        least = int(ranked[n - c - 1])
+        q = least if q <= least else min(q, int(ranked[n - c:].min()))
+    else:  # c == n: the minimizers have no start and end at the least gap
+        q = min(q, int(gap.min()))
+    if not balanced:
+        q = max(q, 0)
+    moved = q != p[j]
+    p[j] = q
+    return moved
+
+
+def _coordinate_sweeps(w: np.ndarray, caps: np.ndarray, p: np.ndarray,
+                       balanced: bool) -> np.ndarray:
+    """Sweeps of ``_search_price`` over the services in index order, from
+    prices ``p``; returns the new prices, all >= 0. K >= 2.
+
+    They stop at a coordinate-wise minimum of ``f``, once every price has
+    been searched since the last one that moved, or once a sweep after the
+    second lowers ``f`` by more than half as much as the one before: the
+    searches are then walking down a long slope in even stairs, which one
+    descent step along a set of prices takes at once. Every move lowers the
+    integer ``f``, so they end. With capacities summing to N (``balanced``),
+    ``f`` does not change when every price moves by the same amount, so
+    prices may go below 0 within a sweep and are shifted after it to make
+    the least one 0. Each individual's best surplus over the services other
+    than j is the larger of a running maximum over the services already
+    searched in the sweep and a suffix maximum over the rest, so a search
+    costs the same few vector operations for any K."""
+    k = w.shape[1]
+    wt = np.ascontiguousarray(w.T)  # one row per service
+    caps, p = caps.tolist(), p.tolist()
+    moved, still = False, 0  # whether any price moved; searches since one did
+    values = []  # f after each full sweep, exactly
+    while True:
+        surplus = wt - np.array(p, dtype=np.int64)[:, None]
+        after = [surplus[-1]]  # after[j]: the best surplus beyond service j
+        for row in surplus[-2:0:-1]:
+            after.append(np.maximum(after[-1], row))
+        after.reverse()
+        best = None  # the best surplus over the services searched this sweep
+        for j in range(k):
+            if best is None:
+                other = after[0]
+            elif j + 1 == k:
+                other = best
+            else:
+                other = np.maximum(best, after[j])
+            if _search_price(wt, other, caps, p, j, balanced):
+                moved, still = True, 0
+            else:
+                still += 1
+                if still == k - moved:
+                    break
+            row = wt[j] - p[j]
+            best = row if best is None else np.maximum(best, row)
+        at_minimum = still == k - moved
+        if not at_minimum:  # best is each individual's best surplus under p
+            values.append(_exact_sum(best) + sum(c * q for c, q in zip(caps, p)))
+        if balanced:
+            low = min(p)
+            p = [q - low for q in p]
+        stairs = len(values) > 2 and 2 * (values[-2] - values[-1]) > values[-3] - values[-2]
+        if at_minimum or stairs:
+            return np.array(p, dtype=np.int64)
+
+
 def _solve_transport(
     w: np.ndarray, caps: np.ndarray, p0: list[int] | None = None
 ) -> tuple[np.ndarray, list[int]]:
@@ -485,22 +583,47 @@ def _solve_transport(
     service is already full, as at every optimum of capacities that sum to
     N, that flow could find no path and is not run. The step length is
     the exact line search, an order statistic of the individuals' gaps. ``f``
-    is an integer and falls on every step, so the descent ends. A step needs
-    only the demand sets and their counts; the individuals are put in demand
-    set order once, after the last. Every array is O(N K), but for the
-    counts of at most 2^8 demand codes when K <= 8; nothing else is sized by
-    the 2^K service subsets. ``w`` holds exact integer weights and ``caps``
-    must sum to at least N.
+    is an integer and falls on every step, so the descent ends.
+
+    The descent first reads its start's demand sets. When they show that
+    moving one price alone lowers ``f``, it runs ``_coordinate_sweeps``
+    before its first step: exact line searches of one price at a time,
+    sweep after sweep, until the prices are a coordinate-wise minimum of
+    ``f`` or a sweep after the second lowers ``f`` by more than half as
+    much as the one before. With capacities summing to N, ``f`` does not
+    change under a common shift of the prices, and each sweep ends by
+    shifting the least price to 0; otherwise each searched price is clamped
+    at 0. A start that no single price improves, an optimal one included,
+    runs no sweep. The sweeps only lower ``f`` and leave the descent as it
+    was: it goes on from their prices and still stops only where no step
+    p +- 1_S improves, so it returns an optimal dual and its assignment, as
+    from any start. On experiment 2 the sweeps from the last replication's
+    prices reach the optimum, and one step certifies it.
+
+    A step needs only the demand sets and their counts; the individuals are
+    put in demand set order once, after the last. Every array is O(N K), but
+    for the counts of at most 2^8 demand codes when K <= 8; nothing else is
+    sized by the 2^K service subsets. ``w`` holds exact integer weights, and
+    each of ``caps`` is at most N and they sum to at least N.
 
     Returns a 0-based optimal assignment, read off the final flow, and an
     optimal dual p, Python ints. The dual need not be the least one.
     """
     n, k = w.shape
     p = np.zeros(k, dtype=np.int64) if p0 is None else np.array(p0, dtype=np.int64)
+    balanced = int(caps.sum()) == n  # f is then blind to a common shift of p
+    search = k > 1  # the start is yet to be checked for single-price gains
     while True:
+        if p.max() >= 2**62:
+            raise RuntimeError("internal: flow prices out of range")
         surplus = w - p
         top = _reduce_services(np.maximum, surplus)
         member, count, key = _distinct_rows(surplus == top[:, None])
+        if search:
+            search = False
+            if _single_price_gains(member, count, caps, (p > 0) | balanced):
+                p = _coordinate_sweeps(w, caps, p, balanced)
+                continue
         flow, left, room = _demand_flow(member, count, caps)
         reached = _max_flow(member, left, flow, room, np.zeros(k, dtype=bool))
         if left.any():
@@ -527,8 +650,6 @@ def _solve_transport(
                        - _reduce_services(np.maximum, surplus[:, lower]))
                 step = min(step, int(np.partition(gap, c_u - 1)[c_u - 1]))
             p[lower] -= step
-        if p.max() >= 2**62:
-            raise RuntimeError("internal: flow prices out of range")
 
     # the final flow serves everyone and fills every priced service: split
     # each demand set's flow over its individuals

@@ -5,6 +5,7 @@ sign-flip existence, and the two stylized-framework characterizations).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -39,6 +40,8 @@ def _as_matrix(values, rows: int, name: str) -> np.ndarray:
     arr = _frozen_array(values, np.float64)
     if arr.ndim != 2 or arr.shape[0] != rows:
         raise ValueError(f"{name} must be a {rows} x K matrix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must hold only finite numbers")
     return arr
 
 
@@ -56,6 +59,8 @@ def _check_stylized(params, proportions: tuple[float, float], interval: str):
     object.__setattr__(params, interval, bounds)
     if not all(0.0 <= pi <= 1.0 for pi in proportions):
         raise ValueError("type proportions must lie in [0, 1]")
+    if not all(math.isfinite(b) for b in bounds):
+        raise ValueError(f"{interval} must hold only finite numbers")
     if bounds[0] <= 0 or bounds[1] < bounds[0]:
         raise ValueError(f"{interval} must be a positive interval")
     if params.k < 2:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -534,6 +535,27 @@ class TestSimulate:
         path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
         assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    # json reads NaN and Infinity; each is refused by its field before sampling
+    @pytest.mark.parametrize("params, field", [
+        (dict(GAUSSIAN_PARAMS, means=[[0.2, math.nan, 0.4], [0.4, 0.5, 0.63]]), "means"),
+        (dict(GAUSSIAN_PARAMS, means=[[0.2, 0.3, 0.4], [-math.inf, 0.5, 0.63]]), "means"),
+        (dict(GAUSSIAN_PARAMS, variances=[[1e-4, math.nan, 9e-4], [1e-4, 4e-4, 9e-4]]),
+         "variances"),
+        (dict(GAUSSIAN_PARAMS, variances=[[1e-4, 4e-4, 9e-4], [1e-4, math.inf, 9e-4]]),
+         "variances"),
+        (dict(SF1_PARAMS, u_max_range=[math.nan, 2.0]), "u_max_range"),
+        (dict(SF1_PARAMS, u_max_range=[1.0, math.inf]), "u_max_range"),
+        (dict(SF1_PARAMS, kind="sf2", u_low=0.5, u_high=1.5, p0=0.7, p1=0.3,
+              spread_range=[0.5, math.nan]), "spread_range"),
+    ], ids=["mean-nan", "mean-inf", "variance-nan", "variance-inf", "u-max-range-nan",
+            "u-max-range-inf", "spread-range-nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, params, field):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 2
+        assert f"error: {field} must hold only finite numbers" in capsys.readouterr().err
         assert not (tmp_path / "o" / "result.json").exists()
 
     def test_identity_check_scales_with_utilities(self, tmp_path):

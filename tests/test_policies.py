@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -580,6 +581,101 @@ def test_last_descent_step_runs_one_max_flow(monkeypatch):
         allocate(pop, params.capacities, 0)
         last_step = len(events) - events[::-1].index("_demand_flow")
         assert events[last_step:] == ["_max_flow"]
+
+
+@pytest.mark.parametrize("seed", sorted(EXPERIMENT2_DIGESTS))
+def test_experiment2_assignments_do_not_depend_on_the_start(seed):
+    # the price sweeps and the descent may reach different optimal duals
+    # from different starts; the tie-resolved assignment must not move
+    params = load_experiment_config("experiment2").params
+    previous: list[int] = []
+    allocate_utilitarian(params.sample(seed - 1), params.capacities, _dual=previous)
+    pop = params.sample(seed)
+    for start in ([], previous, [10**12, 0, 7]):
+        alloc = allocate_utilitarian(pop, params.capacities, _dual=list(start))
+        digest = hashlib.sha256(alloc.assignment.astype("<i8").tobytes()).hexdigest()
+        assert digest == EXPERIMENT2_DIGESTS[seed], start
+
+
+def test_experiment2_descent_steps(monkeypatch):
+    # one descent step (one set of demand sets) reads each replication's
+    # start, and after the price sweeps one more certifies the optimum; the
+    # descent alone took 89 steps here
+    steps = []
+    real = policies._distinct_rows
+
+    def recorded(allowed):
+        steps.append(None)
+        return real(allowed)
+
+    monkeypatch.setattr(policies, "_distinct_rows", recorded)
+    params = load_experiment_config("experiment2").params
+    allocate = compile_spec(PolicySpec("utilitarian"))
+    for seed in range(7, 27):
+        allocate(params.sample(seed), params.capacities, 0)
+    assert len(steps) <= 45
+
+
+def dual_value(w, caps, prices):
+    """The transport dual f at ``prices``, in Python ints."""
+    best = (w - np.array(prices, dtype=np.int64)).max(axis=1)
+    return sum(best.tolist()) + sum(c * q for c, q in zip(caps.tolist(), prices))
+
+
+@st.composite
+def sweep_instances(draw):
+    """Weights over a few levels or a wide range for N <= 60 individuals and
+    K <= 13 services, capacities (zeros allowed, each at most N) that sum to
+    N or to more, and a cold start or one of random prices."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 13))
+    span = draw(st.sampled_from([3, 10**7]))
+    w = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(-span, span)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+    caps = np.diff([0, *cuts, n])
+    if draw(st.booleans()):  # more capacity than individuals
+        extra = draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+        caps = np.minimum(caps + extra, n)
+    p0 = draw(st.one_of(st.none(), st.lists(st.integers(0, 3 * span), min_size=k, max_size=k),
+                        st.lists(st.integers(0, 2**40), min_size=k, max_size=k)))
+    return w, caps.astype(np.int64), p0
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=sweep_instances())
+def test_price_sweeps_only_lower_the_dual(instance):
+    w, caps, p0 = instance
+    values = []  # f before and after each price search
+    sweeps = []  # (start prices, returned prices) of each run of sweeps
+    search, sweep = policies._search_price, policies._coordinate_sweeps
+
+    def recorded_search(wt, other, caps_list, p, j, balanced):
+        if j == 0:  # a sweep starts where the last one ended, shifted or not
+            assert min(p) >= 0
+        before = dual_value(w, caps, p)
+        moved = search(wt, other, caps_list, p, j, balanced)
+        after = dual_value(w, caps, p)
+        assert after < before if moved else after == before
+        values.append((before, after))
+        return moved
+
+    def recorded_sweeps(w_, caps_, p, balanced):
+        out = sweep(w_, caps_, p, balanced)
+        sweeps.append((p.tolist(), out.tolist()))
+        return out
+
+    with mock.patch.object(policies, "_search_price", recorded_search), \
+            mock.patch.object(policies, "_coordinate_sweeps", recorded_sweeps):
+        assignment, prices = policies._solve_transport(w, caps, p0)
+    # a shift between sweeps leaves f as it was
+    assert all(b == a for (_, a), (b, _) in zip(values, values[1:]))
+    if sweeps:  # one run at most, before the first descent step
+        (start, out), = sweeps
+        assert min(out) >= 0
+        assert values[0][0] == dual_value(w, caps, start)
+        assert values[-1][1] == dual_value(w, caps, out)
+    total = policies._certify_transport(w, caps, assignment, prices)
+    assert total == dual_value(w, caps, prices)
 
 
 def demand_flow_reference(member, count, caps):
