@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-_TWO_53 = float(1 << 53)
+_HALF_ULP = 2.0**-54  # half the spacing of the 53-bit grid gen.random draws on
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -43,13 +43,21 @@ def spawn_seed(seed: int, stream: int) -> int:
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     """Uniform draws strictly inside (0, 1); safe for inverse-CDF transforms.
 
-    The top integer, 2**53 - 1, plus one half rounds up to 2**53; that one
-    draw is clamped to the largest double below 1, and no other draw moves.
+    Each draw is ``(m + 0.5) / 2**53`` for a 53-bit integer ``m``, read off
+    ``gen.random``: that returns ``m * 2**-53`` with ``m`` the top 53 bits of
+    one 64-bit output, the same ``m``, from the same outputs, that
+    ``gen.integers(0, 2**53)`` returns (its Lemire bound never rejects, as
+    ``2**64`` is a multiple of ``2**53``). Adding ``2**-54`` rounds exactly as
+    adding 0.5 before the division does, because scaling by a power of two
+    commutes with rounding. The top draw, ``m = 2**53 - 1``, rounds up to 1.0;
+    it is clamped to the largest double below 1, and no other draw moves.
     """
-    u = (gen.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / _TWO_53
+    u = gen.random(size)
+    u += _HALF_ULP
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Standard normal deviates via the inverse normal CDF of uniforms."""
-    return ndtri(uniform_open(gen, size))
+    u = uniform_open(gen, size)
+    return ndtri(u, out=u)

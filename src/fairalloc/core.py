@@ -166,9 +166,14 @@ class Allocation:
 
     def realized(self, pop: Population) -> np.ndarray:
         """Realized utility of every individual under this allocation."""
-        if self.n != pop.n or np.any(self.assignment > pop.k):
+        if self.n != pop.n or self.assignment.max() > pop.k:
             raise ValueError("allocation does not match population shape")
-        return pop.utilities[np.arange(pop.n), self.assignment - 1]
+        # entry (i, k) of the service-major matrix is entry k * N + i of its
+        # flat view, which the transpose's ravel gives without a copy
+        flat = self.assignment - 1
+        flat *= pop.n
+        flat += np.arange(pop.n)
+        return pop.utilities.T.ravel().take(flat)
 
     def is_feasible(self, pop: Population, caps: CapacityVector) -> bool:
         return (
@@ -209,13 +214,6 @@ def envelope(pop: Population) -> UtilityEnvelope:
         delta_u=_freeze(u_max - u_min),
         ratio_r=None if ratio is None else _freeze(ratio),
     )
-
-
-def _group_indices(pop: Population, attribute: str, group_value: int) -> np.ndarray:
-    mask = pop.group_mask(attribute, group_value)
-    if not mask.any():
-        raise EmptyGroupError(f"empty-group: {attribute}={group_value}")
-    return mask
 
 
 def metric_rows(pop: Population, alloc: Allocation) -> dict[str, np.ndarray | None]:
@@ -291,11 +289,19 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
     Raises:
         EmptyGroupError: if either group of the attribute is empty.
     """
-    masks = (_group_indices(pop, attribute, 0), _group_indices(pop, attribute, 1))
-    # one 1-D np.mean per row and group: a 2-D axis reduction sums in another
-    # order and changes the last bits of the written outputs
+    in_group1 = pop.group_mask(attribute, 1)
+    n1 = int(np.count_nonzero(in_group1))
+    sizes = (pop.n - n1, n1)
+    for value, size in enumerate(sizes):
+        if size == 0:
+            raise EmptyGroupError(f"empty-group: {attribute}={value}")
+    masks = (~in_group1, in_group1)
+    # np.mean's arithmetic without its per-call overhead: one 1-D pairwise
+    # sum per row and group, divided by the group size; a 2-D axis reduction
+    # sums in another order and changes the last bits of the written outputs
     means = {
-        name: None if row is None else tuple(float(np.mean(row[m])) for m in masks)
+        name: None if row is None
+        else tuple(float(np.add.reduce(row[m]) / size) for m, size in zip(masks, sizes))
         for name, row in metric_rows(pop, alloc).items()
     }
     mean_delta_u = means.pop("delta_u")

@@ -138,7 +138,7 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     _check_instance(pop, caps)
     slots = np.repeat(np.arange(1, pop.k + 1, dtype=np.int64), caps.capacities)
     gen = generator(seed)
-    return Allocation(slots[gen.permutation(slots.size)][: pop.n])
+    return Allocation(slots[gen.permutation(slots.size)[: pop.n]])
 
 
 def _confined_counts(masks: list[int], k: int) -> np.ndarray:

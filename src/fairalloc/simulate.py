@@ -91,19 +91,23 @@ class GaussianGroupParams:
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
         object.__setattr__(self, "group_sizes", _group_sizes(self.group_sizes))
+        # per-individual tables every sample reads; attributes, not fields,
+        # so equality, repr and the params-file keys stay as they were
+        sizes = list(self.group_sizes)
+        object.__setattr__(self, "_labels", np.repeat(np.array([0, 1], dtype=np.int8), sizes))
+        object.__setattr__(self, "_mu", np.repeat(self.means, sizes, axis=0))
+        object.__setattr__(self, "_sd", np.repeat(np.sqrt(self.variances), sizes, axis=0))
 
     @property
     def k(self) -> int:
         return self.means.shape[1]
 
     def sample(self, seed: int) -> Population:
-        gen = generator(seed)
-        n0, n1 = self.group_sizes
-        labels = np.repeat(np.array([0, 1], dtype=np.int8), [n0, n1])
-        mu = np.repeat(self.means, [n0, n1], axis=0)
-        sd = np.repeat(np.sqrt(self.variances), [n0, n1], axis=0)
-        utilities = mu + sd * standard_normal(gen, (n0 + n1, self.k))
-        return Population(utilities=utilities, groups={self.attribute: labels})
+        # sd * z + mu, one elementwise product and sum each, in place
+        utilities = standard_normal(generator(seed), self._mu.shape)
+        utilities *= self._sd
+        utilities += self._mu
+        return Population(utilities=utilities, groups={self.attribute: self._labels})
 
 
 def _stratified_vectors(
@@ -280,15 +284,20 @@ def _replicate_once(
     deltas = report.deltas
     du0, du1 = report.mean_delta_u
     residual = deltas["improvement"] + deltas["regret"] - (du1 - du0)
-    # exact in real arithmetic; the rounding error grows with the utilities' size
-    if abs(residual) > 1e-9 * max(1.0, float(np.abs(pop.utilities).max())):
+    # exact in real arithmetic; the rounding error grows with the utilities'
+    # size, so the bound is 1e-9 times the largest |utility| but never below
+    # 1e-9, and the utilities are scanned only for a residual past that floor
+    if abs(residual) > 1e-9 and abs(residual) > 1e-9 * float(np.abs(pop.utilities).max()):
         raise RuntimeError(f"additive-identity violation: residual {residual:g}")
     g1 = pop.group_mask(params.attribute, 1)
+    n1 = int(np.count_nonzero(g1))
     best = _first_best(pop.utilities) + 1 == alloc.assignment
+    best1 = int(np.count_nonzero(best & g1))
+    # a mean of 0/1 values is a count over a group size, exactly
     return {
         **{f"delta_{name}": deltas[name] for name in METRICS},
-        "best_service_fraction_group0": float(np.mean(best[~g1])),
-        "best_service_fraction_group1": float(np.mean(best[g1])),
+        "best_service_fraction_group0": (int(np.count_nonzero(best)) - best1) / (pop.n - n1),
+        "best_service_fraction_group1": best1 / n1,
         "mean_delta_u_group0": du0,
         "mean_delta_u_group1": du1,
         "delta_mean_delta_u": du1 - du0,

@@ -221,6 +221,37 @@ class TestBitExactness:
             assert payload[f"delta_{metric}"] == delta
         assert report.multiplicative_defined == positive
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        group1=st.sampled_from(("one", "all-but-one", "any")),
+        signed=st.booleans(),
+    )
+    def test_group_means_are_np_mean_of_each_row(self, n, k, seed, group1, signed):
+        """Each group mean is ``np.mean`` of the row's masked entries, bit for
+        bit, on groups scattered over the population (rows long enough for
+        numpy's pairwise blocks), groups of one member, and populations with a
+        utility <= 0, where gain and shortfall are None."""
+        gen = np.random.default_rng(seed)
+        u = gen.normal(0.5, 0.05, (n, k))
+        if signed:
+            u[gen.integers(n), gen.integers(k)] = -gen.random() if seed % 2 else 0.0
+        n1 = {"one": 1, "all-but-one": n - 1, "any": int(gen.integers(1, n))}[group1]
+        labels = np.zeros(n, dtype=np.int8)
+        labels[gen.permutation(n)[:n1]] = 1
+        pop = Population(u, {"g": labels})
+        alloc = Allocation(gen.integers(1, k + 1, n))
+        report = delta_metrics(pop, alloc, "g")
+        got = {**report.means, "delta_u": report.mean_delta_u}
+        for name, row in metric_rows(pop, alloc).items():
+            if row is None:
+                assert got[name] is None and signed
+                continue
+            expected = [np.float64(np.mean(row[labels == value])) for value in (0, 1)]
+            assert same_bits(np.array(got[name]), np.array(expected))
+
 
 @st.composite
 def instances(draw, positive=False, max_n=24, max_k=4):

@@ -4,6 +4,7 @@ stylized-framework verification harnesses."""
 import dataclasses
 import functools
 import multiprocessing as mp
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -31,7 +32,7 @@ from fairalloc.simulate import (
     sf1_identity,
     sf2_identity,
 )
-from fairalloc._rng import spawn_seed, standard_normal, uniform_open
+from fairalloc._rng import generator, spawn_seed, standard_normal, uniform_open
 
 
 def exp1_params(n_per_group=300, caps=None):
@@ -55,15 +56,15 @@ def exp2_params(n_per_group=300):
 
 
 class _StubGenerator:
-    """Stands in for ``np.random.Generator``: ``integers`` returns ``high``
-    minus each of the given offsets."""
+    """Stands in for ``np.random.Generator``: ``random`` returns ``m * 2**-53``
+    for each 53-bit integer ``m = 2**53`` minus one of the given offsets."""
 
     def __init__(self, *offsets):
         self.offsets = np.array(offsets, dtype=np.int64)
 
-    def integers(self, low, high, size=None):
+    def random(self, size=None):
         assert size == self.offsets.size
-        return high - self.offsets
+        return ((1 << 53) - self.offsets).astype(np.float64) * 2.0**-53
 
 
 class TestUniformOpen:
@@ -79,6 +80,19 @@ class TestUniformOpen:
         u = uniform_open(_StubGenerator(*offsets), len(offsets))
         assert u.tolist() == expected.tolist()
         assert 0.0 < u.min() and u.max() < 1.0
+
+    @pytest.mark.parametrize("size", [1, 7, (3000, 3)])
+    def test_matches_the_integer_formula(self, size):
+        """``gen.random`` plus 2**-54 gives the bits of (m + 0.5) / 2**53
+        for ``m = gen.integers(0, 2**53)``, from the same generator outputs."""
+        below_one = np.nextafter(1.0, 0.0)
+        for seed in range(200):
+            by_random, by_integers = generator(seed), generator(seed)
+            u = uniform_open(by_random, size)
+            m = by_integers.integers(0, 1 << 53, size=size)
+            expected = np.minimum((m + 0.5) / float(1 << 53), below_one)
+            assert u.dtype == expected.dtype and u.tobytes() == expected.tobytes()
+            assert by_random.bit_generator.state == by_integers.bit_generator.state
 
 
 class TestGaussianSampler:
@@ -114,6 +128,19 @@ class TestGaussianSampler:
         a, b = params.sample(9), params.sample(9)
         assert np.array_equal(a.utilities, b.utilities)
         assert not np.array_equal(a.utilities, params.sample(10).utilities)
+
+    def test_pickled_params_sample_the_same_bytes(self):
+        # pool workers receive the params pickled, with the tables built once
+        params = exp2_params(150)
+        received = pickle.loads(pickle.dumps(params))
+        for seed in (0, 7):
+            expected = exp2_params(150).sample(seed).utilities.tobytes()
+            for pop in (params.sample(seed), received.sample(seed)):
+                assert pop.utilities.tobytes() == expected
+                labels = pop.groups["group"]
+                assert labels.tolist() == [0] * 150 + [1] * 150
+                assert not np.shares_memory(labels, params._labels)
+                assert not np.shares_memory(labels, received._labels)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -377,6 +404,24 @@ class TestMutationSanity:
         assert not outcome.passed
         with pytest.raises(RuntimeError, match="additive-identity"):
             run_experiment(exp1_params(50, caps=[40, 40, 40]), PolicySpec("random"), 3, 0)
+
+    def test_identity_bound_scales_with_the_utilities(self, monkeypatch):
+        import fairalloc.simulate as sim
+
+        true_delta_metrics = sim.delta_metrics
+
+        def off_by_3e_9(pop, alloc, attribute):
+            report = true_delta_metrics(pop, alloc, attribute)
+            r0, r1 = report.means["regret"]
+            return dataclasses.replace(report, means={**report.means, "regret": (r0, r1 + 3e-9)})
+
+        monkeypatch.setattr(sim, "delta_metrics", off_by_3e_9)
+        small = exp1_params(50, caps=[40, 40, 40])  # every |utility| < 1: the bound is 1e-9
+        with pytest.raises(RuntimeError, match="additive-identity"):
+            run_experiment(small, PolicySpec("random"), 3, 0)
+        # utilities near 2-6: the bound is 1e-9 times the largest, above 3e-9
+        large = dataclasses.replace(small, means=small.means * 10.0)
+        assert run_experiment(large, PolicySpec("random"), 3, 0).replications == 3
 
 
 class TestGroupPriority:
