@@ -91,10 +91,10 @@ def load_json(path_or_preset: str) -> Any:
 
 def expect(value, kind: str, field: str):
     """Return ``value`` if it is a JSON ``kind``: "object", "array", "number",
-    "integer" or "string". ``kind[]`` is an array of ``kind`` items and
-    ``kind[n]`` an array of exactly n; for these a list of the items is
-    returned, so "number[][]" reads a matrix row by row. A boolean is never
-    a number or an integer.
+    "integer", "int64" (an integer in the int64 range) or "string".
+    ``kind[]`` is an array of ``kind`` items and ``kind[n]`` an array of
+    exactly n; for these a list of the items is returned, so "number[][]"
+    reads a matrix row by row. A boolean is never a number or an integer.
 
     Raises:
         SchemaMismatchError: naming ``field`` (or the item, as
@@ -108,11 +108,26 @@ def expect(value, kind: str, field: str):
                 f"schema-mismatch: {field} must be a JSON array of {size} items, not {len(items)}"
             )
         return [expect(v, item, f"{field}[{i}]") for i, v in enumerate(items)]
+    if kind == "int64":
+        if not -(2**63) <= expect(value, "integer", field) < 2**63:
+            raise SchemaMismatchError(f"schema-mismatch: {field} is outside the int64 range")
+        return value
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise SchemaMismatchError(
             f"schema-mismatch: {field} must be a JSON {kind}, not {type(value).__name__}"
         )
     return value
+
+
+def required(data: Mapping[str, Any], key: str, owner: str):
+    """``data[key]``.
+
+    Raises:
+        SchemaMismatchError: naming ``owner`` and ``key`` if the key is missing.
+    """
+    if key not in data:
+        raise SchemaMismatchError(f"schema-mismatch: {owner} missing field {key!r}")
+    return data[key]
 
 
 @dataclass(frozen=True)

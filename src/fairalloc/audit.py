@@ -15,7 +15,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._io import CsvColumns, csv_text, dump_json, expect, read_csv, write_text_atomic
+from ._io import (
+    CsvColumns, csv_text, dump_json, expect, read_csv, required, write_text_atomic,
+)
 from .core import (
     Allocation,
     FairnessReport,
@@ -103,25 +105,25 @@ class AuditSchema:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AuditSchema":
         expect(data, "object", "audit config")
-        services = expect(data["services"], "object[]", "services")
+        services = expect(required(data, "services", "audit config"), "object[]", "services")
         groups = expect(data.get("groups", {}), "object", "groups")
         pairs = expect(data.get("pairs", []), "object[]", "pairs")
+
+        def text(item: Mapping[str, Any], key: str, owner: str) -> str:
+            return expect(required(item, key, owner), "string", f"{owner}.{key}")
+
         return cls(
             services=tuple(
-                (expect(s["name"], "string", f"services[{i}].name"),
-                 expect(s["column"], "string", f"services[{i}].column"))
+                (text(s, "name", f"services[{i}]"), text(s, "column", f"services[{i}]"))
                 for i, s in enumerate(services)
             ),
-            observed_column=expect(data["observed"], "string", "observed"),
+            observed_column=expect(required(data, "observed", "audit config"), "string",
+                                   "observed"),
             group_columns={
                 attr: expect(column, "string", f"groups.{attr}") for attr, column in groups.items()
             },
             pairs=tuple(
-                GroupPair(
-                    name=expect(p["name"], "string", f"pairs[{i}].name"),
-                    group1=expect(p["group1"], "string", f"pairs[{i}].group1"),
-                    group0=expect(p["group0"], "string", f"pairs[{i}].group0"),
-                )
+                GroupPair(*(text(p, key, f"pairs[{i}]") for key in ("name", "group1", "group0")))
                 for i, p in enumerate(pairs)
             ),
             id_column=expect(data.get("id", "id"), "string", "id"),

@@ -6,25 +6,28 @@ integer service prices, which yields an optimal assignment and an optimal
 dual. Among all utility-maximizing assignments it deterministically returns
 the lexicographically least one, recovered from that dual: every optimal
 assignment uses only zero-reduced-cost arcs and fills every service with a
-positive price, so a greedy first-fit with a Hall-type feasibility check
-walks straight to the lexicographic minimum. The walk moves by runs of
-consecutive individuals with the same allowed services, fixing at each
-service as many of a run as it can take in one step.
+positive price. Starting from the solver's own assignment, a walk fixes the
+individuals in order, each at its least service that leaves a feasible
+completion, found by augmenting paths on the K services and one slack node.
+The walk moves by runs of consecutive individuals with the same allowed
+services, fixing at each service as many of a run as it can take.
 
-``scipy.optimize`` and ``scipy.sparse`` are imported on the first LP
-feasibility probe, which only tie resolution over more than
-``_MAX_SUBSET_K`` services makes; importing the package does not load them.
+No LP is solved. ``linprog``, ``_completion_feasible_hall`` and
+``_completion_feasible_lp`` are the earlier tie resolver's feasibility
+checks; the package no longer calls them, and they stay only because the
+benchmark's layer tracer (``perfbench/tracing.py``) wraps them and the tests
+use them as references. ``linprog`` imports ``scipy.optimize`` on its first
+call, so importing or running the package does not load it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ._io import expect
+from ._io import expect, required
 from ._rng import check_seed, generator, spawn_seed
 from .core import Allocation, CapacityVector, Population, _first_best, _reduce_services
 from .errors import InfeasibleError
@@ -40,12 +43,6 @@ KIND_MIXTURE = "mixture"
 KIND_BEST = "assign-best-ignoring-capacity"
 KIND_WORST = "assign-worst-ignoring-capacity"
 KINDS = (KIND_UTILITARIAN, KIND_RANDOM, KIND_MIXTURE, KIND_BEST, KIND_WORST)
-
-# Hall-style subset enumeration is exponential in K; beyond this many services
-# tie resolution finds how many members of a run a service can take by a
-# binary search over LP feasibility probes.
-_MAX_SUBSET_K = 12
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -101,7 +98,7 @@ class PolicySpec:
         expect(data, "object", "policy")
         children = data.get("children")
         return cls(
-            kind=expect(data["kind"], "string", "policy kind"),
+            kind=expect(required(data, "kind", "policy"), "string", "policy kind"),
             seed=data.get("seed"),
             lam=data.get("lambda"),
             children=None if children is None else tuple(
@@ -141,33 +138,8 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     return Allocation(slots[gen.permutation(slots.size)[: pop.n]])
 
 
-def _confined_counts(masks: list[int], k: int) -> np.ndarray:
-    """Entry S (service j is bit j) counts the masks that lie inside S."""
-    confined = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << k)
-    # subset-sum transform, one service bit at a time: the subsets holding
-    # service j gain the counts of the same subsets without it
-    for j in range(k):
-        view = _split_by_service(confined, j)
-        view[:, 1] += view[:, 0]
-    return confined
-
-
-def _split_by_service(table: np.ndarray, j: int) -> np.ndarray:
-    """A view of a table over the service subsets (service j is bit j) in
-    which ``[:, 0]`` holds the subsets without service j and ``[:, 1]`` the
-    same subsets with it."""
-    return table.reshape(-1, 2, 1 << j)
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """Entry S (service j is bit j) holds the sum of ``values`` over S, built
-    by doubling: the subsets holding service j are those without it, plus j."""
-    sums = np.zeros(1, dtype=np.int64)
-    for v in values.tolist():
-        sums = np.concatenate((sums, sums + v))
-    return sums
-
-
+# The earlier tie resolver's feasibility checks, which the package no longer
+# calls (see the module docstring).
 def _completion_feasible_hall(confined: np.ndarray, need: np.ndarray, room: np.ndarray) -> bool:
     """Feasibility of assigning the remaining individuals so every service
     fill lands in its bounds, by the Hall/Hoffman conditions over all service
@@ -216,127 +188,182 @@ def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarr
     return res.status == 0
 
 
-def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndarray) -> np.ndarray:
-    """Lexicographically least assignment using only allowed (i, k) pairs with
-    service fills in [mandatory_k, caps_k]. Assumes at least one such
-    assignment exists.
+def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndarray,
+                       start: np.ndarray) -> np.ndarray:
+    """Lexicographically least assignment, 1-based, using only allowed (i, k)
+    pairs with service fills in [mandatory_k, caps_k], reached from ``start``:
+    a 0-based assignment that already keeps to those bounds.
 
-    An individual with one allowed service takes it in every such assignment,
-    so all of them are placed up front from one count. The individuals with
-    a choice are walked in order, by runs of consecutive ones with the same
-    allowed set. Members of a run are interchangeable, so each takes a
-    service no lower than the one before: were a later member able to take a
-    lower service, swapping it with an earlier one would be feasible too. A
-    run therefore visits its services in ascending order, and at each fixes
-    at once the most of its remaining members that the service can take
-    while leaving a feasible completion. Up to ``_MAX_SUBSET_K`` services
-    that count is read off subset tables kept current as members are fixed,
-    and each move is confirmed by the Hall test; beyond, it is a binary
-    search over LP probes, since a completion that takes t members also
-    takes fewer.
+    The walk keeps a working assignment, ``start`` at first, feasible
+    throughout. An individual with one allowed service keeps it. The
+    individuals with a choice are walked in order, by runs of consecutive
+    ones with the same allowed set. Members of a run are interchangeable, so
+    each takes a service no lower than the one before: were a later member
+    able to take a lower service, swapping it with an earlier one would be
+    feasible too. A run therefore visits its services in ascending order, and
+    at each fixes the most of its remaining members that the service can hold
+    in a feasible completion.
+
+    The take at a service grows by augmenting paths on K + 1 nodes, the
+    services and a slack node T, with an edge x -> y while some unfixed
+    individual at x is allowed at y, x -> T while x has room, and T -> y
+    while y is above its mandatory fill. A path from the service to another
+    that holds an unfixed individual of the run's set, closed by that
+    individual's move back to the service, is a cycle in the residual network
+    of the working assignment; moving its bottleneck count keeps every bound
+    and leaves the run's individuals already at the service in place. When no
+    path is left, no feasible completion puts more of them there (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993). The edge counts live in a K x K
+    matrix kept current on every move, so a search costs O(K^2) however many
+    distinct allowed sets there are.
+
+    Raises:
+        RuntimeError: if ``start`` uses a pair that is not allowed or breaks a
+            service's bounds, or if no feasible completion is left.
     """
     n, k = allowed.shape
-    out = _first_best(allowed) + 1
-    choice = allowed.sum(axis=1) > 1
-    assigned = np.bincount(out[~choice] - 1, minlength=k)
-    multi = np.flatnonzero(choice)
-    # allowed sets as Python-int bitmasks (service k is bit k), exact for any K
-    rows = np.packbits(allowed[multi], axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    hall = k <= _MAX_SUBSET_K
-    if hall:
-        # the Hall tables over the 2^K service subsets, built once and then
-        # moved by one batch of run members at a time
-        subsets = np.arange(1 << k)
-        confined = _confined_counts(masks, k)
-        room = _subset_sums(caps - assigned)
-        need = _subset_sums(np.maximum(mandatory - assigned, 0))
-    else:
-        counts: dict[int, int] = {}
-        for m in masks:
-            counts[m] = counts.get(m, 0) + 1
+    if not allowed[np.arange(n), start].all():
+        raise RuntimeError("internal: tie resolution start uses a pair that is not allowed")
+    fill = np.bincount(start, minlength=k)
+    if np.any(fill > caps) or np.any(fill < mandatory):
+        raise RuntimeError("internal: tie resolution start breaks a service's bounds")
+    out = start + 1
+    multi = np.flatnonzero(allowed.sum(axis=1) > 1)
+    if not multi.size:
+        return out
+    member, _, key = _distinct_rows(allowed[multi])
+    # each one's allowed set: its key's rank among the keys present
+    ids = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+    d = len(member)
+    held = np.bincount(ids * k + start[multi], minlength=d * k).reshape(d, k)
+    sets: list[list[int]] = [[] for _ in range(d)]  # the services of each set
+    for s, j in zip(*(a.tolist() for a in np.nonzero(member))):
+        sets[s].append(j)
+    masks = [sum(1 << j for j in js) for js in sets]
+    at: list[dict[int, int]] = [{} for _ in range(k)]  # at[x][s]: unfixed of set s at x
+    edges = [0] * k  # edges[x]: bit y set while reach[x][y] > 0
+    rows, cols = np.nonzero(held)
+    for s, x, c in zip(rows.tolist(), cols.tolist(), held[rows, cols].tolist()):
+        at[x][s] = c
+        edges[x] |= masks[s]
+    reach = (held.T @ member).tolist()  # reach[x][y]: unfixed ones at x allowed at y
+    room = (caps - fill).tolist()
+    spare = (fill - mandatory).tolist()
+    slack = k  # the node T
 
-    start = 0
-    for m, run in itertools.groupby(masks):
-        left = sum(1 for _ in run)
-        if hall:
-            common = subsets & m
-            inside = common == m  # the subsets that confine the run
-            meets = common != 0  # the subsets the run can serve
-            spare = slack = None
-        for kk in range(k):
-            if not (m >> kk & 1) or assigned[kk] >= caps[kk]:
-                continue
-            if hall:
-                # Fixing t members at kk takes t places from every subset S
-                # holding kk. Where S also confines the run, t of its
-                # confined individuals leave with them, so only the other
-                # such subsets bound t, by their spare room beyond the
-                # individuals confined to them. It also takes t individuals
-                # from every S the run meets, so those bound t by their
-                # slack, the individuals that can serve S beyond the places
-                # owed to it; where S holds kk, up to the places still owed
-                # to kk are paid with them. The largest t within every bound
-                # keeps a feasible completion; n stands for no bound, as
-                # t <= n.
-                if spare is None:  # the tables moved since last read
-                    spare = np.where(inside, n, room - confined)
-                    slack = np.where(meets, confined[-1] - confined[::-1] - need, n)
-                owed = max(int(mandatory[kk] - assigned[kk]), 0)
-                free, short = _split_by_service(spare, kk), _split_by_service(slack, kk)
-                t = min(left, owed + int(short[:, 1].min()), int(free[:, 1].min()),
-                        int(short[:, 0].min()))
-                if t:
-                    confined[inside] -= t
-                    _split_by_service(room, kk)[:, 1] -= t
-                    _split_by_service(need, kk)[:, 1] -= min(t, owed)
-                    if not _completion_feasible_hall(confined, need, room):
-                        raise RuntimeError("internal: tie resolution left no feasible completion")
-                    spare = None
+    def move(s: int, x: int, y: int, count: int):
+        """Moves ``count`` unfixed individuals of set s from x to y; fixes
+        them at x when y < 0."""
+        if at[x][s] == count:
+            del at[x][s]
+        else:
+            at[x][s] -= count
+        row = reach[x]
+        for j in sets[s]:
+            row[j] -= count
+            if not row[j]:
+                edges[x] &= ~(1 << j)
+        if y >= 0:
+            at[y][s] = at[y].get(s, 0) + count
+            row = reach[y]
+            for j in sets[s]:
+                row[j] += count
+            edges[y] |= masks[s]
+
+    def augment(s: int, kk: int, want: int) -> int:
+        """Moves up to ``want`` more unfixed individuals of set s to kk along
+        one augmenting path; returns how many (0: there is no path)."""
+        targets = 0
+        for y in sets[s]:
+            if y != kk and s in at[y]:
+                targets |= 1 << y
+        if not targets:
+            return 0
+        own = at[kk].get(s, 0)  # they stay: only the other individuals leave kk
+        first = edges[kk]
+        if own:
+            for j in sets[s]:
+                if reach[kk][j] == own:
+                    first &= ~(1 << j)
+        pred = {}
+        seen = 1 << kk
+        queue = [kk]
+        hit = -1
+        for x in queue:  # grows while it is walked
+            if x == slack:
+                nxt = sum(1 << y for y in range(k) if spare[y] > 0) & ~seen
             else:
-                t = _lp_fit(counts, m, kk, min(left, int(caps[kk] - assigned[kk])),
-                            assigned, caps, mandatory)
-                counts[m] -= t
-                if counts[m] == 0:
-                    del counts[m]
-            assigned[kk] += t
-            out[multi[start : start + t]] = kk + 1
-            start += t
-            left -= t
-            if not left:
+                nxt = (first if x == kk else edges[x]) & ~seen
+                if room[x] > 0 and not seen >> slack & 1:
+                    nxt |= 1 << slack
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                y = low.bit_length() - 1
+                pred[y] = x
+                if targets & low:
+                    hit = y
+                    break
+                queue.append(y)
+            if hit >= 0:
                 break
         else:
-            raise RuntimeError("internal: no feasible completion during tie resolution")
-    return out
+            return 0
+        delta, y = min(want, at[hit][s]), hit
+        while y != kk:
+            x = pred[y]
+            if x == slack:
+                delta = min(delta, spare[y])
+            elif y == slack:
+                delta = min(delta, room[x])
+            else:
+                delta = min(delta, reach[x][y] - (own if x == kk and masks[s] >> y & 1 else 0))
+            y = x
+        y = hit
+        while y != kk:  # from the end back, so each hop moves from where it was
+            x = pred[y]
+            if x == slack:
+                spare[y] -= delta
+                room[y] += delta
+            elif y == slack:
+                room[x] -= delta
+                spare[x] += delta
+            else:
+                need = delta
+                for s2, c in list(at[x].items()):
+                    if masks[s2] >> y & 1 and not (x == kk and s2 == s):
+                        step = min(c, need)
+                        move(s2, x, y, step)
+                        need -= step
+                        if not need:
+                            break
+            y = x
+        move(s, hit, kk, delta)
+        return delta
 
-
-def _lp_fit(counts: dict[int, int], m: int, kk: int, top: int, assigned: np.ndarray,
-            caps: np.ndarray, mandatory: np.ndarray) -> int:
-    """The most members of the run of allowed set ``m``, at most ``top``, that
-    service ``kk`` can take with a feasible completion left, by LP probes:
-    the top count first, then a binary search below it."""
-
-    def fits(t: int) -> bool:
-        rest = dict(counts)
-        rest[m] -= t
-        if rest[m] == 0:
-            del rest[m]
-        fill = assigned.copy()
-        fill[kk] += t
-        return _completion_feasible_lp(
-            rest, np.maximum(mandatory - fill, 0), caps - fill, len(caps)
-        )
-
-    if fits(top):
-        return top
-    lo, hi = 0, top - 1  # fits(lo) holds: taking none leaves the current completion
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    fixed, counts = [], []  # the services fixed in order, and how many at each
+    for s, left in zip(ids[bounds[:-1]].tolist(), np.diff(bounds).tolist()):
+        for kk in sets[s]:
+            take = at[kk].get(s, 0)
+            while take < left:
+                grown = augment(s, kk, left - take)
+                if not grown:
+                    break
+                take += grown
+            t = min(left, take)
+            if t:
+                move(s, kk, -1, t)
+                fixed.append(kk + 1)
+                counts.append(t)
+                left -= t
+                if not left:
+                    break
         else:
-            hi = mid - 1
-    return lo
+            raise RuntimeError("internal: no feasible completion during tie resolution")
+    out[multi] = np.repeat(fixed, counts)
+    return out
 
 
 def _max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.ndarray,
@@ -730,10 +757,10 @@ def allocate_utilitarian(
     w = w.astype(np.int64)
 
     # no service can take more than N, so the feasible set is the same and no
-    # int64 sum of capacities (here or in the Hall probes) can wrap
+    # int64 sum of capacities can wrap
     cap = np.minimum(caps.capacities, n)
     p0 = _dual if _dual is not None and len(_dual) == pop.k else None
-    _, prices = _solve_transport(w, cap, p0)
+    solved, prices = _solve_transport(w, cap, p0)
     if _dual is not None:
         _dual[:] = prices
 
@@ -741,11 +768,12 @@ def allocate_utilitarian(
     # the optimal assignments are exactly those using zero-reduced-cost arcs,
     # w_ik - p_k == max_k(w_ik - p_k), that fill every service priced above 0
     # (complementary slackness, which holds for every optimal dual alike).
+    # The solver's own assignment is one of them and starts the tie walk.
     p = np.array(prices, dtype=np.int64)
     surplus = w - p
     allowed = surplus == _reduce_services(np.maximum, surplus)[:, None]
     mandatory = np.where(p > 0, cap, 0)
-    assignment = _lex_least_allowed(allowed, cap.copy(), mandatory)
+    assignment = _lex_least_allowed(allowed, cap, mandatory, solved)
     _certify_transport(w, cap, assignment - 1, prices)
     return Allocation(assignment)
 

@@ -13,7 +13,7 @@ from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ._io import expect, load_json
+from ._io import expect, load_json, required
 from ._rng import check_seed, generator, spawn_seed, standard_normal, uniform_open
 from .core import (
     METRICS,
@@ -620,18 +620,18 @@ class ExperimentConfig:
 # be left out, and keys not listed here are ignored.
 _POPULATION_KINDS: dict[str, tuple[type, dict[str, str]]] = {
     "gaussian": (GaussianGroupParams, {
-        "means": "number[][]", "variances": "number[][]", "group_sizes": "integer[2]",
-        "capacities": "integer[]", "attribute": "string",
+        "means": "number[][]", "variances": "number[][]", "group_sizes": "int64[2]",
+        "capacities": "int64[]", "attribute": "string",
     }),
     "sf1": (SF1Params, {
         "r_high": "number", "r_low": "number", "pi0": "number", "pi1": "number",
-        "group_sizes": "integer[2]", "capacities": "integer[]",
-        "u_max_range": "number[2]", "k": "integer",
+        "group_sizes": "int64[2]", "capacities": "int64[]",
+        "u_max_range": "number[2]", "k": "int64",
     }),
     "sf2": (SF2Params, {
         "u_low": "number", "u_high": "number", "p0": "number", "p1": "number",
-        "group_sizes": "integer[2]", "capacities": "integer[]",
-        "spread_range": "number[2]", "k": "integer",
+        "group_sizes": "int64[2]", "capacities": "int64[]",
+        "spread_range": "number[2]", "k": "int64",
     }),
 }
 
@@ -645,7 +645,7 @@ def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
     cls, keys = _POPULATION_KINDS[kind]
     optional = {f.name for f in fields(cls) if f.default is not MISSING}
     args = {
-        key: expect(data[key], json_type, key)
+        key: expect(required(data, key, "params"), json_type, key)
         for key, json_type in keys.items()
         if key in data or key not in optional
     }

@@ -405,6 +405,36 @@ def test_wrong_shaped_config_exits_2(tmp_path, capsys, command, config, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {k: v for k, v in GAUSSIAN_PARAMS.items() if k != "capacities"},
+     "params missing field 'capacities'"),
+    ("simulate", {k: v for k, v in SF1_PARAMS.items() if k != "r_high"},
+     "params missing field 'r_high'"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={}), "policy missing field 'kind'"),
+    ("simulate", dict(GAUSSIAN_PARAMS, policy={
+        "kind": "mixture", "lambda": 0.5, "children": [{"kind": "random"}, {"seed": 1}],
+    }), "policy missing field 'kind'"),
+    ("audit", {k: v for k, v in TRADEOFF_SCHEMA.items() if k != "services"},
+     "audit config missing field 'services'"),
+    ("audit", {k: v for k, v in TRADEOFF_SCHEMA.items() if k != "observed"},
+     "audit config missing field 'observed'"),
+    ("audit", dict(TRADEOFF_SCHEMA, services=[{"name": "TH"}, *TRADEOFF_SCHEMA["services"][1:]]),
+     "services[0] missing field 'column'"),
+    ("audit", dict(TRADEOFF_SCHEMA, pairs=[{"name": "children", "group1": "children"}]),
+     "pairs[0] missing field 'group0'"),
+], ids=["capacities", "sf1-r-high", "policy-kind", "child-kind", "services", "observed",
+        "service-column", "pair-group0"])
+def test_missing_field_exits_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    data = tmp_path / "data.csv"
+    export_csv(build_tradeoff_dataset(), str(data), AuditSchema.from_dict(TRADEOFF_SCHEMA))
+    option = {"simulate": ["--params"], "audit": ["--data", str(data), "--config"]}[command]
+    assert run_cli(command, *option, str(path), "--output-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: schema-mismatch: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--params", "experiment1", "--reps", "2"],
     ["check"],
@@ -525,17 +555,32 @@ class TestSimulate:
          "overflow encountered"),
         ({"kind": "sf1", "r_high": 0.9, "r_low": 5e-324, "pi0": 0.6, "pi1": 0.4},
          "overflow encountered"),
-        ({"capacities": [10**30, 20, 20]}, "int too large"),
+        ({"capacities": [10**30, 20, 20]},
+         "error: schema-mismatch: capacities[0] is outside the int64 range"),
+        ({"capacities": [9223372036854775808, 80, 80]},
+         "error: schema-mismatch: capacities[0] is outside the int64 range"),
+        ({"group_sizes": [50, 18446744073709551616]},
+         "error: schema-mismatch: group_sizes[1] is outside the int64 range"),
         ({"base_seed": -3}, "error: base_seed must be >= 0, got -3"),
         ({"policy": {"kind": "random", "seed": -5}}, "error: policy seed must be >= 0, got -5"),
-    ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "negative-base-seed",
-            "negative-policy-seed"])
+    ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "capacity-past-int64",
+            "group-size-past-int64", "negative-base-seed", "negative-policy-seed"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
         assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "convert to C long" not in err
         assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64, 10**30])
+    def test_seed_past_int64_runs(self, tmp_path, seed):
+        # seeds feed numpy's SeedSequence, which takes any integer >= 0
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, base_seed=seed,
+                                        policy={"kind": "random", "seed": seed})))
+        assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 0
 
     # json reads NaN and Infinity; each is refused by its field before sampling
     @pytest.mark.parametrize("params, field", [

@@ -1,8 +1,8 @@
-"""What importing the package loads, checked in fresh interpreters:
-``scipy.optimize`` and ``scipy.sparse`` stay unloaded until the first LP
-feasibility probe, and that probe still imports them and resolves ties.
-(The other test modules import ``scipy.optimize`` themselves, so only a
-separate process can see what the package alone loads.)"""
+"""What importing the package and solving load, checked in fresh
+interpreters: ``scipy.optimize`` and ``scipy.sparse`` stay unloaded on
+import, and a tie-heavy solve resolves its ties without loading them. (The
+other test modules import ``scipy.optimize`` themselves, so only a separate
+process can see what the package alone loads.)"""
 
 import csv
 import os
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fairalloc
-from fairalloc import CapacityVector, Population, allocate_utilitarian, policies
+from tie_oracle import utilitarian_oracle
 
 LAZY = ("scipy.optimize", "scipy.sparse")
 
@@ -38,9 +38,10 @@ def test_import_leaves_lp_modules_unloaded(module):
     assert out.split() == []
 
 
-def test_solve_beyond_subset_k_imports_lp_on_first_probe(tmp_path, monkeypatch):
-    # K=13 ties go through the LP probe, one of which rejects; the in-process
-    # Hall tables, with the cut-off raised to 13, give the oracle assignment
+def test_tie_heavy_solve_loads_no_lp_modules(tmp_path):
+    # K=13 ties, past the 2^K Hall tables' reach: the residual walk needs no
+    # LP; the oracle's Hall tables, with the cut-off raised to 13, give the
+    # assignment on the solver's arcs
     rng = np.random.default_rng(2)
     n, k = 40, 13
     utilities = rng.integers(0, 3, (n, k)) / 2.0
@@ -59,10 +60,7 @@ def test_solve_beyond_subset_k_imports_lp_on_first_probe(tmp_path, monkeypatch):
         "solve", "--population", str(path), "--capacities", ",".join(map(str, caps)),
         "--output-dir", str(out),
     )
-    assert stdout.splitlines()[-1] == "0 True True"
+    assert stdout.splitlines()[-1] == "0 False False"
     with open(out / "allocation.csv", newline="") as fh:
         solved = [int(row["service"]) for row in csv.DictReader(fh)]
-
-    monkeypatch.setattr(policies, "_MAX_SUBSET_K", k)
-    by_hall = allocate_utilitarian(Population(utilities), CapacityVector(caps))
-    assert solved == by_hall.assignment.tolist()
+    assert solved == utilitarian_oracle(utilities, caps, max_subset_k=k).tolist()

@@ -35,6 +35,7 @@ from fairalloc import (
 from fairalloc.cli import load_population_csv
 from fairalloc.core import _first_best
 from fairalloc.simulate import load_experiment_config
+from tie_oracle import confined_counts, lex_least_hall_lp, subset_sums, utilitarian_oracle
 
 
 def enumerate_optimal(utilities, caps, scale=1e7):
@@ -208,20 +209,27 @@ def lex_least_loop(allowed, caps, mandatory):
     return out
 
 
-def lex_least_under_dual(w, caps, prices):
-    """The lexicographically least assignment that complementary slackness
-    allows under the optimal dual ``prices``."""
+def arcs_under_dual(w, caps, prices):
+    """The (allowed, mandatory) pairs and fills that complementary slackness
+    leaves every optimal assignment under the optimal dual ``prices``."""
     surplus = w - np.array(prices)
     allowed = surplus == surplus.max(axis=1, keepdims=True)
-    mandatory = np.where(np.array(prices) > 0, caps, 0)
-    return policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+    return allowed, np.where(np.array(prices) > 0, caps, 0)
+
+
+def lex_least_under_dual(w, caps, prices, start):
+    """The lexicographically least assignment that complementary slackness
+    allows under the optimal dual ``prices``, walked from the optimal
+    assignment ``start``."""
+    allowed, mandatory = arcs_under_dual(w, caps, prices)
+    return policies._lex_least_allowed(allowed, caps, mandatory, start)
 
 
 @st.composite
 def tie_structures(draw):
-    """(allowed, caps, mandatory) around a hidden feasible assignment: extra
-    allowed arcs, spare capacity (zero where unused) and lower bounds up to
-    its fills; K <= 8."""
+    """(allowed, caps, mandatory, hidden) around a hidden feasible 0-based
+    assignment: extra allowed arcs, spare capacity (zero where unused) and
+    lower bounds up to its fills; K <= 8."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 8))
     hidden = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
@@ -231,15 +239,16 @@ def tie_structures(draw):
     fills = np.bincount(hidden, minlength=k)
     caps = fills + np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
     full = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
-    return allowed, caps, np.where(full, fills, 0)
+    return allowed, caps, np.where(full, fills, 0), hidden
 
 
 @st.composite
 def tie_runs(draw):
-    """(allowed, caps, mandatory) whose allowed sets come from a palette of
-    one to three masks, sorted or shuffled, so that runs of consecutive equal
-    sets are long; around a hidden feasible assignment, with zero capacities
-    and lower bounds up to its fills allowed; K <= 8."""
+    """(allowed, caps, mandatory, hidden) whose allowed sets come from a
+    palette of one to three masks, sorted or shuffled, so that runs of
+    consecutive equal sets are long; around a hidden feasible 0-based
+    assignment, with zero capacities and lower bounds up to its fills
+    allowed; K <= 8."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 8))
     palette = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
@@ -248,15 +257,15 @@ def tie_runs(draw):
         picks.sort()
     allowed = ((np.array(palette)[picks, None] >> np.arange(k)) & 1).astype(bool)
     offsets = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    hidden = [np.flatnonzero(row)[o % row.sum()] for row, o in zip(allowed, offsets)]
+    hidden = np.array([np.flatnonzero(row)[o % row.sum()] for row, o in zip(allowed, offsets)])
     fills = np.bincount(hidden, minlength=k)
     caps = fills + np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
     mandatory = np.array([draw(st.integers(0, int(f))) for f in fills])
-    return allowed, caps, mandatory
+    return allowed, caps, mandatory, hidden
 
 
 def confined_counts_cube(masks, k):
-    """``_confined_counts`` by its first form: one cumsum per axis of the
+    """``confined_counts`` by its first form: one cumsum per axis of the
     (2,)*k cube."""
     confined = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << k)
     cube = confined.reshape((2,) * k)
@@ -289,10 +298,11 @@ class TestFlowSolver:
         highs_total, pi, sigma = highs_transport(w, caps)
         assert total == highs_total
 
+        # the solver's assignment is optimal, so HiGHS's dual allows it too
         rc = -w - pi[:, None] - sigma[None, :]
         highs_mandatory = np.where(sigma < 0, caps, 0)
-        ours = lex_least_under_dual(w, caps, prices)
-        theirs = policies._lex_least_allowed(rc == 0, caps.copy(), highs_mandatory)
+        ours = lex_least_under_dual(w, caps, prices, flow)
+        theirs = policies._lex_least_allowed(rc == 0, caps, highs_mandatory, flow)
         assert ours.tolist() == theirs.tolist()
         assert sum(w[np.arange(n), ours - 1].tolist()) == total
 
@@ -308,8 +318,8 @@ class TestFlowSolver:
         total = policies._certify_transport(w, caps, flow, prices)
         cold_flow, cold_prices = policies._solve_transport(w, caps)
         assert total == policies._certify_transport(w, caps, cold_flow, cold_prices)
-        assert (lex_least_under_dual(w, caps, prices).tolist()
-                == lex_least_under_dual(w, caps, cold_prices).tolist())
+        assert (lex_least_under_dual(w, caps, prices, flow).tolist()
+                == lex_least_under_dual(w, caps, cold_prices, cold_flow).tolist())
 
     def test_certificate_rejects_tampering(self):
         w = np.array([[10, 0], [0, 10]], dtype=np.int64)
@@ -353,10 +363,8 @@ class TestFlowSolver:
             counts = {int(m): int(rng.integers(1, 6)) for m in masks}
             hi = rng.integers(0, 8, k)
             lo = np.minimum(rng.integers(0, 4, k), hi)
-            confined = policies._confined_counts(
-                [m for m, cnt in counts.items() for _ in range(cnt)], k
-            )
-            need, room = policies._subset_sums(lo), policies._subset_sums(hi)
+            confined = confined_counts([m for m, cnt in counts.items() for _ in range(cnt)], k)
+            need, room = subset_sums(lo), subset_sums(hi)
             assert policies._completion_feasible_hall(confined, need, room) == hall_loop(
                 counts, lo, hi, k
             )
@@ -367,12 +375,13 @@ class TestFlowSolver:
         for k in range(11):
             values = rng.integers(-50, 50, k)
             bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-            assert policies._subset_sums(values).tolist() == (bits @ values).tolist()
+            assert subset_sums(values).tolist() == (bits @ values).tolist()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lp_probe_matches_hall_beyond_subset_k(self, monkeypatch, seed):
-        # K=13 ties go through the LP probe; the Hall tables cover 13 services
-        # too when the cut-off is raised, and must pick the same assignment.
+        # K=13 ties take the oracle's LP probes; its Hall tables cover 13
+        # services too when the cut-off is raised, and the residual walk from
+        # the hidden assignment must pick the same assignment as both.
         # Tight capacities and lower bounds make some probes reject.
         rng = np.random.default_rng(4200 + seed)
         n, k = 20, 13
@@ -390,31 +399,31 @@ class TestFlowSolver:
             return verdicts[-1]
 
         monkeypatch.setattr(policies, "_completion_feasible_lp", counted)
-        by_lp = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        by_lp = lex_least_hall_lp(allowed, caps, mandatory)
         assert verdicts.count(False) > 0
-        monkeypatch.setattr(policies, "_MAX_SUBSET_K", 13)
-        by_hall = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        by_hall = lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=13)
         assert by_lp.tolist() == by_hall.tolist()
+        verdicts.clear()
+        walked = policies._lex_least_allowed(allowed, caps, mandatory, hidden)
+        assert walked.tolist() == by_hall.tolist() and not verdicts
 
 
     @settings(max_examples=200, deadline=None)
     @given(structure=tie_structures())
     def test_lex_least_matches_loop(self, structure):
-        allowed, caps, mandatory = structure
-        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
-            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        allowed, caps, mandatory, hidden = structure
+        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+            lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
     @settings(max_examples=100, deadline=None)
     @given(instance=transport_instances())
     def test_lex_least_matches_loop_on_optimal_arcs(self, instance):
         w, caps = instance
-        _, prices = policies._solve_transport(w, caps)
-        surplus = w - np.array(prices)
-        allowed = surplus == surplus.max(axis=1, keepdims=True)
-        mandatory = np.where(np.array(prices) > 0, caps, 0)
-        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
-            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        flow, prices = policies._solve_transport(w, caps)
+        allowed, mandatory = arcs_under_dual(w, caps, prices)
+        assert policies._lex_least_allowed(allowed, caps, mandatory, flow).tolist() == (
+            lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -422,28 +431,28 @@ class TestFlowSolver:
         rng = np.random.default_rng(4300 + k)
         for size in (0, 1, 50):
             masks = rng.integers(1, 1 << k, size).tolist()
-            assert (policies._confined_counts(masks, k).tolist()
-                    == confined_counts_cube(masks, k).tolist())
+            assert confined_counts(masks, k).tolist() == confined_counts_cube(masks, k).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(structure=tie_runs())
     def test_lex_least_matches_loop_on_runs(self, structure):
-        allowed, caps, mandatory = structure
-        assert policies._lex_least_allowed(allowed, caps.copy(), mandatory).tolist() == (
-            lex_least_loop(allowed, caps.copy(), mandatory).tolist()
+        allowed, caps, mandatory, hidden = structure
+        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+            lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
     @pytest.mark.parametrize("k", [13, 14])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_lp_runs_match_hall_beyond_subset_k(self, monkeypatch, seed, k):
         # runs of three allowed sets, sorted so they are long; tight capacities
-        # and lower bounds make the top count reject and the search go below it
+        # and lower bounds make the oracle's top count reject and its search
+        # go below it
         rng = np.random.default_rng(4400 + 10 * seed + k)
         n = 40
         palette = rng.random((3, k)) < 0.4
         palette[np.arange(3), rng.integers(0, k, 3)] = True
         allowed = palette[np.sort(rng.integers(0, 3, n))]
-        hidden = [rng.choice(np.flatnonzero(row)) for row in allowed]
+        hidden = np.array([rng.choice(np.flatnonzero(row)) for row in allowed])
         fills = np.bincount(hidden, minlength=k)
         caps = fills + (rng.random(k) < 0.3)
         mandatory = np.where(rng.random(k) < 0.7, fills, 0)
@@ -455,31 +464,75 @@ class TestFlowSolver:
             return verdicts[-1]
 
         monkeypatch.setattr(policies, "_completion_feasible_lp", counted)
-        by_lp = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        by_lp = lex_least_hall_lp(allowed, caps, mandatory)
         assert verdicts.count(False) > 0
-        monkeypatch.setattr(policies, "_MAX_SUBSET_K", k)
-        by_hall = policies._lex_least_allowed(allowed, caps.copy(), mandatory)
+        by_hall = lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=k)
         assert by_lp.tolist() == by_hall.tolist()
+        verdicts.clear()
+        walked = policies._lex_least_allowed(allowed, caps, mandatory, hidden)
+        assert walked.tolist() == by_hall.tolist() and not verdicts
 
-    @pytest.mark.parametrize("n, k, probe, bound", [
-        (100, 12, "_completion_feasible_hall", 12),  # one confirming Hall test per service
-        (400, 13, "_completion_feasible_lp", 13 * ((400 - 1).bit_length() + 1)),  # K (log2 N + 1)
-    ], ids=["hall", "lp"])
-    def test_tie_run_probes_per_service(self, tmp_path, monkeypatch, n, k, probe, bound):
+    @pytest.mark.parametrize("n, k", [(100, 12), (400, 13)], ids=["hall", "lp"])
+    def test_tie_run_matches_oracle(self, tmp_path, monkeypatch, n, k):
+        # the benchmark's tie population: one long run over all K services;
+        # the walk makes no feasibility probe and no LP call, and matches the
+        # oracle on the solver's arcs (Hall tables at K=12, LP probes at 13)
         pop, caps = tie_population(tmp_path, n, k)
-        calls = []
-        original = getattr(policies, probe)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("probe called")
 
-        monkeypatch.setattr(policies, probe, counted)
-        alloc = allocate_utilitarian(pop, caps)
-        assert 0 < len(calls) <= bound
+        with monkeypatch.context() as patched:
+            for name in ("linprog", "_completion_feasible_hall", "_completion_feasible_lp"):
+                patched.setattr(policies, name, forbidden)
+            alloc = allocate_utilitarian(pop, caps)
         assert alloc.is_feasible(pop, caps)
-        monkeypatch.setattr(policies, "_MAX_SUBSET_K", k)
-        assert allocate_utilitarian(pop, caps).assignment.tolist() == alloc.assignment.tolist()
+        oracle = utilitarian_oracle(pop.utilities, caps.capacities)
+        assert alloc.assignment.tolist() == oracle.tolist()
+
+    @pytest.mark.parametrize("k", [13, 14, 15])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lex_least_matches_oracle_beyond_twelve_services(self, seed, k):
+        # a few runs of shared sets among scattered ones, so that both the
+        # take of a run and single moves go through augmenting paths
+        rng = np.random.default_rng(4500 + 10 * seed + k)
+        n = 40
+        allowed = rng.random((n, k)) < 0.35
+        allowed[10:25] = allowed[10]
+        hidden = np.array([rng.choice(np.flatnonzero(row)) if row.any() else rng.integers(k)
+                           for row in allowed])
+        allowed[np.arange(n), hidden] = True
+        fills = np.bincount(hidden, minlength=k)
+        caps = fills + (rng.random(k) < 0.3)
+        mandatory = np.where(rng.random(k) < 0.7, fills, 0)
+        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+            lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=k).tolist()
+        )
+
+    def test_lex_least_matches_oracle_on_many_sets(self):
+        # N=2,000 over K=8 with about 200 distinct allowed sets, scattered
+        rng = np.random.default_rng(4600)
+        n, k = 2000, 8
+        hidden = rng.integers(0, k, n)
+        allowed = rng.random((n, k)) < 0.4
+        allowed[np.arange(n), hidden] = True
+        fills = np.bincount(hidden, minlength=k)
+        caps = fills + (rng.random(k) < 0.3)
+        mandatory = np.where(rng.random(k) < 0.7, fills, 0)
+        assert len(np.unique(allowed[allowed.sum(axis=1) > 1], axis=0)) >= 150
+        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+            lex_least_hall_lp(allowed, caps, mandatory).tolist()
+        )
+
+    @pytest.mark.parametrize("allowed, caps, mandatory, start", [
+        ([[1, 1], [1, 1]], [1, 1], [0, 0], [0, 0]),  # over a capacity
+        ([[1, 1], [1, 1]], [2, 2], [1, 0], [1, 1]),  # short of a mandatory fill
+        ([[1, 0], [0, 1]], [1, 1], [0, 0], [1, 0]),  # off the allowed arcs
+    ], ids=["capacity", "mandatory", "arc"])
+    def test_lex_least_rejects_an_infeasible_start(self, allowed, caps, mandatory, start):
+        with pytest.raises(RuntimeError, match="internal"):
+            policies._lex_least_allowed(np.array(allowed, dtype=bool), np.array(caps),
+                                        np.array(mandatory), np.array(start))
 
     @pytest.mark.parametrize("k", [24, 30])
     def test_many_services(self, k):
@@ -601,14 +654,25 @@ def test_experiment2_descent_steps(monkeypatch):
     # one descent step (one set of demand sets) reads each replication's
     # start, and after the price sweeps one more certifies the optimum; the
     # descent alone took 89 steps here
-    steps = []
-    real = policies._distinct_rows
+    # (the tie walk reads the allowed sets with _distinct_rows too; only the
+    # calls inside the solver are steps)
+    steps, inside = [], []
+    real, solve = policies._distinct_rows, policies._solve_transport
 
     def recorded(allowed):
-        steps.append(None)
+        if inside:
+            steps.append(None)
         return real(allowed)
 
+    def solving(*args):
+        inside.append(None)
+        try:
+            return solve(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(policies, "_distinct_rows", recorded)
+    monkeypatch.setattr(policies, "_solve_transport", solving)
     params = load_experiment_config("experiment2").params
     allocate = compile_spec(PolicySpec("utilitarian"))
     for seed in range(7, 27):
