@@ -19,7 +19,7 @@ sum would follow the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -79,10 +79,25 @@ class Population:
     groups: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        u = _frozen_array(self.utilities, np.float64)
+        self._settle(_frozen_array(self.utilities, np.float64))
+
+    @classmethod
+    def _adopt(cls, utilities: np.ndarray, groups: Mapping[str, np.ndarray]) -> "Population":
+        """A population over ``utilities``, a float64 matrix its caller has
+        just built for it and keeps no other use of: frozen in place, and not
+        copied when it is service-major already. The groups and every check
+        are as in the constructor."""
+        pop = object.__new__(cls)
+        object.__setattr__(pop, "groups", groups)
+        pop._settle(_freeze(np.asarray(utilities, dtype=np.float64, order="F")))
+        return pop
+
+    def _settle(self, u: np.ndarray):
+        """Check the frozen service-major matrix ``u`` and copy the groups;
+        store both."""
         if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
             raise ValueError("utilities must be a non-empty N x K matrix")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("utilities must be finite")
         object.__setattr__(self, "utilities", u)
         groups = {}
@@ -90,7 +105,8 @@ class Population:
             g = _frozen_array(values, np.int8)
             if g.shape != (u.shape[0],):
                 raise ValueError(f"group {name!r} must assign a value to every individual")
-            if not np.all((g == 0) | (g == 1)):
+            # as unsigned bytes, the values 0 and 1 are the only ones <= 1
+            if g.view(np.uint8).max() > 1:
                 raise ValueError(f"group {name!r} must be binary (0/1)")
             groups[name] = g
         object.__setattr__(self, "groups", groups)
@@ -152,7 +168,7 @@ class Allocation:
         a = _frozen_array(self.assignment, np.int64)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("assignment must be a non-empty 1-D vector")
-        if np.any(a < 1):
+        if a.min() < 1:
             raise ValueError("service indices are 1-based")
         object.__setattr__(self, "assignment", a)
 
@@ -216,20 +232,141 @@ def envelope(pop: Population) -> UtilityEnvelope:
     )
 
 
+#: The rows of a metric block, in order: the four metrics, then the max gain.
+_ROWS = (*METRICS, "delta_u")
+_MULTIPLICATIVE = ("gain", "shortfall")
+
+
+def _metric_block(
+    u_min: np.ndarray, u_max: np.ndarray, realized: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-individual metric rows of R replications at once, from each one's
+    envelope and realized utilities, all (R, N).
+
+    Writes improvement, regret, gain, shortfall and ``delta_u`` (``_ROWS``
+    order) into ``out[:5]`` (an (M >= 5, R, N) array; a new (5, R, N) one by
+    default) and returns it with the (R,) mask of replications whose
+    utilities are all > 0. Gain and shortfall are divided only in those, and
+    read 0 in the others.
+    """
+    if out is None:
+        out = np.empty((len(_ROWS), *realized.shape))
+    improvement, regret, gain, shortfall, delta_u = out[: len(_ROWS)]
+    defined = np.minimum.reduce(u_min, axis=-1) > 0.0
+    np.subtract(realized, u_min, out=improvement)
+    np.subtract(u_max, realized, out=regret)
+    # a mask divides at about two thirds the speed of none, so none when it
+    # would be all True
+    if defined.all():
+        where = True
+    else:
+        where = defined[:, None]
+        out[2:4] = 0.0
+    np.divide(realized, u_min, out=gain, where=where)
+    np.divide(realized, u_max, out=shortfall, where=where)
+    np.subtract(u_max, u_min, out=delta_u)
+    return out, defined
+
+
+def _group_means(rows: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
+    """The mean of every row of a metric block over each group: ``rows`` is
+    (..., N) and ``members`` holds each group's individuals in ascending
+    order; returns (..., len(members)).
+
+    Each group's entries are summed along the last axis of a C-contiguous
+    gather of them (``np.take``), or of a view of ``rows`` when they are one
+    run of consecutive individuals, as every sampler's groups are. Either
+    way numpy sums each row's contiguous entries pairwise, in the order the
+    1-D ``np.add.reduce(row[mask])`` of one replication's row does, so a
+    block's means equal one replication's at a time bit for bit, whatever
+    its size; the gather ``row[:, idx]`` is not C-contiguous, and its sums
+    differ in the last bits. Dividing by the group size is ``np.mean``'s
+    arithmetic without its per-call overhead.
+    """
+    means = np.empty((*rows.shape[:-1], len(members)))
+    for g, idx in enumerate(members):
+        first, last = int(idx[0]), int(idx[-1])
+        block = (rows[..., first : last + 1] if last - first + 1 == idx.size
+                 else np.take(rows, idx, axis=-1))
+        means[..., g] = np.add.reduce(block, axis=-1) / idx.size
+    return means
+
+
+def _population_rows(pop: Population, alloc: Allocation) -> tuple[np.ndarray, bool]:
+    """``_metric_block`` of one population: its (5, 1, N) rows, and whether
+    gain and shortfall are defined."""
+    env = envelope(pop)
+    rows, defined = _metric_block(env.u_min[None], env.u_max[None], alloc.realized(pop)[None])
+    return rows, bool(defined[0])
+
+
 def metric_rows(pop: Population, alloc: Allocation) -> dict[str, np.ndarray | None]:
     """Per-individual improvement, regret, gain, shortfall and ``delta_u``
     from one envelope pass; gain and shortfall are None when the ratio is
     undefined. Every group mean and delta is read from these rows."""
-    env = envelope(pop)
-    realized = alloc.realized(pop)
-    ratio = env.ratio_defined
-    return {
-        "improvement": realized - env.u_min,
-        "regret": env.u_max - realized,
-        "gain": realized / env.u_min if ratio else None,
-        "shortfall": realized / env.u_max if ratio else None,
-        "delta_u": env.delta_u,
-    }
+    rows, defined = _population_rows(pop, alloc)
+    return {name: None if name in _MULTIPLICATIVE and not defined else row
+            for name, row in zip(_ROWS, rows[:, 0])}
+
+
+class _MetricBlock:
+    """The metric stage of up to ``size`` replications at once, each of N
+    individuals and K services, whose groups 0 and 1 are the individuals
+    ``members`` (ascending indices) in every one of them.
+
+    Fill ``u[j]`` with replication j's service-major utilities and
+    ``assignment[j]`` with its 1-based services, then ``means(r)`` runs the
+    stage over the first r. Its work arrays are kept from block to block:
+    arrays this large, allocated afresh, are mapped and faulted in again for
+    every block, which costs more than the stage's arithmetic.
+    """
+
+    def __init__(self, size: int, k: int, members: tuple[np.ndarray, np.ndarray]):
+        n = sum(idx.size for idx in members)
+        self.members = members
+        self.u = np.empty((size, k, n))
+        self.assignment = np.empty((size, n), dtype=np.int64)
+        self._envelope = np.empty((2, size, n))
+        self._realized = np.empty((size, n))
+        self._index = np.empty((size, n), dtype=np.intp)
+        # replication j's entry (s, i) is entry (j * K + s) * N + i of the
+        # block: a * N plus this offset for its 1-based service a = s + 1
+        self._offsets = np.arange(size)[:, None] * (k * n) - n + np.arange(n)
+        # service s scores K - s where it reaches the best utility
+        self._weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+        self._hits = np.empty((size, k, n), dtype=bool)
+        self._score = np.empty((size, k, n), dtype=self._weights.dtype)
+        # flat, so that the first r replications' (M, r, N) rows are
+        # C-contiguous for every r
+        self._rows = np.empty((len(_ROWS) + 1) * size * n)
+
+    @staticmethod
+    def replication_bytes(n: int, k: int) -> int:
+        """Bytes of work arrays per replication: the utilities, the rows, and
+        the envelope, realized, index and assignment rows in 8-byte values,
+        and the services' hits and scores."""
+        return n * (8 * (k + len(_ROWS) + 1 + 5) + k * (1 + np.min_scalar_type(k).itemsize))
+
+    def means(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (6, r, 2) group means of the ``_ROWS`` rows and of the
+        first-best indicator (an individual is assigned its first best
+        service, the lowest-indexed one of highest utility), and the (r,)
+        mask of replications where gain and shortfall are defined."""
+        u, assignment = self.u[:r], self.assignment[:r]
+        k, n = u.shape[1:]
+        rows = self._rows[: (len(_ROWS) + 1) * r * n].reshape(len(_ROWS) + 1, r, n)
+        u_min, u_max = self._envelope[:, :r]
+        np.minimum.reduce(u, axis=1, out=u_min)
+        np.maximum.reduce(u, axis=1, out=u_max)
+        index = np.multiply(assignment, n, out=self._index[:r])
+        index += self._offsets[:r]
+        realized = u.ravel().take(index, out=self._realized[:r], mode="clip")
+        defined = _metric_block(u_min, u_max, realized, out=rows)[1]
+        # the top score is K + 1 - (the first best service)
+        hits = np.equal(u, u_max[:, None, :], out=self._hits[:r])
+        top = np.maximum.reduce(np.multiply(hits, self._weights, out=self._score[:r]), axis=1)
+        np.equal(np.subtract(k + 1, top, out=top), assignment, out=rows[-1])
+        return _group_means(rows, self.members), defined
 
 
 def favored_group(metric: str, delta: float) -> str:
@@ -290,19 +427,14 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
         EmptyGroupError: if either group of the attribute is empty.
     """
     in_group1 = pop.group_mask(attribute, 1)
-    n1 = int(np.count_nonzero(in_group1))
-    sizes = (pop.n - n1, n1)
-    for value, size in enumerate(sizes):
-        if size == 0:
+    members = (np.flatnonzero(~in_group1), np.flatnonzero(in_group1))
+    for value, idx in enumerate(members):
+        if idx.size == 0:
             raise EmptyGroupError(f"empty-group: {attribute}={value}")
-    masks = (~in_group1, in_group1)
-    # np.mean's arithmetic without its per-call overhead: one 1-D pairwise
-    # sum per row and group, divided by the group size; a 2-D axis reduction
-    # sums in another order and changes the last bits of the written outputs
+    rows, defined = _population_rows(pop, alloc)
     means = {
-        name: None if row is None
-        else tuple(float(np.add.reduce(row[m]) / size) for m, size in zip(masks, sizes))
-        for name, row in metric_rows(pop, alloc).items()
+        name: None if name in _MULTIPLICATIVE and not defined else tuple(pair)
+        for name, pair in zip(_ROWS, _group_means(rows, members)[:, 0].tolist())
     }
     mean_delta_u = means.pop("delta_u")
     return FairnessReport(attribute, means, mean_delta_u)

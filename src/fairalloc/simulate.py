@@ -20,6 +20,7 @@ from .core import (
     Allocation,
     CapacityVector,
     Population,
+    _MetricBlock,
     _first_best,
     _frozen_array,
     delta_metrics,
@@ -34,6 +35,19 @@ _POLICY_STREAM = 101  # sub-stream tag separating policy seeds from population s
 _Z95 = 1.96
 
 METRIC_KEYS = tuple(f"delta_{name}" for name in METRICS)
+# the values of a replication: the metric deltas, then the auxiliary estimates
+_ROW_KEYS = (
+    *METRIC_KEYS,
+    "best_service_fraction_group0",
+    "best_service_fraction_group1",
+    "mean_delta_u_group0",
+    "mean_delta_u_group1",
+    "delta_mean_delta_u",
+)
+# bytes of the work arrays of one block of replications; the replication loop
+# works in about this much memory, whatever the replication count (never
+# less than one replication a block)
+_BLOCK_BYTES = 1 << 21
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
@@ -91,23 +105,28 @@ class GaussianGroupParams:
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
         object.__setattr__(self, "group_sizes", _group_sizes(self.group_sizes))
-        # per-individual tables every sample reads; attributes, not fields,
-        # so equality, repr and the params-file keys stay as they were
+        # per-individual tables every sample reads, service-major as the
+        # samples are; attributes, not fields, so equality, repr and the
+        # params-file keys stay as they were
         sizes = list(self.group_sizes)
         object.__setattr__(self, "_labels", np.repeat(np.array([0, 1], dtype=np.int8), sizes))
-        object.__setattr__(self, "_mu", np.repeat(self.means, sizes, axis=0))
-        object.__setattr__(self, "_sd", np.repeat(np.sqrt(self.variances), sizes, axis=0))
+        object.__setattr__(self, "_mu", np.asfortranarray(np.repeat(self.means, sizes, axis=0)))
+        object.__setattr__(
+            self, "_sd", np.asfortranarray(np.repeat(np.sqrt(self.variances), sizes, axis=0))
+        )
 
     @property
     def k(self) -> int:
         return self.means.shape[1]
 
     def sample(self, seed: int) -> Population:
-        # sd * z + mu, one elementwise product and sum each, in place
-        utilities = standard_normal(generator(seed), self._mu.shape)
-        utilities *= self._sd
+        # sd * z + mu, written service-major, the population's layout, so
+        # that it takes the matrix uncopied: the product reads the
+        # individual-major draws through their transpose
+        z = standard_normal(generator(seed), self._mu.shape)
+        utilities = np.multiply(z.T, self._sd.T, out=np.empty(self._mu.shape[::-1])).T
         utilities += self._mu
-        return Population(utilities=utilities, groups={self.attribute: self._labels})
+        return Population._adopt(utilities, {self.attribute: self._labels})
 
 
 def _stratified_vectors(
@@ -124,7 +143,9 @@ def _stratified_vectors(
         for j in range(k - 2):
             cols.append(u_min + (j + uniform_open(gen, n)) * spread)
     cols.append(u_max)
-    return gen.permuted(np.column_stack(cols), axis=1)
+    # permuted draws the same row shuffles for either layout; service-major
+    # is the population's
+    return gen.permuted(np.array(cols).T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -163,10 +184,7 @@ class SF1Params:
         u_max = lo + (hi - lo) * uniform_open(gen, n0 + n1)
         ratio = np.where(type_b == 1, self.r_low, self.r_high)
         utilities = _stratified_vectors(gen, ratio * u_max, u_max, self.k)
-        return Population(
-            utilities=utilities,
-            groups={self.attribute: labels, self.type_attribute: type_b},
-        )
+        return Population._adopt(utilities, {self.attribute: labels, self.type_attribute: type_b})
 
 
 @dataclass(frozen=True)
@@ -204,10 +222,7 @@ class SF2Params:
         lo, hi = self.spread_range
         u_max = u_min + lo + (hi - lo) * uniform_open(gen, n0 + n1)
         utilities = _stratified_vectors(gen, u_min, u_max, self.k)
-        return Population(
-            utilities=utilities,
-            groups={self.attribute: labels, self.type_attribute: type_c},
-        )
+        return Population._adopt(utilities, {self.attribute: labels, self.type_attribute: type_c})
 
 
 PopulationParams = GaussianGroupParams | SF1Params | SF2Params
@@ -276,41 +291,78 @@ def _replica(
     return pop, allocator(pop, params.capacities, spawn_seed(pop_seed, _POLICY_STREAM))
 
 
-def _replicate_once(
-    params: PopulationParams, allocator: Allocator, base_seed: int, rep: int
-) -> dict[str, float | None]:
-    pop, alloc = _replica(params, allocator, base_seed, rep)
-    report = delta_metrics(pop, alloc, params.attribute)
-    deltas = report.deltas
-    du0, du1 = report.mean_delta_u
-    residual = deltas["improvement"] + deltas["regret"] - (du1 - du0)
+def _replicate_block(
+    params: PopulationParams, allocator: Allocator, base_seed: int, reps: range,
+    block: _MetricBlock,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The consecutive replications ``reps``, at most ``block``'s size: each
+    is sampled and allocated in turn, under its own seeds, as if alone; then
+    the metric stage runs once over all of them, and the additive identity
+    is checked in each. Returns the stage's group means and defined mask."""
+    for j, rep in enumerate(reps):
+        pop, alloc = _replica(params, allocator, base_seed, rep)
+        block.u[j] = pop.utilities.T
+        block.assignment[j] = alloc.assignment
+    # a service past K would read another replication's utilities
+    if block.assignment[: len(reps)].max() > params.k:
+        raise ValueError("allocation does not match population shape")
+    means, defined = block.means(len(reps))
+    deltas = means[..., 1] - means[..., 0]
     # exact in real arithmetic; the rounding error grows with the utilities'
     # size, so the bound is 1e-9 times the largest |utility| but never below
     # 1e-9, and the utilities are scanned only for a residual past that floor
-    if abs(residual) > 1e-9 and abs(residual) > 1e-9 * float(np.abs(pop.utilities).max()):
-        raise RuntimeError(f"additive-identity violation: residual {residual:g}")
-    g1 = pop.group_mask(params.attribute, 1)
-    n1 = int(np.count_nonzero(g1))
-    best = _first_best(pop.utilities) + 1 == alloc.assignment
-    best1 = int(np.count_nonzero(best & g1))
-    # a mean of 0/1 values is a count over a group size, exactly
-    return {
-        **{f"delta_{name}": deltas[name] for name in METRICS},
-        "best_service_fraction_group0": (int(np.count_nonzero(best)) - best1) / (pop.n - n1),
-        "best_service_fraction_group1": best1 / n1,
-        "mean_delta_u_group0": du0,
-        "mean_delta_u_group1": du1,
-        "delta_mean_delta_u": du1 - du0,
-    }
+    residuals = deltas[0] + deltas[1] - deltas[4]
+    for j in np.flatnonzero(np.abs(residuals) > 1e-9):
+        residual = float(residuals[j])
+        if abs(residual) > 1e-9 * float(np.abs(block.u[j]).max()):
+            raise RuntimeError(
+                f"additive-identity violation in replication {reps[j]}"
+                f" (seed {base_seed + reps[j]}): residual {residual:g}"
+            )
+    return means, defined
 
 
-def _spec_worker(args) -> list[dict[str, float | None]]:
-    """The rows of one contiguous chunk of replications, under one compiled
-    allocator, so that a utilitarian solve warm-starts from the last."""
+def _replicate(
+    params: PopulationParams, allocator: Allocator, base_seed: int, reps: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """The consecutive replications ``reps``, in blocks of as many as
+    ``_BLOCK_BYTES`` holds but at most a quarter of them: their
+    (6, len(reps), 2) group means (see ``_MetricBlock.means``) and the mask
+    of those where gain and shortfall are defined."""
+    n0, n1 = params.group_sizes
+    per_block = _BLOCK_BYTES // _MetricBlock.replication_bytes(n0 + n1, params.k)
+    # the work arrays are new memory, each page faulted in on first use;
+    # a replication's share of them repays that only when it serves about
+    # four replications (3 at paper scale ran 2% slower in blocks of 3)
+    size = max(1, min(per_block, len(reps) // 4))
+    # every sampler lists group 0's individuals first, then group 1's
+    block = _MetricBlock(size, params.k, (np.arange(n0), np.arange(n0, n0 + n1)))
+    blocks = [_replicate_block(params, allocator, base_seed, reps[start:start + size], block)
+              for start in range(0, len(reps), size)]
+    return (np.concatenate([means for means, _ in blocks], axis=1),
+            np.concatenate([defined for _, defined in blocks]))
+
+
+def _columns(means: np.ndarray, defined: np.ndarray) -> dict[str, list[float | None]]:
+    """Each ``_ROW_KEYS`` key's value in every replication, from
+    ``_replicate``'s results; gain and shortfall deltas are None where they
+    are undefined. A first-best share is a count over the group size,
+    exactly."""
+    deltas = means[..., 1] - means[..., 0]
+    values = [*deltas[:4], *means[5].T, *means[4].T, deltas[4]]
+    columns = {key: column.tolist() for key, column in zip(_ROW_KEYS, values)}
+    for key in ("delta_gain", "delta_shortfall"):
+        columns[key] = [v if ok else None for v, ok in zip(columns[key], defined.tolist())]
+    return columns
+
+
+def _spec_worker(args) -> tuple[np.ndarray, np.ndarray]:
+    """``_replicate`` on one contiguous chunk of replications, under one
+    compiled allocator, so that a utilitarian solve warm-starts from the last."""
     params, spec, base_seed, reps, float_errors = args
     allocator = compile_spec(spec)
     with np.errstate(**float_errors):
-        return [_replicate_once(params, allocator, base_seed, r) for r in reps]
+        return _replicate(params, allocator, base_seed, reps)
 
 
 def run_experiment(
@@ -329,6 +381,13 @@ def run_experiment(
     aggregated over the remaining replications; the per-metric count is
     reported. The additive identity (improvement delta + regret delta equals
     the group difference in mean max gain) is asserted in every replication.
+
+    Replications run in blocks of consecutive ones: each is sampled and
+    allocated in turn, then the metrics of the whole block are computed at
+    once. A fixed byte budget bounds a block, so the loop works in about
+    2 MB whatever ``replications`` is; a block also holds at most a quarter
+    of the replications, and at least one. Neither the block size nor
+    ``threads`` changes a result.
 
     ``threads`` > 1 runs the replications of a ``PolicySpec`` policy in that
     many worker processes, at most one per replication and per CPU, each on
@@ -358,16 +417,14 @@ def run_experiment(
         jobs = [(params, spec, base_seed, range(a, b), float_errors)
                 for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = [row for chunk in pool.map(_spec_worker, jobs) for row in chunk]
+            chunks = list(pool.map(_spec_worker, jobs))
     else:
-        rows = [_replicate_once(params, allocator, base_seed, r) for r in range(replications)]
+        chunks = [_replicate(params, allocator, base_seed, range(replications))]
 
-    def collect(key: str) -> list[float | None]:
-        return [row[key] for row in rows]
-
-    metrics = {key: _aggregate(collect(key)) for key in METRIC_KEYS}
-    aux_keys = [k for k in rows[0] if k not in METRIC_KEYS]
-    aux = {key: _aggregate(collect(key)) for key in aux_keys}
+    columns = _columns(np.concatenate([means for means, _ in chunks], axis=1),
+                       np.concatenate([defined for _, defined in chunks]))
+    metrics = {key: _aggregate(columns[key]) for key in METRIC_KEYS}
+    aux = {key: _aggregate(columns[key]) for key in _ROW_KEYS[len(METRIC_KEYS):]}
     return ExperimentResult(
         policy=label,
         attribute=params.attribute,

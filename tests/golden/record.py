@@ -49,6 +49,9 @@ CALLS: dict[str, tuple[str, ...]] = {
     "sim-sf2": (*_SIM, "sf2.json"),
     "sim-experiment1": (*_SIM, "experiment1", "--reps", "2"),
     "sim-experiment2": (*_SIM, "experiment2", "--reps", "2"),
+    # replication counts that end in a partial block of the replication loop
+    "sim-experiment1-blocks": (*_SIM, "experiment1", "--reps", "37", "--seed", "5"),
+    "sim-sf2-blocks": (*_SIM, "sf2.json", "--reps", "23"),
     "solve-utilitarian": _SOLVE,
     "solve-random": (*_SOLVE, "--policy", "random", "--seed", "3"),
     "solve-best": (*_SOLVE, "--policy", "best"),

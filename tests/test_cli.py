@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -455,17 +454,18 @@ def test_negative_seed_flag_exits_2(population_csv, tmp_path, capsys, argv):
 
 class TestInternalError:
     def test_broken_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
-        import fairalloc.simulate as sim
+        from fairalloc import core
 
-        true_delta_metrics = sim.delta_metrics
+        true_group_means = core._group_means
 
-        def flipped(pop, alloc, attribute):
-            report = true_delta_metrics(pop, alloc, attribute)
+        def flipped(rows, members):
+            means = true_group_means(rows, members)
             # swapped group means negate the regret delta
-            regret = report.means["regret"][::-1]
-            return dataclasses.replace(report, means={**report.means, "regret": regret})
+            means[1] = means[1][..., ::-1].copy()
+            return means
 
-        monkeypatch.setattr(sim, "delta_metrics", flipped)
+        # the group means of every metric path, the replication blocks' included
+        monkeypatch.setattr(core, "_group_means", flipped)
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps({
             "kind": "gaussian",
@@ -504,7 +504,8 @@ class TestInternalError:
             monkeypatch.setattr(policies, "_solve_transport", broken)
             argv = solve + ["--policy", "utilitarian"]
         else:
-            monkeypatch.setattr(core, "metric_rows", broken)
+            # the row formulas behind metric_rows and every group mean
+            monkeypatch.setattr(core, "_metric_block", broken)
             argv = solve
         assert run_cli(*argv) == 4
         assert capsys.readouterr().err == f"internal error: {error.__name__}: injected\n"

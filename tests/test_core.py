@@ -17,7 +17,7 @@ from fairalloc import (
     envelope,
 )
 from fairalloc.audit import AuditDataset
-from fairalloc.core import METRICS, _first_best, _reduce_services, metric_rows
+from fairalloc.core import METRICS, _first_best, _group_means, _reduce_services, metric_rows
 from fairalloc.policies import (
     allocate_best,
     allocate_random,
@@ -251,6 +251,33 @@ class TestBitExactness:
                 continue
             expected = [np.float64(np.mean(row[labels == value])) for value in (0, 1)]
             assert same_bits(np.array(got[name]), np.array(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.integers(1, 40), st.integers(8_000, 8_400)),
+    others=st.integers(0, 300),
+    reps=st.integers(1, 40),
+    run=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_means_equal_one_replication_at_a_time(size, others, reps, run, seed):
+    """``_group_means`` over R replications' rows at once equals, bit for bit,
+    the 1-D ``np.add.reduce(row[mask])`` of each replication's row divided
+    by the group size: for a gathered group and for one run of consecutive
+    individuals (a view), of 1 to more than numpy's 8,192-element buffer."""
+    gen = np.random.default_rng(seed)
+    n = size + others
+    rows = gen.normal(0.0, 1.0, (2, reps, n)) * 10.0 ** gen.integers(-6, 7, (2, reps, 1))
+    mask = np.zeros(n, dtype=bool)
+    if run:
+        first = int(gen.integers(0, others + 1))
+        mask[first:first + size] = True
+    else:
+        mask[gen.choice(n, size, replace=False)] = True
+    got = _group_means(rows, (np.flatnonzero(mask),))[..., 0]
+    expected = [[np.add.reduce(row[mask]) / size for row in block] for block in rows]
+    assert same_bits(got, np.array(expected))
 
 
 @st.composite

@@ -23,6 +23,7 @@ from fairalloc import (
     verify_sign_flip,
 )
 from fairalloc import simulate
+from fairalloc.core import METRICS, _first_best, _MetricBlock
 from fairalloc.policies import compile_spec
 from fairalloc.simulate import (
     _POLICY_STREAM,
@@ -53,6 +54,11 @@ def exp2_params(n_per_group=300):
         group_sizes=(n_per_group, n_per_group),
         capacities=CapacityVector([cap] * 3),
     )
+
+
+def block_bytes(params):
+    """The block budget that holds one replication of ``params``."""
+    return _MetricBlock.replication_bytes(sum(params.group_sizes), params.k)
 
 
 class _StubGenerator:
@@ -375,6 +381,119 @@ class TestRunExperiment:
         assert "delta_improvement" in payload
 
 
+# a utility <= 0 in about a quarter of the replications: gain and shortfall
+# are None in those
+SIGNED = GaussianGroupParams(
+    means=[[0.1, 0.2, 0.15], [0.12, 0.2, 0.3]],
+    variances=[[2.5e-3, 1e-4, 4e-3], [2.5e-3, 1e-4, 9e-3]],
+    group_sizes=(5, 7),
+    capacities=CapacityVector([5, 5, 5]),
+)
+SF1 = SF1Params(r_high=0.8, r_low=0.2, pi0=0.7, pi1=0.3, group_sizes=(30, 20),
+                capacities=CapacityVector([50, 50, 50]))
+# type A individuals (ratio 1) rate every service the same: their first
+# best service is service 1, whichever they are assigned
+SF1_TIES = SF1Params(r_high=1.0, r_low=0.2, pi0=0.6, pi1=0.4, group_sizes=(25, 35),
+                     capacities=CapacityVector([20, 20, 20, 20]), k=4)
+SF2 = SF2Params(u_low=0.5, u_high=1.5, p0=0.7, p1=0.3, group_sizes=(40, 50),
+                capacities=CapacityVector([30, 30, 40]))
+UTILITARIAN = PolicySpec("utilitarian")
+MIXTURE = PolicySpec("mixture", lam=0.5, children=(UTILITARIAN, PolicySpec("random")))
+POLICIES = [PolicySpec("random"), UTILITARIAN, MIXTURE,
+            PolicySpec("assign-best-ignoring-capacity"), PolicySpec("assign-worst-ignoring-capacity")]
+BLOCK_CASES = [
+    *[pytest.param(params, policy, id=f"{name}-{policy.describe()}")
+      for name, params in (("signed", SIGNED), ("sf1", SF1), ("sf1-ties", SF1_TIES), ("sf2", SF2))
+      for policy in POLICIES],
+    pytest.param(SF1, gain_fair_allocator(SF1), id="sf1-gain-fair"),
+]
+
+
+def replication_rows(params, policy, base_seed, reps):
+    """Each replication's values as one population at a time gives them:
+    ``delta_metrics`` and ``_first_best`` on its own population."""
+    allocator = compile_spec(policy) if isinstance(policy, PolicySpec) else policy
+    rows = []
+    for rep in range(reps):
+        pop, alloc = simulate._replica(params, allocator, base_seed, rep)
+        report = delta_metrics(pop, alloc, params.attribute)
+        du0, du1 = report.mean_delta_u
+        g1 = pop.group_mask(params.attribute, 1)
+        best = _first_best(pop.utilities) + 1 == alloc.assignment
+        n1, best1 = int(g1.sum()), int((best & g1).sum())
+        rows.append({
+            **{f"delta_{name}": report.deltas[name] for name in METRICS},
+            "best_service_fraction_group0": (int(best.sum()) - best1) / (pop.n - n1),
+            "best_service_fraction_group1": best1 / n1,
+            "mean_delta_u_group0": du0,
+            "mean_delta_u_group1": du1,
+            "delta_mean_delta_u": du1 - du0,
+        })
+    return rows
+
+
+class TestReplicationBlocks:
+    """Replications run in blocks sized by ``simulate._BLOCK_BYTES``; the
+    block size never changes a row or a result."""
+
+    REPS = 23  # a multiple of none of the block sizes, at most 23 // 4 = 5
+
+    @staticmethod
+    def budgets(params):
+        """(block size, budget) pairs: budgets for
+        blocks of 1, 2 and 3 replications, the default, and one for more
+        than there are (a block holds at most a quarter of them)."""
+        one = block_bytes(params)
+        return [(1, one), (2, 2 * one), (3, 3 * one), (5, simulate._BLOCK_BYTES),
+                (5, (TestReplicationBlocks.REPS + 5) * one)]
+
+    @pytest.mark.parametrize("params, policy", BLOCK_CASES)
+    def test_rows_and_results_do_not_depend_on_the_block_size(self, monkeypatch, params, policy):
+        expected = [{key: repr(v) for key, v in row.items()}
+                    for row in replication_rows(params, policy, 4, self.REPS)]
+        blocks = []
+        replicate_block = simulate._replicate_block
+
+        def recorded(params, allocator, base_seed, reps, block):
+            blocks.append(len(reps))
+            return replicate_block(params, allocator, base_seed, reps, block)
+
+        monkeypatch.setattr(simulate, "_replicate_block", recorded)
+        results = []
+        for size, budget in self.budgets(params):
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", budget)
+            blocks.clear()
+            allocator = compile_spec(policy) if isinstance(policy, PolicySpec) else policy
+            columns = simulate._columns(*simulate._replicate(params, allocator, 4, range(self.REPS)))
+            rows = [{key: repr(column[r]) for key, column in columns.items()}
+                    for r in range(self.REPS)]
+            assert rows == expected, (size, budget)
+            assert blocks == [size] * (self.REPS // size) + [self.REPS % size] * (self.REPS % size > 0)
+            results.append(run_experiment(params, policy, self.REPS, 4).to_dict())
+        assert all(result == results[0] for result in results)
+        if params is SIGNED:
+            defined = [row["delta_gain"] != "None" for row in expected]
+            assert any(defined) and not all(defined)
+
+    @pytest.mark.parametrize("params, policy", [
+        pytest.param(SIGNED, PolicySpec("random"), id="signed-random"),
+        pytest.param(SIGNED, UTILITARIAN, id="signed-utilitarian"),
+        pytest.param(SF2, MIXTURE, id="sf2-mixture"),
+    ])
+    def test_pooled_chunks_cut_inside_blocks(self, monkeypatch, params, policy):
+        # forked workers see the patched budget; 23 replications in 2 or 3
+        # chunks cut blocks of 2 and 3 short
+        fork = functools.partial(ProcessPoolExecutor, mp_context=mp.get_context("fork"))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", fork)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        expected = run_experiment(params, policy, self.REPS, 2).to_dict()
+        for size, budget in self.budgets(params)[:4]:
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", budget)
+            for threads in (1, 2, 3):
+                got = run_experiment(params, policy, self.REPS, 2, threads=threads).to_dict()
+                assert got == expected, (size, threads)
+
+
 class TestBestAllocatorOnExperiment1:
     def test_best_service_is_third_for_both_groups(self):
         from fairalloc import allocate_best
@@ -388,40 +507,63 @@ class TestBestAllocatorOnExperiment1:
 
 
 class TestMutationSanity:
+    """Faults injected into the group means, which every metric path (the
+    replication blocks and ``delta_metrics``) reads."""
+
     def test_identity_check_catches_sign_bug(self, monkeypatch):
         import fairalloc.simulate as sim
+        from fairalloc import core
 
-        true_delta_metrics = sim.delta_metrics
+        true_group_means = core._group_means
 
-        def flipped(pop, alloc, attribute):
-            report = true_delta_metrics(pop, alloc, attribute)
+        def flipped(rows, members):
+            means = true_group_means(rows, members)
             # swapped group means negate the regret delta
-            regret = report.means["regret"][::-1]
-            return dataclasses.replace(report, means={**report.means, "regret": regret})
+            means[1] = means[1][..., ::-1].copy()
+            return means
 
-        monkeypatch.setattr(sim, "delta_metrics", flipped)
+        monkeypatch.setattr(core, "_group_means", flipped)
         outcome = sim._check_additive_identity(7)
         assert not outcome.passed
         with pytest.raises(RuntimeError, match="additive-identity"):
             run_experiment(exp1_params(50, caps=[40, 40, 40]), PolicySpec("random"), 3, 0)
 
     def test_identity_bound_scales_with_the_utilities(self, monkeypatch):
-        import fairalloc.simulate as sim
+        from fairalloc import core
 
-        true_delta_metrics = sim.delta_metrics
+        true_group_means = core._group_means
 
-        def off_by_3e_9(pop, alloc, attribute):
-            report = true_delta_metrics(pop, alloc, attribute)
-            r0, r1 = report.means["regret"]
-            return dataclasses.replace(report, means={**report.means, "regret": (r0, r1 + 3e-9)})
+        def off_by_3e_9(rows, members):
+            means = true_group_means(rows, members)
+            means[1, ..., 1] += 3e-9
+            return means
 
-        monkeypatch.setattr(sim, "delta_metrics", off_by_3e_9)
+        monkeypatch.setattr(core, "_group_means", off_by_3e_9)
         small = exp1_params(50, caps=[40, 40, 40])  # every |utility| < 1: the bound is 1e-9
         with pytest.raises(RuntimeError, match="additive-identity"):
             run_experiment(small, PolicySpec("random"), 3, 0)
         # utilities near 2-6: the bound is 1e-9 times the largest, above 3e-9
         large = dataclasses.replace(small, means=small.means * 10.0)
         assert run_experiment(large, PolicySpec("random"), 3, 0).replications == 3
+
+    def test_violation_in_the_last_partial_block_names_its_replication(self, monkeypatch):
+        from fairalloc import core
+
+        true_group_means = core._group_means
+
+        def flipped_in_short_blocks(rows, members):
+            means = true_group_means(rows, members)
+            if rows.shape[1] < 3:  # the last replication of a partial block
+                means[1, -1] = means[1, -1, ::-1].copy()
+            return means
+
+        params = exp1_params(50, caps=[40, 40, 40])
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * block_bytes(params))
+        monkeypatch.setattr(core, "_group_means", flipped_in_short_blocks)
+        # eight blocks of 3, then replications 24 and 25
+        with pytest.raises(RuntimeError, match=r"^additive-identity violation in replication 25"
+                                               r" \(seed 35\): residual -?[0-9.e+-]+$"):
+            run_experiment(params, PolicySpec("random"), 26, 10)
 
 
 class TestGroupPriority:
