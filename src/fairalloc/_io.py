@@ -11,7 +11,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -83,7 +83,9 @@ def dump_json(obj) -> str:
 def load_json(path_or_preset: str) -> Any:
     """Parse a JSON file, or the shipped preset a bare name in ``PRESETS`` names."""
     if path_or_preset in PRESETS:
-        preset = resources.files("fairalloc.presets").joinpath(PRESETS[path_or_preset])
+        # looked up from the package itself: finding the namespace package
+        # ``fairalloc.presets`` costs more than reading the file
+        preset = resources.files("fairalloc") / "presets" / PRESETS[path_or_preset]
         return json.loads(preset.read_text(encoding="utf-8"))
     with open(path_or_preset, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -162,10 +164,15 @@ def read_csv(
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be exactly one character, not {delimiter!r}")
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            return _read_rows(reader, columns)
+            # one byte order mark is dropped, as the utf-8-sig codec would;
+            # a pipe cannot be read twice, so it is read through that codec
+            if not fh.seekable():
+                fh.reconfigure(encoding="utf-8-sig")
+            elif fh.read(1) != "\ufeff":
+                fh.seek(0)
+            return _read_rows(csv.reader(fh, delimiter=delimiter), columns)
         except UnicodeDecodeError:
             line = f"schema-mismatch(line {_first_bad_utf8_line(path)}): not valid UTF-8"
             raise DataValidationError([line]) from None
@@ -245,24 +252,27 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     flags: dict[str, list[np.ndarray]] = {c: [] for c, _ in flag_at}
 
     def check(rows: list[tuple[str, ...]], lines: list[int]):
-        """Validate and parse a chunk of full-width rows, one column at a time."""
+        """Validate and parse a chunk of full-width rows, one column at a time;
+        the float columns are parsed together, column after column."""
         fields = list(zip(*rows))
-        block = np.empty((len(rows), len(float_at)))
-        for order, (c, j) in enumerate(float_at):
-            col = fields[j]
-            try:
-                values = np.fromiter(map(float, col), np.float64, len(col))
-            except ValueError:
-                values = np.fromiter(map(_to_float, col), np.float64, len(col))
-            finite = np.isfinite(values)
-            for i in np.flatnonzero(~finite):
+        n, m = len(rows), len(float_at)
+        texts = [fields[j] for _, j in float_at]
+        try:
+            parsed = np.fromiter(map(float, chain.from_iterable(texts)), np.float64, n * m)
+        except ValueError:
+            parsed = np.fromiter(map(_to_float, chain.from_iterable(texts)), np.float64, n * m)
+        ok = np.isfinite(parsed)
+        ok &= lo <= parsed
+        ok &= parsed <= hi
+        if not ok.all():
+            for at in np.flatnonzero(~ok).tolist():
+                order, i = divmod(at, n)
+                c, text = float_at[order][0], texts[order][i]
+                rule = ("is not finite" if not math.isfinite(parsed[at])
+                        else f"not in [{lo:g}, {hi:g}]")
                 errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
-                                                f"{c}={col[i]!r} is not finite"))
-            for i in np.flatnonzero(finite & ~((lo <= values) & (values <= hi))):
-                errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
-                                                f"{c}={col[i]!r} not in [{lo:g}, {hi:g}]"))
-            block[:, order] = values
-        floats.append(block)
+                                                f"{c}={text!r} {rule}"))
+        floats.append(parsed.reshape(m, n).T.copy())
         if label_at is not None:
             col = fields[label_at]
             index = np.fromiter(map(label_index.get, col, repeat(-1)), np.int64, len(col))

@@ -407,13 +407,8 @@ class AuditReport:
         }
 
 
-def run_audit(
-    dataset: AuditDataset,
-    schema: AuditSchema,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    fair_tolerance: float = DEFAULT_FAIR_TOLERANCE,
-) -> AuditReport:
-    """Run every configured pair analysis over the dataset.
+def check_audit_options(bandwidth: float, fair_tolerance: float) -> None:
+    """Check the KDE bandwidth and the fairness verdicts' tolerance.
 
     Raises:
         ValueError: if ``bandwidth`` is not finite and > 0, or
@@ -423,6 +418,20 @@ def run_audit(
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     if not (np.isfinite(fair_tolerance) and fair_tolerance >= 0):
         raise ValueError(f"fair_tolerance must be finite and >= 0, got {fair_tolerance!r}")
+
+
+def run_audit(
+    dataset: AuditDataset,
+    schema: AuditSchema,
+    bandwidth: float = DEFAULT_BANDWIDTH,
+    fair_tolerance: float = DEFAULT_FAIR_TOLERANCE,
+) -> AuditReport:
+    """Run every configured pair analysis over the dataset.
+
+    Raises:
+        ValueError: as ``check_audit_options`` does.
+    """
+    check_audit_options(bandwidth, fair_tolerance)
     delta_u = envelope(dataset.population()).delta_u  # max gains of the whole dataset
     pairs = []
     for pair in schema.pairs:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .audit import (
     DEFAULT_BANDWIDTH,
     DEFAULT_FAIR_TOLERANCE,
     AuditSchema,
+    check_audit_options,
     ingest_csv,
     run_audit,
     write_report_bundle,
@@ -68,6 +68,13 @@ def _thread_count(requested: int) -> int:
     return max(1, requested)
 
 
+def _is_utility(name: str) -> bool:
+    r"""Whether ``name`` is ``u_<digits>``. ``str.isdecimal`` accepts exactly
+    the characters of Unicode category Nd, the ones ``\d`` matches in a
+    ``str`` pattern."""
+    return name[:2] == "u_" and name[2:].isdecimal()
+
+
 def load_population_csv(path: str) -> tuple[list[str], Population]:
     """Read a population CSV: ``id``, utility columns ``u_1..u_K`` and any
     number of 0/1 group columns, under the rules of ``_io.read_csv``. Without
@@ -77,11 +84,11 @@ def load_population_csv(path: str) -> tuple[list[str], Population]:
     def columns(header: list[str]) -> CsvColumns:
         # a padded utility name would otherwise be read as a 0/1 group column
         for c in header:
-            if c != c.strip() and re.fullmatch(r"u_\d+", c.strip()):
+            if c != c.strip() and _is_utility(c.strip()):
                 raise SchemaMismatchError(
                     f"schema-mismatch: utility column {c!r} has surrounding whitespace"
                 )
-        util_cols = [c for c in header if re.fullmatch(r"u_\d+", c)]
+        util_cols = [c for c in header if _is_utility(c)]
         if not util_cols:
             raise SchemaMismatchError("schema-mismatch: no u_<k> utility columns found")
         # service k is column u_k, so the names must number 1..K exactly
@@ -182,6 +189,8 @@ def cmd_solve(args) -> int:
 
 def cmd_audit(args) -> int:
     schema = AuditSchema.from_dict(load_json(args.config))
+    # a bad option fails before the data are read
+    check_audit_options(args.bandwidth, args.fair_tolerance)
     dataset = ingest_csv(args.data, schema, delimiter=args.delimiter)
     report = run_audit(
         dataset, schema, bandwidth=args.bandwidth, fair_tolerance=args.fair_tolerance
@@ -205,13 +214,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fairalloc",
-        description="Capacitated allocation with group-fairness metrics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_simulate(sub) -> None:
     p_sim = sub.add_parser("simulate", help="run a replicated experiment from a params file")
     p_sim.add_argument("--params", required=True, help="params JSON path or preset name "
                        "(experiment1, experiment2)")
@@ -223,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output-dir", default="out")
     p_sim.set_defaults(func=cmd_simulate)
 
+
+def _add_solve(sub) -> None:
     p_solve = sub.add_parser("solve", help="allocate a population CSV under capacities")
     p_solve.add_argument("--population", required=True)
     p_solve.add_argument("--capacities", required=True, help="comma-separated integers")
@@ -232,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--output-dir", default="out")
     p_solve.set_defaults(func=cmd_solve)
 
+
+def _add_audit(sub) -> None:
     p_audit = sub.add_parser("audit", help="audit an allocation dataset CSV")
     p_audit.add_argument("--data", required=True)
     p_audit.add_argument("--config", required=True,
@@ -242,14 +249,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--output-dir", default="out")
     p_audit.set_defaults(func=cmd_audit)
 
+
+def _add_check(sub) -> None:
     p_check = sub.add_parser("check", help="run the empirical theory verification suite")
     p_check.add_argument("--seed", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
+
+
+# each command's subparser, in the order the usage line lists them
+_COMMANDS = {"simulate": _add_simulate, "solve": _add_solve, "audit": _add_audit,
+             "check": _add_check}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser. Given one of the commands, only that command's
+    subparser is built, and the usage line still lists every command; given
+    anything else, all of them are, so help and errors about the command
+    read as they do with the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="fairalloc",
+        description="Capacitated allocation with group-fairness metrics",
+    )
+    known = command in _COMMANDS
+    # argparse names a missing or unknown command by the metavar when there
+    # is one, so it is set only when the command is already known
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if known else None,
+    )
+    for name, add in _COMMANDS.items():
+        if not known or name == command:
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:  # audit takes no seed
             check_seed(args.seed, "--seed")

@@ -273,22 +273,32 @@ def _group_means(rows: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     (..., N) and ``members`` holds each group's individuals in ascending
     order; returns (..., len(members)).
 
-    Each group's entries are summed along the last axis of a C-contiguous
-    gather of them (``np.take``), or of a view of ``rows`` when they are one
-    run of consecutive individuals, as every sampler's groups are. Either
-    way numpy sums each row's contiguous entries pairwise, in the order the
-    1-D ``np.add.reduce(row[mask])`` of one replication's row does, so a
-    block's means equal one replication's at a time bit for bit, whatever
-    its size; the gather ``row[:, idx]`` is not C-contiguous, and its sums
-    differ in the last bits. Dividing by the group size is ``np.mean``'s
-    arithmetic without its per-call overhead.
+    A group that is one run of consecutive individuals, as every sampler's
+    groups are, is summed along the last axis of a view of ``rows``; numpy
+    sums each row's contiguous entries pairwise, in the order the 1-D
+    ``np.add.reduce(row[mask])`` of one replication's row does. A scattered
+    group is gathered one row at a time into one reused buffer and summed
+    as that 1-D reduce, so no more than one row's gather is held at once.
+    Either way a block's means equal one replication's at a time bit for
+    bit, whatever its size (a strided gather such as ``row[:, idx]`` would
+    not). Dividing by the group size is ``np.mean``'s arithmetic without its
+    per-call overhead.
     """
     means = np.empty((*rows.shape[:-1], len(members)))
+    gathered = None
     for g, idx in enumerate(members):
         first, last = int(idx[0]), int(idx[-1])
-        block = (rows[..., first : last + 1] if last - first + 1 == idx.size
-                 else np.take(rows, idx, axis=-1))
-        means[..., g] = np.add.reduce(block, axis=-1) / idx.size
+        if last - first + 1 == idx.size:
+            means[..., g] = np.add.reduce(rows[..., first : last + 1], axis=-1) / idx.size
+            continue
+        if gathered is None:
+            gathered = np.empty(max(m.size for m in members))
+        out = gathered[: idx.size]
+        sums = means.reshape(-1, len(members))
+        for r, row in enumerate(rows.reshape(-1, rows.shape[-1])):
+            # the indices are valid; "clip" only spares take its checking copy
+            sums[r, g] = np.add.reduce(row.take(idx, out=out, mode="clip"))
+        means[..., g] /= idx.size
     return means
 
 

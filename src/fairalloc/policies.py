@@ -696,15 +696,18 @@ def _exact_sum(values: np.ndarray) -> int:
     return (int(hi.sum()) << 31) + int(lo.sum())
 
 
-def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, prices: list[int]) -> int:
+def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray,
+                       prices: list[int], top: np.ndarray) -> int:
     """Exact optimality certificate of a transport solution; returns its total.
 
     For prices p >= 0, ``sum_i max_k(w_ik - p_k) + sum_k c_k p_k`` bounds every
     feasible total from above (weak duality), so a feasible assignment that
-    reaches the bound is optimal and p is an optimal dual. A plain int64 sum
-    of N weights below 2**53 can wrap, so both sums over the N individuals
-    are taken exactly by ``_exact_sum``, in two int64 parts, and the totals
-    compared as Python ints.
+    reaches the bound is optimal and p is an optimal dual. ``top`` holds the
+    row maxima ``max_k(w_ik - p_k)``, which the caller has already taken to
+    read the allowed arcs. A plain int64 sum of N weights below 2**53 can
+    wrap, so both sums over the N individuals are taken exactly by
+    ``_exact_sum``, in two int64 parts, and the totals compared as Python
+    ints.
 
     Raises:
         RuntimeError: if the assignment is infeasible or misses the bound.
@@ -712,12 +715,11 @@ def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray, 
     n, k = w.shape
     if np.any(np.bincount(assignment, minlength=k) > caps):
         raise RuntimeError("internal: flow solution exceeds the capacities")
-    # with |w| < 2**53, prices below 2**62 keep w - p inside int64
+    # with |w| < 2**53, prices below 2**62 keep w - p, and so top, inside int64
     if not all(0 <= q < 2**62 for q in prices):
         raise RuntimeError("internal: flow prices out of range")
     total = _exact_sum(w[np.arange(n), assignment])
-    surplus = _reduce_services(np.maximum, w - np.array(prices, dtype=np.int64))
-    bound = _exact_sum(surplus) + sum(c * q for c, q in zip(caps.tolist(), prices))
+    bound = _exact_sum(top) + sum(c * q for c, q in zip(caps.tolist(), prices))
     if total != bound:
         raise RuntimeError("internal: flow solution failed its optimality certificate")
     return total
@@ -771,10 +773,11 @@ def allocate_utilitarian(
     # The solver's own assignment is one of them and starts the tie walk.
     p = np.array(prices, dtype=np.int64)
     surplus = w - p
-    allowed = surplus == _reduce_services(np.maximum, surplus)[:, None]
+    top = _reduce_services(np.maximum, surplus)
+    allowed = surplus == top[:, None]
     mandatory = np.where(p > 0, cap, 0)
     assignment = _lex_least_allowed(allowed, cap, mandatory, solved)
-    _certify_transport(w, cap, assignment - 1, prices)
+    _certify_transport(w, cap, assignment - 1, prices, top)
     return Allocation(assignment)
 
 

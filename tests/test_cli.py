@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, write_synthetic_csv
 
-from fairalloc import _io
+from fairalloc import _io, cli
 from fairalloc._io import load_json
 from fairalloc.audit import AuditSchema, export_csv
 from fairalloc.cli import main
@@ -757,6 +758,29 @@ class TestAudit:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--bandwidth", "0", "bandwidth must be finite and > 0, got 0.0"),
+        ("--bandwidth", "-1", "bandwidth must be finite and > 0, got -1.0"),
+        ("--bandwidth", "nan", "bandwidth must be finite and > 0, got nan"),
+        ("--bandwidth", "inf", "bandwidth must be finite and > 0, got inf"),
+        ("--fair-tolerance", "-1", "fair_tolerance must be finite and >= 0, got -1.0"),
+        ("--fair-tolerance", "nan", "fair_tolerance must be finite and >= 0, got nan"),
+        ("--fair-tolerance", "inf", "fair_tolerance must be finite and >= 0, got inf"),
+    ], ids=["bandwidth-0", "bandwidth-negative", "bandwidth-nan", "bandwidth-inf",
+            "tolerance-negative", "tolerance-nan", "tolerance-inf"])
+    def test_bad_option_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys,
+                                                    option, value, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(cli, "ingest_csv", forbidden)
+        assert run_cli(
+            "audit", "--data", str(tmp_path / "data.csv"), "--config", "homeless",
+            f"{option}={value}", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("names, message", [
         (["A", "A", "B"], "service name 'A' is repeated"),
         (["TH", "count", "ES"], "service name 'count' is reserved"),
@@ -957,6 +981,83 @@ CHECK_SEED_7_STDOUT = """\
 [PASS] improvement-regret-sign-flip: sign flip at lambda=0.481636
 5/5 checks passed
 """
+
+
+def exit_and_output(run, argv):
+    """The exit code, stdout and stderr of ``run(argv)``; argparse exits
+    through ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+POP = ["--population", "pop.csv", "--capacities", "1,1"]
+PARSER_CASES = {
+    "no-arguments": [],
+    "help": ["--help"],
+    "help-before-command": ["-h", "solve"],
+    **{f"{command}-help": [command, "--help"]
+       for command in ("simulate", "solve", "audit", "check")},
+    "unknown-command": ["solv", *POP],
+    "unknown-option-first": ["--bogus"],
+    "unknown-option": ["solve", *POP, "--bogus"],
+    "second-command": ["check", "solve"],
+    "missing-required": ["solve", "--capacities", "1,1"],
+    "missing-all-required": ["audit"],
+    "bad-policy": ["simulate", "--params", "experiment1", "--policy", "fair"],
+    "bad-seed": ["solve", *POP, "--seed", "one"],
+    "bad-check-seed": ["check", "--seed", "1.5"],
+    "bad-bandwidth": ["audit", "--data", "d.csv", "--config", "homeless", "--bandwidth", "x"],
+    "abbreviated": ["solve", "--pop", "pop.csv", "--cap", "1,1", "--tie", "5"],
+    "abbreviated-simulate": ["simulate", "--par", "experiment2", "--rep", "3", "--thr", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_cli_text_matches_the_full_parser(monkeypatch, argv):
+    """``main`` builds only the command it is given, yet prints what a parser
+    of all four commands prints, and parses the same arguments. No snapshot
+    is kept: argparse's wording differs across Python versions."""
+    def echo(args):
+        print(sorted((k, v) for k, v in vars(args).items() if k != "func"))
+        return 0
+
+    def full(argv):
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    for name in ("cmd_simulate", "cmd_solve", "cmd_audit", "cmd_check"):
+        monkeypatch.setattr(cli, name, echo)
+    expected = exit_and_output(full, argv)
+    assert exit_and_output(main, argv) == expected
+    # the abbreviated options parse, and the command runs on them
+    ran = expected[0] == 0 and not {"-h", "--help"} & set(argv)
+    assert expected[1].startswith("[") == ran
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: the following arguments are required: command\n"),
+    (["solv"], "error: argument command: invalid choice: 'solv'"),
+], ids=["no-arguments", "unknown-command"])
+def test_full_parser_names_the_command_argument(argv, message):
+    # the reference above is the full parser; it names the command "command",
+    # as it did before a one-command parser had a metavar to list them all
+    code, out, err = exit_and_output(main, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: fairalloc [-h] {simulate,solve,audit,check} ...\n")
+    assert message in err
+
+
+def test_main_reads_sys_argv(population_csv, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["fairalloc", "solve", "--pop", population_csv,
+                                      "--capacities", "1,1", "--output-dir", str(out)])
+    assert main() == 0
+    assert (out / "allocation.csv").read_text() == "id,service\na,1\nb,2\n"
 
 
 class TestThreadCap:

@@ -5,6 +5,8 @@ numbers, a byte order mark and text that is not UTF-8."""
 import csv
 import io
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from fairalloc import _io
 from fairalloc._io import CsvColumns
 from fairalloc.audit import AuditSchema, ingest_csv
 from fairalloc.cli import load_population_csv, main
-from fairalloc.errors import DataValidationError
+from fairalloc.errors import DataValidationError, SchemaMismatchError
 
 
 def read_rows_loop(reader, columns):
@@ -155,15 +157,10 @@ def outcome(read, text, columns):
         return exc.row_errors
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4096])
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(case=csv_case())
-def test_column_pass_matches_row_loop(chunk_rows, case):
-    text, columns = case
-    expected = outcome(read_rows_loop, text, columns)
-    with mock.patch.object(_io, "_CHUNK_ROWS", chunk_rows):
-        got = outcome(_io._read_rows, text, columns)
-    if isinstance(expected, list):
+def assert_same_outcome(got, expected):
+    """The same errors, or the same ids and arrays of the same dtypes,
+    shapes and bytes."""
+    if not isinstance(expected, tuple):
         assert got == expected
         return
     ids, floats, flags, labels = expected
@@ -172,6 +169,17 @@ def test_column_pass_matches_row_loop(chunk_rows, case):
     for want, have in [(floats, got[1]), (labels, got[3]), *zip(flags.values(), got[2].values())]:
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4096])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=csv_case())
+def test_column_pass_matches_row_loop(chunk_rows, case):
+    text, columns = case
+    expected = outcome(read_rows_loop, text, columns)
+    with mock.patch.object(_io, "_CHUNK_ROWS", chunk_rows):
+        got = outcome(_io._read_rows, text, columns)
+    assert_same_outcome(got, expected)
 
 
 def exit_code_and_stderr(capsys, *argv):
@@ -264,3 +272,79 @@ class TestEncoding:
         with pytest.raises(DataValidationError) as err:
             read_audit(str(path))
         assert err.value.row_errors == ["schema-mismatch(line 3): not valid UTF-8"]
+
+
+def decoded_outcome(data: bytes, columns):
+    """What the utf-8-sig codec and the row-loop oracle make of ``data``: the
+    oracle's result or errors over the decoded text, the empty-file error,
+    or the not-UTF-8 error at the line of the first bad byte."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        text = data.decode("utf-8", errors="replace")
+        before = text[: text.index("\ufffd")]
+        line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+        return [f"schema-mismatch(line {line}): not valid UTF-8"]
+    if not text:
+        return "schema-mismatch: file is empty"
+    return outcome(read_rows_loop, text, columns(next(csv.reader(io.StringIO(text, newline="")))))
+
+
+def file_outcome(path, columns):
+    """``read_csv``'s result, or the errors it raised."""
+    try:
+        return _io.read_csv(str(path), columns)
+    except DataValidationError as exc:
+        return exc.row_errors
+    except SchemaMismatchError as exc:
+        return str(exc)
+
+
+BOM = "\ufeff".encode()
+ROWS = b"id,u_1,u_2,g\na,1.0,0.0,0\nb,0.0,1.0,1\n"
+FAR = b"".join(b"r%d,0.5,0.5,0\n" % i for i in range(2000))  # past the first 8 KB
+BOM_CASES = {
+    "plain": ROWS,
+    "bom": BOM + ROWS,
+    "bom-quoted-header": BOM + b'"id","u_1",u_2,g\na,1.0,0.0,0\n',
+    "bom-only": BOM,
+    "empty": b"",
+    "two-boms": BOM + BOM + ROWS,  # the second stays part of the first name
+    "bad-utf8": ROWS + b"c,0.5,\xff,1\n",
+    "bom-bad-utf8": BOM + ROWS + b"c,0.5,\xff,1\n",
+    "bom-bad-utf8-header": BOM + b"\xffid,u_1,u_2,g\na,1.0,0.0,0\n",
+    "bom-cut-bom": b"\xef\xbb" + ROWS,
+    "bom-bad-utf8-far": BOM + ROWS + FAR + b"x,0.5,0.5,\xe9\n",
+    "crlf": ROWS.replace(b"\n", b"\r\n"),
+    "bom-crlf": BOM + ROWS.replace(b"\n", b"\r\n"),
+    "cr": ROWS.replace(b"\n", b"\r"),
+    "bom-cr": BOM + ROWS.replace(b"\n", b"\r"),
+    "bom-cr-bad-utf8": BOM + ROWS.replace(b"\n", b"\r") + b"c,\xc3,0.5,1\r",
+}
+
+
+def bom_columns(header):
+    # a mark left in the first name makes it an unused column, and the rows
+    # are numbered instead
+    return CsvColumns(floats=["u_1", "u_2"], flags=["g"], id="id" if "id" in header else None)
+
+
+@pytest.mark.parametrize("data", BOM_CASES.values(), ids=BOM_CASES.keys())
+def test_byte_order_mark_reads_as_utf8_sig(tmp_path, data):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    assert_same_outcome(file_outcome(path, bom_columns), decoded_outcome(data, bom_columns))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("data", [ROWS, BOM + ROWS, BOM + BOM + ROWS],
+                         ids=["plain", "bom", "two-boms"])
+def test_pipe_reads_as_a_file(tmp_path, data):
+    # a pipe cannot be read twice, so its mark is dropped by the codec
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    got = file_outcome(fifo, bom_columns)
+    writer.join(timeout=30)
+    assert_same_outcome(got, decoded_outcome(data, bom_columns))

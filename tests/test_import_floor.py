@@ -1,6 +1,7 @@
 """What importing the package and solving load, checked in fresh
 interpreters: ``scipy.optimize`` and ``scipy.sparse`` stay unloaded on
-import, and a tie-heavy solve resolves its ties without loading them. (The
+import, a tie-heavy solve resolves its ties without loading them, and a
+solve reads a CSV with a byte order mark without the utf-8-sig codec. (The
 other test modules import ``scipy.optimize`` themselves, so only a separate
 process can see what the package alone loads.)"""
 
@@ -64,3 +65,20 @@ def test_tie_heavy_solve_loads_no_lp_modules(tmp_path):
     with open(out / "allocation.csv", newline="") as fh:
         solved = [int(row["service"]) for row in csv.DictReader(fh)]
     assert solved == utilitarian_oracle(utilities, caps, max_subset_k=k).tolist()
+
+
+def test_solve_loads_no_utf8_sig_codec(tmp_path):
+    # the reader drops a byte order mark itself; the codec module costs more
+    # to import than the peek
+    path = tmp_path / "pop.csv"
+    path.write_bytes("\ufeffid,u_1,u_2,g\na,1.0,0.0,0\nb,0.0,1.0,1\n".encode())
+    stdout = run_python(
+        "import sys\n"
+        "from fairalloc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'encodings.utf_8_sig' in sys.modules)",
+        "solve", "--population", str(path), "--capacities", "1,1",
+        "--output-dir", str(tmp_path / "out"),
+    )
+    assert stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "allocation.csv").read_text() == "id,service\na,1\nb,2\n"

@@ -225,6 +225,13 @@ def lex_least_under_dual(w, caps, prices, start):
     return policies._lex_least_allowed(allowed, caps, mandatory, start)
 
 
+def certify(w, caps, assignment, prices):
+    """``_certify_transport`` given the row maxima of ``w - prices``, as
+    ``allocate_utilitarian`` gives them."""
+    top = (w - np.array(prices, dtype=np.int64)).max(axis=1)
+    return policies._certify_transport(w, caps, assignment, prices, top)
+
+
 @st.composite
 def tie_structures(draw):
     """(allowed, caps, mandatory, hidden) around a hidden feasible 0-based
@@ -294,7 +301,7 @@ class TestFlowSolver:
         w, caps = instance
         n, k = w.shape
         flow, prices = policies._solve_transport(w, caps)
-        total = policies._certify_transport(w, caps, flow, prices)
+        total = certify(w, caps, flow, prices)
         highs_total, pi, sigma = highs_transport(w, caps)
         assert total == highs_total
 
@@ -315,9 +322,9 @@ class TestFlowSolver:
         p0 = data.draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**40)),
                                 min_size=w.shape[1], max_size=w.shape[1]))
         flow, prices = policies._solve_transport(w, caps, p0)
-        total = policies._certify_transport(w, caps, flow, prices)
+        total = certify(w, caps, flow, prices)
         cold_flow, cold_prices = policies._solve_transport(w, caps)
-        assert total == policies._certify_transport(w, caps, cold_flow, cold_prices)
+        assert total == certify(w, caps, cold_flow, cold_prices)
         assert (lex_least_under_dual(w, caps, prices, flow).tolist()
                 == lex_least_under_dual(w, caps, cold_prices, cold_flow).tolist())
 
@@ -326,7 +333,7 @@ class TestFlowSolver:
         caps = np.array([2, 2])
         flow, prices = policies._solve_transport(w, caps)
         assert flow.tolist() == [0, 1] and prices == [0, 0]
-        assert policies._certify_transport(w, caps, flow, prices) == 20
+        assert certify(w, caps, flow, prices) == 20
         for bad_flow, bad_prices, bad_caps in [
             (flow, [5, 0], caps),  # a price on a service with room
             (flow, [-1, 0], caps),
@@ -334,7 +341,10 @@ class TestFlowSolver:
             (np.array([0, 0]), prices, np.array([1, 2])),  # over capacity
         ]:
             with pytest.raises(RuntimeError, match="internal"):
-                policies._certify_transport(w, bad_caps, bad_flow, bad_prices)
+                certify(w, bad_caps, bad_flow, bad_prices)
+        # row maxima below the true ones lower the bound past the total
+        with pytest.raises(RuntimeError, match="optimality certificate"):
+            policies._certify_transport(w, caps, flow, prices, np.array([10, 9]))
 
     def test_exact_beyond_float_precision(self):
         # weights near 2**53 differ by 1: float64 sums cannot tell them apart
@@ -342,7 +352,7 @@ class TestFlowSolver:
         w = np.array([[big, big - 1], [big - 1, big]] * 3, dtype=np.int64)
         caps = np.array([3, 3])
         flow, prices = policies._solve_transport(w, caps)
-        assert policies._certify_transport(w, caps, flow, prices) == 6 * big
+        assert certify(w, caps, flow, prices) == 6 * big
 
     def test_utilitarian_does_not_call_linprog(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -543,7 +553,7 @@ class TestFlowSolver:
         caps = rng.integers(0, 4, k)
         caps[0] += max(0, 60 - caps.sum())
         flow, prices = policies._solve_transport(w, caps)
-        assert policies._certify_transport(w, caps, flow, prices) == highs_transport(w, caps)[0]
+        assert certify(w, caps, flow, prices) == highs_transport(w, caps)[0]
 
     def test_certificate_sums_beyond_int64(self):
         # 1,100 weights of 2**53 - 1 sum past 2**63: an int64 sum would wrap
@@ -551,13 +561,13 @@ class TestFlowSolver:
         w = np.zeros((1100, 2), dtype=np.int64)
         w[:, 0] = big
         assignment = np.zeros(1100, dtype=np.int64)
-        total = policies._certify_transport(w, np.array([1100, 0]), assignment, [0, 0])
+        total = certify(w, np.array([1100, 0]), assignment, [0, 0])
         assert type(total) is int and total == 1100 * big
         # one individual a unit short of the bound
         w[:, 1] = big - 1
         assignment[-1] = 1
         with pytest.raises(RuntimeError, match="optimality certificate"):
-            policies._certify_transport(w, np.array([1100, 1]), assignment, [0, 0])
+            certify(w, np.array([1100, 1]), assignment, [0, 0])
 
 
 def distinct_rows_rowwise(allowed):
@@ -738,7 +748,7 @@ def test_price_sweeps_only_lower_the_dual(instance):
         assert min(out) >= 0
         assert values[0][0] == dual_value(w, caps, start)
         assert values[-1][1] == dual_value(w, caps, out)
-    total = policies._certify_transport(w, caps, assignment, prices)
+    total = certify(w, caps, assignment, prices)
     assert total == dual_value(w, caps, prices)
 
 
