@@ -166,13 +166,13 @@ def read_csv(
         raise ValueError(f"delimiter must be exactly one character, not {delimiter!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            # one byte order mark is dropped, as the utf-8-sig codec would;
-            # a pipe cannot be read twice, so it is read through that codec
-            if not fh.seekable():
-                fh.reconfigure(encoding="utf-8-sig")
-            elif fh.read(1) != "\ufeff":
-                fh.seek(0)
-            return _read_rows(csv.reader(fh, delimiter=delimiter), columns)
+            # one byte order mark is dropped, as the utf-8-sig codec would,
+            # without a second read, so a pipe reads like a file; a first
+            # line emptied by it was a file holding only the mark
+            lines = iter(fh)
+            first = next(lines, "").removeprefix("\ufeff")
+            rows = chain([first], lines) if first else lines
+            return _read_rows(csv.reader(rows, delimiter=delimiter), columns)
         except UnicodeDecodeError:
             line = f"schema-mismatch(line {_first_bad_utf8_line(path)}): not valid UTF-8"
             raise DataValidationError([line]) from None

@@ -340,7 +340,7 @@ def test_byte_order_mark_reads_as_utf8_sig(tmp_path, data):
 @pytest.mark.parametrize("data", [ROWS, BOM + ROWS, BOM + BOM + ROWS],
                          ids=["plain", "bom", "two-boms"])
 def test_pipe_reads_as_a_file(tmp_path, data):
-    # a pipe cannot be read twice, so its mark is dropped by the codec
+    # a pipe cannot be read twice; its mark is dropped from the first line
     fifo = tmp_path / "data.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
