@@ -10,7 +10,8 @@ positive price. Starting from the solver's own assignment, a walk fixes the
 individuals in order, each at its least service that leaves a feasible
 completion, found by augmenting paths on the K services and one slack node.
 The walk moves by runs of consecutive individuals with the same allowed
-services, fixing at each service as many of a run as it can take.
+services, fixing at each service as many of a run as it can take. It reads
+the allowed services off the solver's last demand sets, grouped only there.
 
 No LP is solved. ``linprog``, ``_completion_feasible_hall`` and
 ``_completion_feasible_lp`` are the earlier tie resolver's feasibility
@@ -33,6 +34,7 @@ from .core import Allocation, CapacityVector, Population, _first_best, _reduce_s
 from .errors import InfeasibleError
 
 DEFAULT_TIE_BREAK_SCALE = 1e7
+_MAX_SLOTS = np.iinfo(np.intp).max // 8  # int64 entries an array can hold
 
 #: A policy realized as a callable: (population, capacities, seed) -> Allocation.
 Allocator = Callable[[Population, CapacityVector, int], Allocation]
@@ -133,6 +135,8 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     1..N. Identical seeds produce identical allocations.
     """
     _check_instance(pop, caps)
+    if caps.total > _MAX_SLOTS:
+        raise ValueError(f"total capacity {caps.total} is too large for the random policy")
     slots = np.repeat(np.arange(1, pop.k + 1, dtype=np.int64), caps.capacities)
     gen = generator(seed)
     return Allocation(slots[gen.permutation(slots.size)[: pop.n]])
@@ -188,11 +192,12 @@ def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarr
     return res.status == 0
 
 
-def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndarray,
-                       start: np.ndarray) -> np.ndarray:
+def _lex_least_allowed(member: np.ndarray, key: np.ndarray, caps: np.ndarray,
+                       mandatory: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Lexicographically least assignment, 1-based, using only allowed (i, k)
     pairs with service fills in [mandatory_k, caps_k], reached from ``start``:
-    a 0-based assignment that already keeps to those bounds.
+    a 0-based assignment that already keeps to those bounds. The allowed
+    sets are ``member`` and ``key`` as ``_distinct_rows`` returns them.
 
     The walk keeps a working assignment, ``start`` at first, feasible
     throughout. An individual with one allowed service keeps it. The
@@ -221,20 +226,19 @@ def _lex_least_allowed(allowed: np.ndarray, caps: np.ndarray, mandatory: np.ndar
         RuntimeError: if ``start`` uses a pair that is not allowed or breaks a
             service's bounds, or if no feasible completion is left.
     """
-    n, k = allowed.shape
-    if not allowed[np.arange(n), start].all():
+    d, k = member.shape
+    # each one's allowed set: its key's rank among the keys present
+    ids = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+    if not member[ids, start].all():
         raise RuntimeError("internal: tie resolution start uses a pair that is not allowed")
     fill = np.bincount(start, minlength=k)
     if np.any(fill > caps) or np.any(fill < mandatory):
         raise RuntimeError("internal: tie resolution start breaks a service's bounds")
     out = start + 1
-    multi = np.flatnonzero(allowed.sum(axis=1) > 1)
+    multi = np.flatnonzero(member.sum(axis=1)[ids] > 1)
     if not multi.size:
         return out
-    member, _, key = _distinct_rows(allowed[multi])
-    # each one's allowed set: its key's rank among the keys present
-    ids = (np.cumsum(np.bincount(key) > 0) - 1)[key]
-    d = len(member)
+    ids = ids[multi]
     held = np.bincount(ids * k + start[multi], minlength=d * k).reshape(d, k)
     sets: list[list[int]] = [[] for _ in range(d)]  # the services of each set
     for s, j in zip(*(a.tolist() for a in np.nonzero(member))):
@@ -592,7 +596,7 @@ def _coordinate_sweeps(w: np.ndarray, caps: np.ndarray, p: np.ndarray,
 
 def _solve_transport(
     w: np.ndarray, caps: np.ndarray, p0: list[int] | None = None
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, np.ndarray]:
     """Maximum-weight assignment of N individuals to K capacitated services.
 
     Minimizes the transport dual ``f(p) = sum_i max_k(w_ik - p_k) + sum_k
@@ -633,8 +637,10 @@ def _solve_transport(
     sized by the 2^K service subsets. ``w`` holds exact integer weights, and
     each of ``caps`` is at most N and they sum to at least N.
 
-    Returns a 0-based optimal assignment, read off the final flow, and an
-    optimal dual p, Python ints. The dual need not be the least one.
+    Returns a 0-based optimal assignment, read off the final flow; an
+    optimal dual p, Python ints, which need not be the least one; and the
+    last step's row maxima and demand sets under that p, as ``top`` and the
+    ``member`` and ``key`` of ``_distinct_rows``.
     """
     n, k = w.shape
     p = np.zeros(k, dtype=np.int64) if p0 is None else np.array(p0, dtype=np.int64)
@@ -666,6 +672,7 @@ def _solve_transport(
             if room.any():  # with every priced service full it finds no path
                 reached = _max_flow(member, left, flow, room, free)
             if not room.any():
+                # top, member and key belong to this p: leave p unchanged past here
                 break
             # lowering the unreached (priced) services by one frees more
             # capacity than demand it draws
@@ -683,7 +690,7 @@ def _solve_transport(
     order = np.argsort(key, kind="stable")
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = np.repeat(np.tile(np.arange(k), len(member)), flow.ravel())
-    return assignment, p.tolist()
+    return assignment, p.tolist(), top, member, key
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -702,12 +709,12 @@ def _certify_transport(w: np.ndarray, caps: np.ndarray, assignment: np.ndarray,
 
     For prices p >= 0, ``sum_i max_k(w_ik - p_k) + sum_k c_k p_k`` bounds every
     feasible total from above (weak duality), so a feasible assignment that
-    reaches the bound is optimal and p is an optimal dual. ``top`` holds the
-    row maxima ``max_k(w_ik - p_k)``, which the caller has already taken to
-    read the allowed arcs. A plain int64 sum of N weights below 2**53 can
-    wrap, so both sums over the N individuals are taken exactly by
-    ``_exact_sum``, in two int64 parts, and the totals compared as Python
-    ints.
+    reaches the bound is optimal and p is an optimal dual. ``top``, the row
+    maxima ``max_k(w_ik - p_k)`` of the solver's last step, is trusted, not
+    derived from p; ``test_solver_returns_the_arcs_of_its_dual`` guards it.
+    A plain int64 sum of N weights below 2**53 can wrap, so both sums over
+    the N individuals are taken exactly by ``_exact_sum``, in two int64
+    parts, and the totals compared as Python ints.
 
     Raises:
         RuntimeError: if the assignment is infeasible or misses the bound.
@@ -762,7 +769,7 @@ def allocate_utilitarian(
     # int64 sum of capacities can wrap
     cap = np.minimum(caps.capacities, n)
     p0 = _dual if _dual is not None and len(_dual) == pop.k else None
-    solved, prices = _solve_transport(w, cap, p0)
+    solved, prices, top, member, key = _solve_transport(w, cap, p0)
     if _dual is not None:
         _dual[:] = prices
 
@@ -770,13 +777,9 @@ def allocate_utilitarian(
     # the optimal assignments are exactly those using zero-reduced-cost arcs,
     # w_ik - p_k == max_k(w_ik - p_k), that fill every service priced above 0
     # (complementary slackness, which holds for every optimal dual alike).
-    # The solver's own assignment is one of them and starts the tie walk.
-    p = np.array(prices, dtype=np.int64)
-    surplus = w - p
-    top = _reduce_services(np.maximum, surplus)
-    allowed = surplus == top[:, None]
-    mandatory = np.where(p > 0, cap, 0)
-    assignment = _lex_least_allowed(allowed, cap, mandatory, solved)
+    # They are the solver's last demand sets; its own assignment starts the walk.
+    mandatory = np.where(np.array(prices) > 0, cap, 0)
+    assignment = _lex_least_allowed(member, key, cap, mandatory, solved)
     _certify_transport(w, cap, assignment - 1, prices, top)
     return Allocation(assignment)
 

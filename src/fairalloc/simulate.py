@@ -24,7 +24,7 @@ from .core import (
     _first_best,
     _frozen_array,
     delta_metrics,
-    envelope,
+    envelope,  # noqa: F401 -- unused here; perfbench/tracing.py wraps simulate.envelope
     metric_rows,
 )
 from .errors import EmptyGroupError, InfeasibleError, NoHeterogeneityError
@@ -589,26 +589,21 @@ def verify_sign_flip(
 
     Raises:
         NoHeterogeneityError: when the mean max-gain difference between
-            groups is not confidently positive, in which case the additive
-            identity pins improvement and regret deltas to opposite signs.
+            groups, read off the first endpoint's run, is not confidently
+            positive, in which case the additive identity pins improvement
+            and regret deltas to opposite signs. Any error of that run (an
+            infeasible instance, an identity violation) is raised first.
     """
     attr = params.attribute
     endpoint_a = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 0)
     endpoint_b = lambda pop, caps, seed: allocate_group_priority(pop, caps, attr, 1)
 
-    du_diffs = []
-    for r in range(replications):
-        pop = params.sample(base_seed + r)
-        env = envelope(pop)
-        g1 = pop.group_mask(attr, 1)
-        du_diffs.append(float(np.mean(env.delta_u[g1])) - float(np.mean(env.delta_u[~g1])))
-    du = _aggregate(du_diffs)
+    run_a = run_experiment(params, endpoint_a, replications, base_seed)
+    du = run_a.aux.get("delta_mean_delta_u")
     if du is None or du.estimate - du.ci_half_width <= 0:
         raise NoHeterogeneityError(
             "no-heterogeneity: mean max-gain difference between groups is not positive"
         )
-
-    run_a = run_experiment(params, endpoint_a, replications, base_seed)
     run_b = run_experiment(params, endpoint_b, replications, base_seed)
     delta = run_a.metrics["delta_improvement"].estimate
     delta_prime = run_b.metrics["delta_improvement"].estimate

@@ -120,9 +120,9 @@ def transport_calls(monkeypatch):
 
     def recorded(w, caps, p0=None):
         start = None if p0 is None else list(p0)
-        assignment, prices = solve(w, caps, p0)
-        calls.append((start, prices))
-        return assignment, prices
+        result = solve(w, caps, p0)
+        calls.append((start, result[1]))
+        return result
 
     monkeypatch.setattr(policies, "_solve_transport", recorded)
     return calls

@@ -83,7 +83,9 @@ def _digests(root: Path) -> dict[str, str]:
 def run_corpus(workdir: Path) -> tuple[dict[str, int], dict[str, str]]:
     """Run every call in ``workdir`` on copies of the inputs; return each
     call's exit code and the digest of every file in ``workdir`` afterwards.
-    The calls see relative paths only, so no output holds ``workdir``."""
+    The calls see relative paths only, so no output holds ``workdir``.
+    ``check`` writes no file, so its printed report is kept as
+    ``check/stdout.txt``."""
     shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
     write_synthetic_csv(workdir / "homeless.csv")
     write_synthetic_csv(workdir / "homeless-9000.csv", n=9000)
@@ -92,8 +94,12 @@ def run_corpus(workdir: Path) -> tuple[dict[str, int], dict[str, str]]:
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             codes = {name: main([*argv, "--output-dir", name]) for name, argv in CALLS.items()}
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            codes["check"] = main(["check", "--seed", "7"])
     finally:
         os.chdir(cwd)
+    (workdir / "check").mkdir()
+    (workdir / "check" / "stdout.txt").write_text(report.getvalue(), encoding="utf-8")
     return codes, _digests(workdir)
 
 

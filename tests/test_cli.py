@@ -200,6 +200,21 @@ class TestSolve:
         assert f"--capacities: {field}, outside the int64 range" in err
         assert "convert to C long" not in err
 
+    @pytest.mark.parametrize("capacities", [
+        "9223372036854775807,9223372036854775807",  # the int64 total wraps
+        "1152921504606846976,1",  # 2**60 + 1 slots: past the largest int64 array
+    ], ids=["wraps", "too-many-slots"])
+    def test_random_total_beyond_array_size_exits_2(self, population_csv, tmp_path, capsys,
+                                                    capacities):
+        total = sum(int(c) for c in capacities.split(","))
+        assert run_cli(
+            "solve", "--population", population_csv, "--capacities", capacities,
+            "--policy", "random", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: total capacity {total} is too large for the random policy\n"
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_memory_exits_2(self, population_csv, tmp_path, monkeypatch, capsys):
         # allocate_random shuffles all c_k slots, so a huge capacity runs out
         # of memory; raised here rather than allocated, which could get the

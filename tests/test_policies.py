@@ -209,6 +209,14 @@ def lex_least_loop(allowed, caps, mandatory):
     return out
 
 
+def walk(allowed, caps, mandatory, start):
+    """``_lex_least_allowed`` on an allowed matrix, grouped into allowed sets
+    by ``_distinct_rows`` first, as the solver groups its demand sets."""
+    member, _, key = policies._distinct_rows(np.asarray(allowed, dtype=bool))
+    return policies._lex_least_allowed(member, key, np.asarray(caps), np.asarray(mandatory),
+                                       np.asarray(start))
+
+
 def arcs_under_dual(w, caps, prices):
     """The (allowed, mandatory) pairs and fills that complementary slackness
     leaves every optimal assignment under the optimal dual ``prices``."""
@@ -222,7 +230,7 @@ def lex_least_under_dual(w, caps, prices, start):
     allows under the optimal dual ``prices``, walked from the optimal
     assignment ``start``."""
     allowed, mandatory = arcs_under_dual(w, caps, prices)
-    return policies._lex_least_allowed(allowed, caps, mandatory, start)
+    return walk(allowed, caps, mandatory, start)
 
 
 def certify(w, caps, assignment, prices):
@@ -300,7 +308,7 @@ class TestFlowSolver:
     def test_matches_highs(self, instance):
         w, caps = instance
         n, k = w.shape
-        flow, prices = policies._solve_transport(w, caps)
+        flow, prices, *_ = policies._solve_transport(w, caps)
         total = certify(w, caps, flow, prices)
         highs_total, pi, sigma = highs_transport(w, caps)
         assert total == highs_total
@@ -309,7 +317,7 @@ class TestFlowSolver:
         rc = -w - pi[:, None] - sigma[None, :]
         highs_mandatory = np.where(sigma < 0, caps, 0)
         ours = lex_least_under_dual(w, caps, prices, flow)
-        theirs = policies._lex_least_allowed(rc == 0, caps, highs_mandatory, flow)
+        theirs = walk(rc == 0, caps, highs_mandatory, flow)
         assert ours.tolist() == theirs.tolist()
         assert sum(w[np.arange(n), ours - 1].tolist()) == total
 
@@ -321,9 +329,9 @@ class TestFlowSolver:
         w, caps = instance
         p0 = data.draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**40)),
                                 min_size=w.shape[1], max_size=w.shape[1]))
-        flow, prices = policies._solve_transport(w, caps, p0)
+        flow, prices, *_ = policies._solve_transport(w, caps, p0)
         total = certify(w, caps, flow, prices)
-        cold_flow, cold_prices = policies._solve_transport(w, caps)
+        cold_flow, cold_prices, *_ = policies._solve_transport(w, caps)
         assert total == certify(w, caps, cold_flow, cold_prices)
         assert (lex_least_under_dual(w, caps, prices, flow).tolist()
                 == lex_least_under_dual(w, caps, cold_prices, cold_flow).tolist())
@@ -331,7 +339,7 @@ class TestFlowSolver:
     def test_certificate_rejects_tampering(self):
         w = np.array([[10, 0], [0, 10]], dtype=np.int64)
         caps = np.array([2, 2])
-        flow, prices = policies._solve_transport(w, caps)
+        flow, prices, *_ = policies._solve_transport(w, caps)
         assert flow.tolist() == [0, 1] and prices == [0, 0]
         assert certify(w, caps, flow, prices) == 20
         for bad_flow, bad_prices, bad_caps in [
@@ -351,7 +359,7 @@ class TestFlowSolver:
         big = 2**53 - 2
         w = np.array([[big, big - 1], [big - 1, big]] * 3, dtype=np.int64)
         caps = np.array([3, 3])
-        flow, prices = policies._solve_transport(w, caps)
+        flow, prices, *_ = policies._solve_transport(w, caps)
         assert certify(w, caps, flow, prices) == 6 * big
 
     def test_utilitarian_does_not_call_linprog(self, monkeypatch):
@@ -414,7 +422,7 @@ class TestFlowSolver:
         by_hall = lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=13)
         assert by_lp.tolist() == by_hall.tolist()
         verdicts.clear()
-        walked = policies._lex_least_allowed(allowed, caps, mandatory, hidden)
+        walked = walk(allowed, caps, mandatory, hidden)
         assert walked.tolist() == by_hall.tolist() and not verdicts
 
 
@@ -422,7 +430,7 @@ class TestFlowSolver:
     @given(structure=tie_structures())
     def test_lex_least_matches_loop(self, structure):
         allowed, caps, mandatory, hidden = structure
-        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+        assert walk(allowed, caps, mandatory, hidden).tolist() == (
             lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
@@ -430,9 +438,9 @@ class TestFlowSolver:
     @given(instance=transport_instances())
     def test_lex_least_matches_loop_on_optimal_arcs(self, instance):
         w, caps = instance
-        flow, prices = policies._solve_transport(w, caps)
+        flow, prices, *_ = policies._solve_transport(w, caps)
         allowed, mandatory = arcs_under_dual(w, caps, prices)
-        assert policies._lex_least_allowed(allowed, caps, mandatory, flow).tolist() == (
+        assert walk(allowed, caps, mandatory, flow).tolist() == (
             lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
@@ -447,7 +455,7 @@ class TestFlowSolver:
     @given(structure=tie_runs())
     def test_lex_least_matches_loop_on_runs(self, structure):
         allowed, caps, mandatory, hidden = structure
-        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+        assert walk(allowed, caps, mandatory, hidden).tolist() == (
             lex_least_loop(allowed, caps, mandatory).tolist()
         )
 
@@ -479,7 +487,7 @@ class TestFlowSolver:
         by_hall = lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=k)
         assert by_lp.tolist() == by_hall.tolist()
         verdicts.clear()
-        walked = policies._lex_least_allowed(allowed, caps, mandatory, hidden)
+        walked = walk(allowed, caps, mandatory, hidden)
         assert walked.tolist() == by_hall.tolist() and not verdicts
 
     @pytest.mark.parametrize("n, k", [(100, 12), (400, 13)], ids=["hall", "lp"])
@@ -515,7 +523,7 @@ class TestFlowSolver:
         fills = np.bincount(hidden, minlength=k)
         caps = fills + (rng.random(k) < 0.3)
         mandatory = np.where(rng.random(k) < 0.7, fills, 0)
-        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+        assert walk(allowed, caps, mandatory, hidden).tolist() == (
             lex_least_hall_lp(allowed, caps, mandatory, max_subset_k=k).tolist()
         )
 
@@ -530,7 +538,7 @@ class TestFlowSolver:
         caps = fills + (rng.random(k) < 0.3)
         mandatory = np.where(rng.random(k) < 0.7, fills, 0)
         assert len(np.unique(allowed[allowed.sum(axis=1) > 1], axis=0)) >= 150
-        assert policies._lex_least_allowed(allowed, caps, mandatory, hidden).tolist() == (
+        assert walk(allowed, caps, mandatory, hidden).tolist() == (
             lex_least_hall_lp(allowed, caps, mandatory).tolist()
         )
 
@@ -541,8 +549,7 @@ class TestFlowSolver:
     ], ids=["capacity", "mandatory", "arc"])
     def test_lex_least_rejects_an_infeasible_start(self, allowed, caps, mandatory, start):
         with pytest.raises(RuntimeError, match="internal"):
-            policies._lex_least_allowed(np.array(allowed, dtype=bool), np.array(caps),
-                                        np.array(mandatory), np.array(start))
+            walk(allowed, caps, mandatory, start)
 
     @pytest.mark.parametrize("k", [24, 30])
     def test_many_services(self, k):
@@ -552,7 +559,7 @@ class TestFlowSolver:
         w = rng.integers(0, 4, (60, k)).astype(np.int64)
         caps = rng.integers(0, 4, k)
         caps[0] += max(0, 60 - caps.sum())
-        flow, prices = policies._solve_transport(w, caps)
+        flow, prices, *_ = policies._solve_transport(w, caps)
         assert certify(w, caps, flow, prices) == highs_transport(w, caps)[0]
 
     def test_certificate_sums_beyond_int64(self):
@@ -663,26 +670,17 @@ def test_experiment2_assignments_do_not_depend_on_the_start(seed):
 def test_experiment2_descent_steps(monkeypatch):
     # one descent step (one set of demand sets) reads each replication's
     # start, and after the price sweeps one more certifies the optimum; the
-    # descent alone took 89 steps here
-    # (the tie walk reads the allowed sets with _distinct_rows too; only the
-    # calls inside the solver are steps)
-    steps, inside = [], []
-    real, solve = policies._distinct_rows, policies._solve_transport
+    # descent alone took 89 steps here. The tie walk reads the last step's
+    # demand sets and groups nothing itself, so every _distinct_rows call is
+    # a step: 2 a replication, 40 in all
+    steps = []
+    real = policies._distinct_rows
 
     def recorded(allowed):
-        if inside:
-            steps.append(None)
+        steps.append(None)
         return real(allowed)
 
-    def solving(*args):
-        inside.append(None)
-        try:
-            return solve(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(policies, "_distinct_rows", recorded)
-    monkeypatch.setattr(policies, "_solve_transport", solving)
     params = load_experiment_config("experiment2").params
     allocate = compile_spec(PolicySpec("utilitarian"))
     for seed in range(7, 27):
@@ -740,7 +738,7 @@ def test_price_sweeps_only_lower_the_dual(instance):
 
     with mock.patch.object(policies, "_search_price", recorded_search), \
             mock.patch.object(policies, "_coordinate_sweeps", recorded_sweeps):
-        assignment, prices = policies._solve_transport(w, caps, p0)
+        assignment, prices, *_ = policies._solve_transport(w, caps, p0)
     # a shift between sweeps leaves f as it was
     assert all(b == a for (_, a), (b, _) in zip(values, values[1:]))
     if sweeps:  # one run at most, before the first descent step
@@ -750,6 +748,20 @@ def test_price_sweeps_only_lower_the_dual(instance):
         assert values[-1][1] == dual_value(w, caps, out)
     total = certify(w, caps, assignment, prices)
     assert total == dual_value(w, caps, prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=sweep_instances())
+def test_solver_returns_the_arcs_of_its_dual(instance):
+    # the row maxima and demand sets that the walk and the certificate read
+    # are those of the returned dual, for byte-code keys (K <= 8) and rank
+    # keys (K > 8) alike
+    w, caps, p0 = instance
+    assignment, prices, top, member, key = policies._solve_transport(w, caps, p0)
+    allowed, _ = arcs_under_dual(w, caps, prices)
+    assert top.tolist() == (w - np.array(prices, dtype=np.int64)).max(axis=1).tolist()
+    assert np.array_equal(member[np.unique(key, return_inverse=True)[1]], allowed)
+    assert allowed[np.arange(len(w)), assignment].all()
 
 
 def demand_flow_reference(member, count, caps):

@@ -13,6 +13,7 @@ import pytest
 from fairalloc import (
     CapacityVector,
     GaussianGroupParams,
+    InfeasibleError,
     NoHeterogeneityError,
     PolicySpec,
     SF1Params,
@@ -598,6 +599,18 @@ class TestSignFlip:
         )
         with pytest.raises(NoHeterogeneityError):
             verify_sign_flip(params, replications=20, base_seed=3)
+
+    def test_endpoint_run_errors_come_before_no_heterogeneity(self):
+        # the precondition is read off the first endpoint's run, so an error
+        # of that run surfaces first
+        params = GaussianGroupParams(
+            means=[[0.2, 0.3, 0.4]] * 2,
+            variances=[[1e-4, 4e-4, 9e-4]] * 2,
+            group_sizes=(100, 100),
+            capacities=CapacityVector([50, 50, 50]),
+        )
+        with pytest.raises(InfeasibleError, match="total capacity 150 < population 200"):
+            verify_sign_flip(params, replications=5, base_seed=3)
 
 
 class TestConfigs:
