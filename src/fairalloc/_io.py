@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
@@ -201,7 +202,7 @@ def _first_bad_utf8_line(path: str) -> int:
 
 # full-width rows validated together, one column at a time; this many raw
 # rows are held at once, whatever the file size
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 _FLAG_VALUES = {"0": 0, "1": 1}
 
 
@@ -245,7 +246,12 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     label_order = len(float_at)
     id_order = label_order + 1 + len(flag_at)
     errors: list[tuple[int, int, str]] = []  # (line, place in its row, message)
-    id_lines: dict[str, int] = {}
+    # ids are checked against a set, and each row's line is kept in a compact
+    # array; the map from an id to its first line is built only once a
+    # duplicate shows up, and then serves the rest of the file
+    seen: set[str] = set()
+    id_lines = array("q")
+    first_lines: dict[str, int] | None = None
     ids: list[str] = []
     floats: list[np.ndarray] = []
     labels: list[np.ndarray] = []
@@ -293,13 +299,22 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
             flags[c].append(values)
         if id_at is None:
             return
+        nonlocal first_lines
         col = fields[id_at]
+        if first_lines is None:
+            known = len(seen)
+            seen.update(col)
+            if len(seen) == known + len(col):
+                ids.extend(col)
+                id_lines.extend(lines)
+                return
+            # every id before this chunk is unique
+            first_lines = dict(zip(ids, id_lines))
+            seen.clear()
+            del id_lines[:]
         ids.extend(col)
-        if len(set(col)) == len(col) and id_lines.keys().isdisjoint(col):
-            id_lines.update(zip(col, lines))
-            return
         for text, line in zip(col, lines):
-            first = id_lines.setdefault(text, line)
+            first = first_lines.setdefault(text, line)
             if first != line:
                 errors.append((line, id_order, f"duplicate-id(line {line}): {text!r} "
                                                f"already on line {first}"))

@@ -22,9 +22,11 @@ from .core import (
     Allocation,
     FairnessReport,
     Population,
+    _fairness_report,
     _first_best,
     _frozen_array,
-    delta_metrics,
+    _metric_block,
+    delta_metrics,  # noqa: F401 -- unused here; perfbench/tracing.py wraps audit.delta_metrics
     envelope,
     favored_group,
 )
@@ -148,9 +150,14 @@ class AuditDataset:
             # a NaN would have no best service
             raise ValueError("probabilities must be finite")
         _check_service_names(self.service_names, p.shape[1])
+        observed = _frozen_array(self.observed, np.int64)
+        n, k = p.shape
+        if observed.shape != (n,) or not np.all((observed >= 1) & (observed <= k)):
+            raise ValueError(f"observed must hold one service index in 1..{k} "
+                             f"for each of the {n} households")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
-        object.__setattr__(self, "observed", _frozen_array(self.observed, np.int64))
+        object.__setattr__(self, "observed", observed)
         groups = {name: _frozen_array(vals, np.int8) for name, vals in dict(self.groups).items()}
         object.__setattr__(self, "groups", groups)
 
@@ -163,7 +170,8 @@ class AuditDataset:
         return self.probabilities.shape[1]
 
     def population(self) -> Population:
-        return Population(utilities=self.utilities, groups=self.groups)
+        # the read-only utilities are shared, not copied
+        return Population._adopt(self.utilities, self.groups)
 
 
 def eval_group_expr(expr: str, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -247,12 +255,14 @@ class ShareRow:
         return out
 
 
-def _shares_for_mask(dataset: AuditDataset, mask: np.ndarray, label: str) -> ShareRow:
-    count = int(mask.sum())
+def _shares_for_mask(best: np.ndarray, k: int, mask: np.ndarray, label: str) -> ShareRow:
+    """The share row of the households in ``mask``, from ``best``, the
+    0-based first-best service of every household of the dataset."""
+    chosen = best[mask]
+    count = chosen.size
     if count == 0:
         raise EmptyGroupError(f"empty-group: {label}")
-    best = _first_best(dataset.utilities[mask])
-    counts = np.bincount(best, minlength=dataset.k)
+    counts = np.bincount(chosen, minlength=k)
     return ShareRow(label=label, count=count, shares=tuple(float(c) / count for c in counts))
 
 
@@ -349,19 +359,20 @@ class ObservedAudit:
 
 
 def _observed_for_masks(
-    dataset: AuditDataset,
+    rows: np.ndarray,
+    positive: np.ndarray,
     pair: GroupPair,
     mask0: np.ndarray,
     mask1: np.ndarray,
     fair_tolerance: float,
 ) -> ObservedAudit:
-    included = np.nonzero(mask0 | mask1)[0]
-    pop = Population(
-        utilities=dataset.utilities[included],
-        groups={pair.name: mask1[included].astype(np.int8)},
-    )
-    alloc = Allocation(dataset.observed[included])
-    report = delta_metrics(pop, alloc, pair.name)
+    """The pair's verdicts from the dataset's (5, 1, N) ``_metric_block``
+    rows of the observed assignment: the report ``delta_metrics`` gives on
+    the pair's own households, whose gain and shortfall are defined when
+    their utilities are all > 0 (``positive`` per household)."""
+    defined = bool(positive[mask0 | mask1].all())
+    members = (np.flatnonzero(mask0), np.flatnonzero(mask1))
+    report = _fairness_report(pair.name, rows, defined, members)
     return ObservedAudit(
         report=report, flags=trade_off_flags(report, fair_tolerance), tolerance=fair_tolerance
     )
@@ -428,11 +439,22 @@ def run_audit(
 ) -> AuditReport:
     """Run every configured pair analysis over the dataset.
 
+    Each per-household quantity is computed once, over the whole dataset:
+    the envelope and max gains, the first-best services, and the metric
+    rows of the observed assignment. A pair then reads its households' own
+    entries, so its shares, KDE curves and report are those of its own
+    sub-population, bit for bit.
+
     Raises:
         ValueError: as ``check_audit_options`` does.
     """
     check_audit_options(bandwidth, fair_tolerance)
-    delta_u = envelope(dataset.population()).delta_u  # max gains of the whole dataset
+    pop = dataset.population()
+    env = envelope(pop)
+    best = _first_best(dataset.utilities)
+    realized = Allocation._adopt(dataset.observed).realized(pop)
+    rows = _metric_block(env.u_min[None], env.u_max[None], realized[None])[0]
+    positive = env.u_min > 0.0
     pairs = []
     for pair in schema.pairs:
         mask0, mask1 = _pair_masks(dataset, pair)
@@ -442,17 +464,17 @@ def run_audit(
                 n_0=int(mask0.sum()),
                 n_1=int(mask1.sum()),
                 shares=(
-                    _shares_for_mask(dataset, mask0, f"{pair.name}:0"),
-                    _shares_for_mask(dataset, mask1, f"{pair.name}:1"),
+                    _shares_for_mask(best, dataset.k, mask0, f"{pair.name}:0"),
+                    _shares_for_mask(best, dataset.k, mask1, f"{pair.name}:1"),
                 ),
-                delta_u=_delta_u_for_masks(delta_u, mask0, mask1, bandwidth),
-                observed=_observed_for_masks(dataset, pair, mask0, mask1, fair_tolerance),
+                delta_u=_delta_u_for_masks(env.delta_u, mask0, mask1, bandwidth),
+                observed=_observed_for_masks(rows, positive, pair, mask0, mask1, fair_tolerance),
             )
         )
     return AuditReport(
         service_names=dataset.service_names,
         n=dataset.n,
-        overall_shares=_shares_for_mask(dataset, np.ones(dataset.n, dtype=bool), "all"),
+        overall_shares=_shares_for_mask(best, dataset.k, np.ones(dataset.n, dtype=bool), "all"),
         pairs=tuple(pairs),
         bandwidth=bandwidth,
     )

@@ -84,9 +84,9 @@ class Population:
     @classmethod
     def _adopt(cls, utilities: np.ndarray, groups: Mapping[str, np.ndarray]) -> "Population":
         """A population over ``utilities``, a float64 matrix its caller has
-        just built for it and keeps no other use of: frozen in place, and not
-        copied when it is service-major already. The groups and every check
-        are as in the constructor."""
+        just built for it and keeps no other use of, or one already
+        read-only: frozen in place, and not copied when it is service-major
+        already. The groups and every check are as in the constructor."""
         pop = object.__new__(cls)
         object.__setattr__(pop, "groups", groups)
         pop._settle(_freeze(np.asarray(utilities, dtype=np.float64, order="F")))
@@ -165,7 +165,20 @@ class Allocation:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_array(self.assignment, np.int64)
+        self._settle(_frozen_array(self.assignment, np.int64))
+
+    @classmethod
+    def _adopt(cls, assignment: np.ndarray) -> "Allocation":
+        """An allocation over ``assignment``, an int64 vector its caller has
+        just built for it and keeps no other use of, or one already
+        read-only: frozen in place, not copied. Every check is as in the
+        constructor."""
+        alloc = object.__new__(cls)
+        alloc._settle(_freeze(np.asarray(assignment, dtype=np.int64)))
+        return alloc
+
+    def _settle(self, a: np.ndarray):
+        """Check the frozen vector ``a`` and store it."""
         if a.ndim != 1 or a.size < 1:
             raise ValueError("assignment must be a non-empty 1-D vector")
         if a.min() < 1:
@@ -235,6 +248,8 @@ def envelope(pop: Population) -> UtilityEnvelope:
 #: The rows of a metric block, in order: the four metrics, then the max gain.
 _ROWS = (*METRICS, "delta_u")
 _MULTIPLICATIVE = ("gain", "shortfall")
+# bytes of the buffer ``_group_means`` gathers a scattered group's rows into
+_GATHER_BYTES = 1 << 18
 
 
 def _metric_block(
@@ -246,8 +261,9 @@ def _metric_block(
     Writes improvement, regret, gain, shortfall and ``delta_u`` (``_ROWS``
     order) into ``out[:5]`` (an (M >= 5, R, N) array; a new (5, R, N) one by
     default) and returns it with the (R,) mask of replications whose
-    utilities are all > 0. Gain and shortfall are divided only in those, and
-    read 0 in the others.
+    utilities are all > 0. Gain and shortfall are divided only where the
+    individual's utilities are all > 0, and read 0 elsewhere, so that a
+    caller can take them over any group of such individuals.
     """
     if out is None:
         out = np.empty((len(_ROWS), *realized.shape))
@@ -260,7 +276,7 @@ def _metric_block(
     if defined.all():
         where = True
     else:
-        where = defined[:, None]
+        where = u_min > 0.0
         out[2:4] = 0.0
     np.divide(realized, u_min, out=gain, where=where)
     np.divide(realized, u_max, out=shortfall, where=where)
@@ -277,14 +293,16 @@ def _group_means(rows: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     groups are, is summed along the last axis of a view of ``rows``; numpy
     sums each row's contiguous entries pairwise, in the order the 1-D
     ``np.add.reduce(row[mask])`` of one replication's row does. A scattered
-    group is gathered one row at a time into one reused buffer and summed
-    as that 1-D reduce, so no more than one row's gather is held at once.
-    Either way a block's means equal one replication's at a time bit for
-    bit, whatever its size (a strided gather such as ``row[:, idx]`` would
-    not). Dividing by the group size is ``np.mean``'s arithmetic without its
-    per-call overhead.
+    group is gathered with ``np.take`` into the C-contiguous rows of one
+    reused buffer, as many rows per ``take`` as ``_GATHER_BYTES`` holds (one
+    at least), and summed along their last axis the same way. Either way a
+    block's means equal one replication's at a time bit for bit, whatever
+    its size (a strided gather such as ``row[:, idx]`` would not). Dividing
+    by the group size is ``np.mean``'s arithmetic without its per-call
+    overhead.
     """
     means = np.empty((*rows.shape[:-1], len(members)))
+    flat, sums = rows.reshape(-1, rows.shape[-1]), means.reshape(-1, len(members))
     gathered = None
     for g, idx in enumerate(members):
         first, last = int(idx[0]), int(idx[-1])
@@ -292,12 +310,15 @@ def _group_means(rows: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
             means[..., g] = np.add.reduce(rows[..., first : last + 1], axis=-1) / idx.size
             continue
         if gathered is None:
-            gathered = np.empty(max(m.size for m in members))
-        out = gathered[: idx.size]
-        sums = means.reshape(-1, len(members))
-        for r, row in enumerate(rows.reshape(-1, rows.shape[-1])):
+            largest = max(m.size for m in members)
+            gathered = np.empty(min(flat.size, max(_GATHER_BYTES // 8, largest)))
+        step = max(1, _GATHER_BYTES // (8 * idx.size))
+        for lo in range(0, len(flat), step):
+            part = flat[lo : lo + step]
+            out = gathered[: len(part) * idx.size].reshape(len(part), idx.size)
             # the indices are valid; "clip" only spares take its checking copy
-            sums[r, g] = np.add.reduce(row.take(idx, out=out, mode="clip"))
+            np.take(part, idx, axis=-1, out=out, mode="clip")
+            np.add.reduce(out, axis=-1, out=sums[lo : lo + step, g])
         means[..., g] /= idx.size
     return means
 
@@ -442,6 +463,15 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
         if idx.size == 0:
             raise EmptyGroupError(f"empty-group: {attribute}={value}")
     rows, defined = _population_rows(pop, alloc)
+    return _fairness_report(attribute, rows, defined, members)
+
+
+def _fairness_report(
+    attribute: str, rows: np.ndarray, defined: bool, members: tuple[np.ndarray, np.ndarray]
+) -> FairnessReport:
+    """The report of one population's (5, 1, N) ``_metric_block`` rows over
+    its groups 0 and 1, the individuals ``members`` (ascending indices);
+    gain and shortfall are None unless ``defined``."""
     means = {
         name: None if name in _MULTIPLICATIVE and not defined else tuple(pair)
         for name, pair in zip(_ROWS, _group_means(rows, members)[:, 0].tolist())

@@ -119,12 +119,12 @@ def _check_instance(pop: Population, caps: CapacityVector):
 
 def allocate_best(pop: Population) -> Allocation:
     """Everyone gets their highest-utility service, ignoring capacities."""
-    return Allocation(_first_best(pop.utilities) + 1)
+    return Allocation._adopt(_first_best(pop.utilities) + 1)
 
 
 def allocate_worst(pop: Population) -> Allocation:
     """Everyone gets their lowest-utility service, ignoring capacities."""
-    return Allocation(_first_best(pop.utilities, worst=True) + 1)
+    return Allocation._adopt(_first_best(pop.utilities, worst=True) + 1)
 
 
 def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocation:
@@ -139,7 +139,7 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
         raise ValueError(f"total capacity {caps.total} is too large for the random policy")
     slots = np.repeat(np.arange(1, pop.k + 1, dtype=np.int64), caps.capacities)
     gen = generator(seed)
-    return Allocation(slots[gen.permutation(slots.size)[: pop.n]])
+    return Allocation._adopt(slots[gen.permutation(slots.size)[: pop.n]])
 
 
 # The earlier tie resolver's feasibility checks, which the package no longer
@@ -781,7 +781,7 @@ def allocate_utilitarian(
     mandatory = np.where(np.array(prices) > 0, cap, 0)
     assignment = _lex_least_allowed(member, key, cap, mandatory, solved)
     _certify_transport(w, cap, assignment - 1, prices, top)
-    return Allocation(assignment)
+    return Allocation._adopt(assignment)
 
 
 def allocate_mixture(
@@ -837,7 +837,7 @@ def allocate_mixture(
             continue
         sub = child(pop.subset(idx), CapacityVector(sub_caps), spawn_seed(seed, stream))
         assignment[idx] = sub.assignment
-    alloc = Allocation(assignment)
+    alloc = Allocation._adopt(assignment)
     if not alloc.is_feasible(pop, caps):
         # a child that ignores capacities can overflow the shared budget
         raise InfeasibleError("infeasible: mixture children exceeded the capacities")

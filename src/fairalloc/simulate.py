@@ -456,7 +456,7 @@ def allocate_group_priority(
                 remaining[k] -= 1
                 assignment[i] = k + 1
                 break
-    return Allocation(assignment)
+    return Allocation._adopt(assignment)
 
 
 def gain_fair_allocator(params: SF1Params, q_high: float = 0.5) -> Allocator:
@@ -481,7 +481,7 @@ def gain_fair_allocator(params: SF1Params, q_high: float = 0.5) -> Allocator:
         assignment = np.where(
             take_best, _first_best(pop.utilities), _first_best(pop.utilities, worst=True)
         ) + 1
-        alloc = Allocation(assignment)
+        alloc = Allocation._adopt(assignment)
         if not alloc.is_feasible(pop, caps):
             raise InfeasibleError("infeasible: gain-fair harness policy needs slack capacities")
         return alloc

@@ -18,11 +18,13 @@ from conftest import (
 )
 
 import fairalloc
+import fairalloc.cli
 from fairalloc import (
     Allocation,
     DataValidationError,
     DegenerateVarianceError,
     EmptyGroupError,
+    Population,
     SchemaMismatchError,
     delta_metrics,
     ingest_csv,
@@ -32,11 +34,13 @@ from fairalloc.audit import (
     DEFAULT_FAIR_TOLERANCE,
     AuditSchema,
     GroupPair,
+    ShareRow,
     eval_group_expr,
     export_csv,
     trade_off_flags,
     write_report_bundle,
 )
+from fairalloc.core import _first_best
 
 SMALL_CSV = """id,p_TH,p_RRH,p_ES,observed,children,disability
 h1,0.3,0.5,0.4,TH,0,1
@@ -207,6 +211,22 @@ class TestShares:
         # the names key the share rows, so a dataset checks them as a schema does
         with pytest.raises(SchemaMismatchError, match=message):
             dataclasses.replace(build_tradeoff_dataset(), service_names=names)
+
+    @pytest.mark.parametrize("observed", [
+        [1, 2, 1, 2, 0, 3],  # the last two households are in no pair
+        [1, 2, 1, 2, 1],
+        [[1, 2, 1, 2, 1, 2]],
+    ], ids=["out-of-range", "too-short", "not-a-vector"])
+    def test_bad_observed_rejected(self, observed):
+        # run_audit reads every household's realized utility, in a pair or not
+        with pytest.raises(ValueError, match=r"observed must hold one service index in 1\.\.2"):
+            fairalloc.AuditDataset(
+                ids=tuple("abcdef"),
+                probabilities=np.full((6, 2), 0.5),
+                observed=np.array(observed),
+                groups={"g": np.array([0, 1, 0, 1, 0, 0], dtype=np.int8)},
+                service_names=("A", "B"),
+            )
 
     def test_engineered_overall_shares(self):
         row = run_audit(build_synthetic_dataset(), SMALL_SCHEMA).overall_shares
@@ -392,6 +412,76 @@ class TestRunAudit:
         assert ds.utilities is ds.utilities
         assert not ds.utilities.flags.writeable
         assert np.array_equal(ds.utilities, 1.0 - ds.probabilities)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_pairs_match_their_own_sub_population(self, seed, tmp_path):
+        """Each pair's shares and observed report, read from the dataset-wide
+        passes, equal bit for bit what the pair's own households give: share
+        rows from ``_first_best`` on the masked utilities and the report of
+        ``delta_metrics`` on the pair's sub-population. The pairs leave
+        households out, and utilities of 0 sit inside a pair, outside every
+        pair, or both; the CLI audits such a dataset under its float guard."""
+        gen = np.random.default_rng(seed)
+        n, k = int(gen.integers(12, 300)), int(gen.integers(2, 5))
+        probabilities = gen.uniform(0.0, 1.0, (n, k))
+        groups = {name: (gen.random(n) < 0.5).astype(np.int8) for name in "abcx"}
+        inside = np.flatnonzero(groups["x"] == 0)
+        outside = np.flatnonzero(groups["x"] == 1)
+        for where in ((inside,), (outside,), (inside, outside), ())[seed % 4]:
+            if where.size:
+                probabilities[gen.choice(where), gen.integers(k)] = 1.0  # a utility of 0
+        schema = AuditSchema.from_dict({
+            "services": [{"name": f"s{j}", "column": f"p{j}"} for j in range(k)],
+            "observed": "observed",
+            "groups": {name: name for name in groups},
+            "pairs": [
+                {"name": "a", "group1": "a & ~x", "group0": "~a & ~x"},
+                {"name": "bc", "group1": "b & c & ~x", "group0": "~b & ~x"},
+                {"name": "all", "group1": "a", "group0": "~a"},
+            ],
+        })
+        ds = fairalloc.AuditDataset(
+            ids=tuple(f"h{i}" for i in range(n)),
+            probabilities=probabilities,
+            observed=gen.integers(1, k + 1, n),
+            groups=groups,
+            service_names=tuple(f"s{j}" for j in range(k)),
+        )
+        try:
+            report = run_audit(ds, schema)
+        except (EmptyGroupError, DegenerateVarianceError):
+            pytest.skip("a group too small for the Welch test")
+
+        def own_shares(mask, label):
+            count = int(mask.sum())
+            counts = np.bincount(_first_best(ds.utilities[mask]), minlength=k)
+            return ShareRow(label, count, tuple(float(c) / count for c in counts))
+
+        everyone = np.ones(n, dtype=bool)
+        assert repr(report.overall_shares) == repr(own_shares(everyone, "all"))
+        for pair in report.pairs:
+            masks = [eval_group_expr(expr, ds.groups) for expr in (pair.pair.group0,
+                                                                   pair.pair.group1)]
+            expected = [own_shares(mask, f"{pair.pair.name}:{v}") for v, mask in enumerate(masks)]
+            assert repr(pair.shares) == repr(tuple(expected))
+            included = np.flatnonzero(masks[0] | masks[1])
+            own = Population(ds.utilities[included],
+                             {pair.pair.name: masks[1][included].astype(np.int8)})
+            want = delta_metrics(own, Allocation(ds.observed[included]), pair.pair.name)
+            got = pair.observed.report
+            assert repr((got.means, got.mean_delta_u)) == repr((want.means, want.mean_delta_u))
+
+        data, config = tmp_path / "audit.csv", tmp_path / "schema.json"
+        export_csv(ds, str(data), schema)
+        config.write_text(json.dumps({
+            "services": [{"name": name, "column": col} for name, col in schema.services],
+            "observed": schema.observed_column,
+            "groups": dict(schema.group_columns),
+            "pairs": [dataclasses.asdict(pair) for pair in schema.pairs],
+        }))
+        argv = ["audit", "--data", str(data), "--config", str(config),
+                "--output-dir", str(tmp_path / "out")]
+        assert fairalloc.cli.main(argv) == 0
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
     def test_bad_fair_tolerance_rejected(self, tolerance):

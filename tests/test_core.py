@@ -280,6 +280,23 @@ def test_group_means_equal_one_replication_at_a_time(size, others, reps, run, se
     assert same_bits(got, np.array(expected))
 
 
+@pytest.mark.parametrize("n", [1, 100, 3000, 50_000])
+@pytest.mark.parametrize("rows", [1, 5, 12])
+def test_group_means_gather_several_rows_per_take(n, rows):
+    """A scattered group's rows are gathered several at a time, as many as
+    the gather budget holds; each mean still equals the 1-D
+    ``np.add.reduce(row[idx])`` of its own row over the group size, bit for
+    bit, for groups of every size from one member to all but one."""
+    gen = np.random.default_rng(n + rows)
+    block = gen.normal(0.0, 1.0, (rows, 1, n)) * 10.0 ** gen.integers(-6, 7, (rows, 1, 1))
+    sizes = sorted({1, max(1, n // 7), max(1, n // 2), max(1, n - 1)})
+    members = tuple(np.sort(gen.choice(n, size, replace=False)) for size in sizes)
+    got = _group_means(block, members)
+    expected = [[[np.add.reduce(row[idx]) / idx.size for idx in members] for row in rep]
+                for rep in block]
+    assert same_bits(got, np.array(expected))
+
+
 @st.composite
 def instances(draw, positive=False, max_n=24, max_k=4):
     n = draw(st.integers(2, max_n))
@@ -403,6 +420,20 @@ class TestTypes:
         pop = Population(np.array([[0.1, 0.2]]))
         with pytest.raises(ValueError):
             pop.utilities[0, 0] = 5.0
+
+    def test_allocation_copies_the_callers_array(self):
+        assignment = np.array([1, 2, 2], dtype=np.int64)
+        alloc = Allocation(assignment)
+        assignment[0] = 2
+        assert alloc.assignment.tolist() == [1, 2, 2]
+        with pytest.raises(ValueError):
+            alloc.assignment[0] = 2
+        # an allocator's fresh array is adopted as it is, frozen, and checked
+        fresh = np.array([2, 1, 1], dtype=np.int64)
+        adopted = Allocation._adopt(fresh)
+        assert adopted.assignment is fresh and not fresh.flags.writeable
+        with pytest.raises(ValueError, match="1-based"):
+            Allocation._adopt(np.array([0, 1]))
 
 
 @st.composite

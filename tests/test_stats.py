@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fairalloc import DegenerateVarianceError, EmptySampleError, kde, stats, welch_t
@@ -71,7 +73,7 @@ class TestKdeBlocks:
 
     @pytest.mark.parametrize("n, grid_size", [
         (1, 512),
-        (997, 512),  # 32 rows a block: the grid is exactly 16 blocks
+        (stats._KDE_CHUNK_BYTES // (8 * 32), 512),  # 32 rows a block: exactly 16 blocks
         (stats._KDE_CHUNK_BYTES // (8 * 131), 512),  # 131 rows a block; 512 is not a multiple
         (BLOCK_ROWS_ONE // 64, 50),  # 64 rows a block: the grid is shorter than one block
         (5000, 7),
@@ -99,6 +101,23 @@ class TestKdeBlocks:
         samples = np.random.default_rng(7).normal(0.0, 1.0, 1000)
         curve = kde(samples, bandwidth=0.3, grid_size=50)
         assert np.array_equal(curve.density, dense_kde_density(samples, 0.3, curve.grid))
+
+
+@settings(max_examples=500, deadline=None)
+@given(z=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),  # squares and halves below the normal range
+    st.floats(1.3e154, 2.0e154),  # squares about DBL_MAX: overflow in one order only
+    st.floats(-40.0, 40.0),
+))
+def test_kernel_exponent_order_gives_the_same_bits(z):
+    """``kde`` takes exp(-0.5 * (z * z)); the dense reference takes
+    exp((-0.5 * z) * z). Scaling by -0.5 is exact except below the normal
+    range, and there, as where z * z overflows, exp gives 1 or 0 either way."""
+    z = np.float64(z)
+    with np.errstate(over="ignore", under="ignore"):
+        ours, reference = np.exp(-0.5 * (z * z)), np.exp((-0.5 * z) * z)
+    assert ours.tobytes() == reference.tobytes()
 
 
 class TestWelch:
