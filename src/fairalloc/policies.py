@@ -8,10 +8,11 @@ the lexicographically least one, recovered from that dual: every optimal
 assignment uses only zero-reduced-cost arcs and fills every service with a
 positive price. Starting from the solver's own assignment, a walk fixes the
 individuals in order, each at its least service that leaves a feasible
-completion, found by augmenting paths on the K services and one slack node.
-The walk moves by runs of consecutive individuals with the same allowed
-services, fixing at each service as many of a run as it can take. It reads
-the allowed services off the solver's last demand sets, grouped only there.
+completion. The walk moves by runs of consecutive individuals with the same
+allowed services, fixing at each service as many of a run as it can take. It
+reads the allowed services off the solver's last demand sets, grouped only
+there. The descent's flows and the walk's augmenting cycles all run in one
+residual network, ``_Residual``.
 
 No LP is solved. ``linprog``, ``_completion_feasible_hall`` and
 ``_completion_feasible_lp`` are the earlier tie resolver's feasibility
@@ -192,6 +193,184 @@ def _completion_feasible_lp(counts: dict[int, int], lo: np.ndarray, hi: np.ndarr
     return res.status == 0
 
 
+class _Residual:
+    """The residual network of a partial assignment of demand sets to the K
+    services: nodes 0..K-1 are the services, node K (U) holds the
+    individuals not yet placed, and node K + 1 is the slack node T.
+
+    A hop x -> y, from a service or U to a service, moves individuals of
+    some set at x that is allowed at y; it exists while ``reach[x][y]``, the
+    count of such individuals, is positive, which ``edges[x]`` keeps as a
+    bitmask. x -> T places one more individual at x and exists while
+    ``room[x] > 0``; T -> y takes one away from y and exists while
+    ``spare[y] > 0``. ``at[x][s]`` counts set s's individuals at node x.
+    ``search`` finds a shortest path, ``push`` moves a count along it, and
+    each ``move`` keeps ``at``, ``reach`` and ``edges`` current, so a search
+    costs O(K^2) however many sets there are (Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 6-7).
+    """
+
+    __slots__ = ("k", "sets", "masks", "at", "reach", "edges", "room", "spare")
+
+    def __init__(self, member: np.ndarray, held: np.ndarray, room: list[int], spare: list[int]):
+        """``member`` holds the distinct sets, one row each, and ``held[s, x]``
+        set s's individuals at node x, services first and U last."""
+        self.k = k = member.shape[1]
+        cols = np.nonzero(member)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(member, axis=1)).tolist()
+        self.sets = sets = [cols[a:b] for a, b in zip([0, *ends], ends)]  # each set's services
+        if k < 63:
+            self.masks = masks = (member @ (1 << np.arange(k))).tolist()
+        else:
+            self.masks = masks = [sum(1 << j for j in js) for js in sets]
+        self.at = at = [{} for _ in range(k + 1)]
+        self.edges = edges = [0] * (k + 1)
+        rows, cols = np.nonzero(held)
+        for s, x, c in zip(rows.tolist(), cols.tolist(), held[rows, cols].tolist()):
+            at[x][s] = c
+            edges[x] |= masks[s]
+        self.reach = (held.T @ member).tolist()
+        self.room = [*room, 0]  # U is never a sink
+        self.spare = spare
+
+    @classmethod
+    def greedy(cls, member: np.ndarray, count: np.ndarray, caps: np.ndarray,
+               mandatory: np.ndarray) -> "_Residual":
+        """The network of a greedy start: set by set, each set's ``count``
+        individuals fill what room its services have left, lowest service
+        first, and the rest wait at U. The services' spare is their fill
+        above ``mandatory``."""
+        d, k = member.shape
+        room, left = caps.tolist(), count.tolist()
+        rows, cols, gives = [], [], []
+        for s, j in zip(*(a.tolist() for a in np.nonzero(member))):
+            if left[s] and room[j] > 0:
+                give = min(left[s], room[j])
+                room[j] -= give
+                left[s] -= give
+                rows.append(s)
+                cols.append(j)
+                gives.append(give)
+        held = np.zeros((d, k + 1), dtype=np.int64)
+        held[rows, cols] = gives
+        held[:, k] = left
+        return cls(member, held, room, (caps - room - mandatory).tolist())
+
+    def move(self, s: int, x: int, y: int, count: int):
+        """Moves ``count`` individuals of set s from node x to service y;
+        takes them out of the network when y < 0."""
+        at, sets = self.at, self.sets
+        if at[x][s] == count:
+            del at[x][s]
+        else:
+            at[x][s] -= count
+        row = self.reach[x]
+        for j in sets[s]:
+            row[j] -= count
+            if not row[j]:
+                self.edges[x] &= ~(1 << j)
+        if y >= 0:
+            at[y][s] = at[y].get(s, 0) + count
+            row = self.reach[y]
+            for j in sets[s]:
+                row[j] += count
+            self.edges[y] |= self.masks[s]
+
+    def search(self, start: int, targets: int, keep: int = -1) -> list[int] | int:
+        """Breadth-first search from node ``start`` for a node in the bitmask
+        ``targets``, where set ``keep``'s individuals at ``start`` stay put.
+        Returns the path, a list of nodes, or when there is none the bitmask
+        of the nodes reached."""
+        k = self.k
+        slack = k + 1
+        edges, room, spare = self.edges, self.room, self.spare
+        own = self.at[start].get(keep, 0) if keep >= 0 else 0
+        pred = {}
+        seen = 1 << start
+        queue = [start]
+        for x in queue:  # grows while it is walked
+            if x == slack:
+                nxt = sum(1 << y for y in range(k) if spare[y] > 0)
+            else:
+                nxt = edges[x] | (room[x] > 0) << slack
+                if own and x == start:  # no hop that only set keep's individuals could take
+                    for j in self.sets[keep]:
+                        if self.reach[x][j] == own:
+                            nxt &= ~(1 << j)
+            hit = nxt & targets
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, x]
+                while x != start:
+                    x = pred[x]
+                    path.append(x)
+                path.reverse()
+                return path
+            nxt &= ~seen
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                y = low.bit_length() - 1
+                pred[y] = x
+                queue.append(y)
+        return seen
+
+    def push(self, path: list[int], want: int, keep: int = -1) -> int:
+        """Moves the bottleneck count of ``path``, at most ``want``, along
+        it, leaving set ``keep``'s individuals at its start; returns the
+        count."""
+        slack = self.k + 1
+        reach, room, spare, masks = self.reach, self.room, self.spare, self.masks
+        start = path[0]
+        own = self.at[start].get(keep, 0) if keep >= 0 else 0
+        delta = want
+        for x, y in zip(path, path[1:]):
+            if x == slack:
+                delta = min(delta, spare[y])
+            elif y == slack:
+                delta = min(delta, room[x])
+            elif own and x == start and masks[keep] >> y & 1:
+                delta = min(delta, reach[x][y] - own)
+            else:
+                delta = min(delta, reach[x][y])
+        for i in range(len(path) - 1, 0, -1):  # from the end back: each hop moves what it had
+            x, y = path[i - 1], path[i]
+            if x == slack:
+                spare[y] -= delta
+                room[y] += delta
+            elif y == slack:
+                room[x] -= delta
+                spare[x] += delta
+            else:
+                need = delta
+                for s, c in list(self.at[x].items()):
+                    if masks[s] >> y & 1 and not (x == start and s == keep):
+                        step = min(c, need)
+                        self.move(s, x, y, step)
+                        need -= step
+                        if not need:
+                            break
+        return delta
+
+    def max_flow(self, free: list[int], caps: list[int]) -> int:
+        """Augments to a maximum flow and returns the bitmask of the services
+        its source reaches in the end, the source side of the minimal minimum
+        cut. Without ``free`` services the flow goes from U to T: it places
+        U's individuals. With them, it goes from T through the free services
+        to the services with room and back to T: it moves individuals off the
+        free services, which count as reached. A free service is then no
+        sink, or T -> j -> T would loop."""
+        k = self.k
+        room = self.room
+        for j in free:
+            room[j] -= caps[j]
+        while type(found := self.search(k + 1 if free else k, 1 << k + 1)) is list:
+            self.push(found, 1 << 62)
+        for j in free:
+            room[j] += caps[j]
+        return (found | sum(1 << j for j in free)) & ~(-1 << k)
+
+
 def _lex_least_allowed(member: np.ndarray, key: np.ndarray, caps: np.ndarray,
                        mandatory: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Lexicographically least assignment, 1-based, using only allowed (i, k)
@@ -209,18 +388,14 @@ def _lex_least_allowed(member: np.ndarray, key: np.ndarray, caps: np.ndarray,
     at each fixes the most of its remaining members that the service can hold
     in a feasible completion.
 
-    The take at a service grows by augmenting paths on K + 1 nodes, the
-    services and a slack node T, with an edge x -> y while some unfixed
-    individual at x is allowed at y, x -> T while x has room, and T -> y
-    while y is above its mandatory fill. A path from the service to another
-    that holds an unfixed individual of the run's set, closed by that
-    individual's move back to the service, is a cycle in the residual network
-    of the working assignment; moving its bottleneck count keeps every bound
-    and leaves the run's individuals already at the service in place. When no
-    path is left, no feasible completion puts more of them there (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993). The edge counts live in a K x K
-    matrix kept current on every move, so a search costs O(K^2) however many
-    distinct allowed sets there are.
+    The take at a service grows by augmenting paths in the working
+    assignment's ``_Residual``, whose slack node T has the services' room
+    and their fill above the mandatory one. A path from the service to
+    another that holds an unfixed individual of the run's set, closed by
+    that individual's move back to the service, is a cycle in the residual
+    network; moving its bottleneck count keeps every bound and leaves the
+    run's individuals already at the service in place. When no path is
+    left, no feasible completion puts more of them there.
 
     Raises:
         RuntimeError: if ``start`` uses a pair that is not allowed or breaks a
@@ -239,126 +414,28 @@ def _lex_least_allowed(member: np.ndarray, key: np.ndarray, caps: np.ndarray,
     if not multi.size:
         return out
     ids = ids[multi]
-    held = np.bincount(ids * k + start[multi], minlength=d * k).reshape(d, k)
-    sets: list[list[int]] = [[] for _ in range(d)]  # the services of each set
-    for s, j in zip(*(a.tolist() for a in np.nonzero(member))):
-        sets[s].append(j)
-    masks = [sum(1 << j for j in js) for js in sets]
-    at: list[dict[int, int]] = [{} for _ in range(k)]  # at[x][s]: unfixed of set s at x
-    edges = [0] * k  # edges[x]: bit y set while reach[x][y] > 0
-    rows, cols = np.nonzero(held)
-    for s, x, c in zip(rows.tolist(), cols.tolist(), held[rows, cols].tolist()):
-        at[x][s] = c
-        edges[x] |= masks[s]
-    reach = (held.T @ member).tolist()  # reach[x][y]: unfixed ones at x allowed at y
-    room = (caps - fill).tolist()
-    spare = (fill - mandatory).tolist()
-    slack = k  # the node T
-
-    def move(s: int, x: int, y: int, count: int):
-        """Moves ``count`` unfixed individuals of set s from x to y; fixes
-        them at x when y < 0."""
-        if at[x][s] == count:
-            del at[x][s]
-        else:
-            at[x][s] -= count
-        row = reach[x]
-        for j in sets[s]:
-            row[j] -= count
-            if not row[j]:
-                edges[x] &= ~(1 << j)
-        if y >= 0:
-            at[y][s] = at[y].get(s, 0) + count
-            row = reach[y]
-            for j in sets[s]:
-                row[j] += count
-            edges[y] |= masks[s]
-
-    def augment(s: int, kk: int, want: int) -> int:
-        """Moves up to ``want`` more unfixed individuals of set s to kk along
-        one augmenting path; returns how many (0: there is no path)."""
-        targets = 0
-        for y in sets[s]:
-            if y != kk and s in at[y]:
-                targets |= 1 << y
-        if not targets:
-            return 0
-        own = at[kk].get(s, 0)  # they stay: only the other individuals leave kk
-        first = edges[kk]
-        if own:
-            for j in sets[s]:
-                if reach[kk][j] == own:
-                    first &= ~(1 << j)
-        pred = {}
-        seen = 1 << kk
-        queue = [kk]
-        hit = -1
-        for x in queue:  # grows while it is walked
-            if x == slack:
-                nxt = sum(1 << y for y in range(k) if spare[y] > 0) & ~seen
-            else:
-                nxt = (first if x == kk else edges[x]) & ~seen
-                if room[x] > 0 and not seen >> slack & 1:
-                    nxt |= 1 << slack
-            seen |= nxt
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                y = low.bit_length() - 1
-                pred[y] = x
-                if targets & low:
-                    hit = y
-                    break
-                queue.append(y)
-            if hit >= 0:
-                break
-        else:
-            return 0
-        delta, y = min(want, at[hit][s]), hit
-        while y != kk:
-            x = pred[y]
-            if x == slack:
-                delta = min(delta, spare[y])
-            elif y == slack:
-                delta = min(delta, room[x])
-            else:
-                delta = min(delta, reach[x][y] - (own if x == kk and masks[s] >> y & 1 else 0))
-            y = x
-        y = hit
-        while y != kk:  # from the end back, so each hop moves from where it was
-            x = pred[y]
-            if x == slack:
-                spare[y] -= delta
-                room[y] += delta
-            elif y == slack:
-                room[x] -= delta
-                spare[x] += delta
-            else:
-                need = delta
-                for s2, c in list(at[x].items()):
-                    if masks[s2] >> y & 1 and not (x == kk and s2 == s):
-                        step = min(c, need)
-                        move(s2, x, y, step)
-                        need -= step
-                        if not need:
-                            break
-            y = x
-        move(s, hit, kk, delta)
-        return delta
-
+    held = np.bincount(ids * (k + 1) + start[multi], minlength=d * (k + 1)).reshape(d, k + 1)
+    graph = _Residual(member, held, (caps - fill).tolist(), (fill - mandatory).tolist())
+    at, sets = graph.at, graph.sets
     bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
     fixed, counts = [], []  # the services fixed in order, and how many at each
     for s, left in zip(ids[bounds[:-1]].tolist(), np.diff(bounds).tolist()):
         for kk in sets[s]:
             take = at[kk].get(s, 0)
             while take < left:
-                grown = augment(s, kk, left - take)
-                if not grown:
+                targets = sum(1 << y for y in sets[s] if y != kk and s in at[y])
+                if not targets:
                     break
+                path = graph.search(kk, targets, s)
+                if type(path) is int:  # no path
+                    break
+                hit = path[-1]
+                grown = graph.push(path, min(left - take, at[hit][s]), s)
+                graph.move(s, hit, kk, grown)
                 take += grown
             t = min(left, take)
             if t:
-                move(s, kk, -1, t)
+                graph.move(s, kk, -1, t)
                 fixed.append(kk + 1)
                 counts.append(t)
                 left -= t
@@ -368,66 +445,6 @@ def _lex_least_allowed(member: np.ndarray, key: np.ndarray, caps: np.ndarray,
             raise RuntimeError("internal: no feasible completion during tie resolution")
     out[multi] = np.repeat(fixed, counts)
     return out
-
-
-def _max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.ndarray,
-              free: np.ndarray) -> np.ndarray:
-    """Augments ``flow`` to a maximum flow of the network source -> mask m
-    (``left[m]`` more units) -> each service of the mask (``member[m]``,
-    unbounded) -> sink (``room[k]`` more units), where the services in
-    ``free`` are also fed straight from the source, unbounded.
-
-    Edmonds-Karp: breadth-first augmenting paths over the service nodes; a
-    hop a -> b moves flow of some mask from service a to service b. Updates
-    ``flow`` (masks x services), ``left`` and ``room`` in place and returns
-    the services reachable from the source in the final residual graph: the
-    source side of the minimal minimum cut.
-    """
-    while True:
-        # pred[b] = (a, m): reach b by moving mask m's flow off service a;
-        # a == -1: from the source, through mask m (m == -1: straight)
-        pred: dict[int, tuple[int, int]] = {}
-        open_masks = np.flatnonzero(left > 0)
-        starts = member[open_masks]
-        for b in np.flatnonzero(starts.any(axis=0)).tolist():
-            pred[b] = (-1, int(open_masks[np.argmax(starts[:, b])]))
-        for b in np.flatnonzero(free).tolist():
-            pred[b] = (-1, -1)
-        queue = list(pred)
-        end = -1
-        for a in queue:  # grows while it is walked
-            if room[a] > 0:
-                end = a
-                break
-            senders = np.flatnonzero(flow[:, a] > 0)
-            reach = member[senders]
-            for b in np.flatnonzero(reach.any(axis=0)).tolist():
-                if b not in pred:
-                    pred[b] = (a, int(senders[np.argmax(reach[:, b])]))
-                    queue.append(b)
-        if end < 0:
-            reached = np.zeros(member.shape[1], dtype=bool)
-            reached[queue] = True
-            return reached
-
-        path, b, delta = [], end, room[end]
-        while True:
-            a, m = pred[b]
-            path.append((a, m, b))
-            if a < 0:
-                break
-            delta = min(delta, flow[m, a])
-            b = a
-        if m >= 0:
-            delta = min(delta, left[m])
-        for a, m, b in path:
-            if a >= 0:
-                flow[m, a] -= delta
-            elif m >= 0:
-                left[m] -= delta
-            if m >= 0:
-                flow[m, b] += delta
-        room[end] -= delta
 
 
 def _distinct_rows(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,38 +479,6 @@ def _distinct_rows(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.cumsum(first) - 1
     return allowed[order[starts]], np.diff(starts, append=n), rank
-
-
-def _demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
-    """Greedy start for ``_max_flow``: one-service demand sets take what their
-    service holds, then, service by service, the larger sets that name it,
-    fewest services first, fill what is left of it. The rows of ``member``
-    are distinct, so each service has at most one one-service set and its
-    room is charged once; a service with no room left gives nothing and is
-    skipped. Returns (flow, left, room)."""
-    flow = np.zeros(member.shape, dtype=np.int64)
-    left = count.astype(np.int64)
-    room = caps.astype(np.int64)
-    size = member.sum(axis=1)
-    single = np.flatnonzero(size == 1)
-    service = member[single].argmax(axis=1)
-    give = np.minimum(left[single], room[service])
-    flow[single, service] = give
-    left[single] -= give
-    room[service] -= give
-    multi = np.flatnonzero(size > 1)
-    multi = multi[np.argsort(size[multi], kind="stable")]
-    sets = member[multi]
-    for b in np.flatnonzero(sets.any(axis=0)).tolist():
-        if room[b] <= 0:
-            continue
-        rows = multi[sets[:, b] & (left[multi] > 0)]
-        want = left[rows]
-        give = np.minimum(want, np.maximum(room[b] - (np.cumsum(want) - want), 0))
-        flow[rows, b] = give
-        left[rows] -= give
-        room[b] -= give.sum()
-    return flow, left, room
 
 
 def _single_price_gains(member: np.ndarray, count: np.ndarray, caps: np.ndarray,
@@ -606,15 +591,20 @@ def _solve_transport(
     convex in p (Murota, *Discrete Convex Analysis*, 2003), so a point that
     no step p +- 1_S improves is a global minimum, and the descent reaches
     one from any start (Murota & Shioura, *Oper. Res. Lett.* 42, 2014). Each
-    individual demands the services where ``w - p`` peaks; one max flow from
-    the distinct demand sets to the services finds the steepest raise (the
-    services reachable in its residual graph, when not everyone can be
-    served), and a second, with the price-0 services also fed by the source,
-    the steepest lowering (the services it cannot fill); when every priced
-    service is already full, as at every optimum of capacities that sum to
-    N, that flow could find no path and is not run. The step length is
-    the exact line search, an order statistic of the individuals' gaps. ``f``
-    is an integer and falls on every step, so the descent ends.
+    individual demands the services where ``w - p`` peaks. A step builds the
+    ``_Residual`` of a greedy start, each distinct demand set filling its
+    services' room lowest first, and completes it to a maximum flow from U,
+    the individuals left over, to T: when not everyone can be served, the
+    services the flow's source reaches are the steepest raise. Otherwise a
+    second flow, from T through the price-0 services to the priced ones with
+    room and back to T, finds the steepest lowering, the services it cannot
+    fill; when every priced service is already full, as at every optimum of
+    capacities that sum to N, that flow could find no path and is not run.
+    What a maximum flow's source reaches is the minimal minimum cut, the same
+    for every maximum flow, so neither the start nor the paths change a
+    step. The step length is the exact line search, an order statistic of
+    the individuals' gaps. ``f`` is an integer and falls on every step, so
+    the descent ends.
 
     The descent first reads its start's demand sets. When they show that
     moving one price alone lowers ``f``, it runs ``_coordinate_sweeps``
@@ -638,14 +628,15 @@ def _solve_transport(
     each of ``caps`` is at most N and they sum to at least N.
 
     Returns a 0-based optimal assignment, read off the final flow; an
-    optimal dual p, Python ints, which need not be the least one; and the
-    last step's row maxima and demand sets under that p, as ``top`` and the
+    optimal dual p, Python ints, which need not be the least one; the last
+    step's row maxima and demand sets under that p, as ``top`` and the
     ``member`` and ``key`` of ``_distinct_rows``.
     """
     n, k = w.shape
     p = np.zeros(k, dtype=np.int64) if p0 is None else np.array(p0, dtype=np.int64)
     balanced = int(caps.sum()) == n  # f is then blind to a common shift of p
     search = k > 1  # the start is yet to be checked for single-price gains
+    cap_list = caps.tolist()
     while True:
         if p.max() >= 2**62:
             raise RuntimeError("internal: flow prices out of range")
@@ -657,9 +648,16 @@ def _solve_transport(
             if _single_price_gains(member, count, caps, (p > 0) | balanced):
                 p = _coordinate_sweeps(w, caps, p, balanced)
                 continue
-        flow, left, room = _demand_flow(member, count, caps)
-        reached = _max_flow(member, left, flow, room, np.zeros(k, dtype=bool))
-        if left.any():
+        graph = _Residual.greedy(member, count, caps, np.where(p > 0, caps, 0))
+        cut = graph.max_flow([], cap_list)
+        raising = bool(graph.at[k])  # some individuals are left unserved
+        if not raising and min(graph.spare) < 0:  # a priced service is not full
+            cut = graph.max_flow(np.flatnonzero(p == 0).tolist(), cap_list)
+        if not raising and min(graph.spare) >= 0:
+            # top, member and key belong to this p: leave p unchanged past here
+            break
+        reached = np.array([cut >> j & 1 for j in range(k)], dtype=bool)
+        if raising:
             # raising the reached services by one saves more than they cost;
             # go until only c(T) individuals still gain from the raise
             c_t = int(caps[reached].sum())
@@ -667,13 +665,6 @@ def _solve_transport(
                    - _reduce_services(np.maximum, surplus[:, ~reached]))
             p[reached] += np.partition(gap, n - c_t - 1)[n - c_t - 1]
         else:
-            free = p == 0
-            room[free] = 0
-            if room.any():  # with every priced service full it finds no path
-                reached = _max_flow(member, left, flow, room, free)
-            if not room.any():
-                # top, member and key belong to this p: leave p unchanged past here
-                break
             # lowering the unreached (priced) services by one frees more
             # capacity than demand it draws
             lower = ~reached
@@ -687,6 +678,9 @@ def _solve_transport(
 
     # the final flow serves everyone and fills every priced service: split
     # each demand set's flow over its individuals
+    flow = np.zeros((len(member), k), dtype=np.int64)
+    for x, sets in enumerate(graph.at[:k]):
+        flow[list(sets), x] = list(sets.values())
     order = np.argsort(key, kind="stable")
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = np.repeat(np.tile(np.arange(k), len(member)), flow.ravel())

@@ -72,6 +72,9 @@ def kde(
 
     Raises:
         EmptySampleError: if ``samples`` is empty.
+        ValueError: if ``bandwidth`` is not finite and > 0, or if with it
+            the kernel or the density on these samples and grid overflows or
+            is not a number.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
@@ -91,16 +94,21 @@ def kde(
     rows = max(1, min(grid.size, _KDE_CHUNK_BYTES // (8 * x.size)))
     buf = np.empty((rows, x.size))
     sums = np.empty(grid.size)
-    for lo in range(0, grid.size, rows):
-        hi = min(lo + rows, grid.size)
-        z = buf[: hi - lo]
-        np.subtract(grid[lo:hi, None], x, out=z)
-        np.divide(z, bandwidth, out=z)
-        np.square(z, out=z)
-        np.multiply(z, -0.5, out=z)
-        np.exp(z, out=z)
-        np.add.reduce(z, axis=1, out=sums[lo:hi])
-    density = sums / (x.size * bandwidth * _SQRT_2PI)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for lo in range(0, grid.size, rows):
+                hi = min(lo + rows, grid.size)
+                z = buf[: hi - lo]
+                np.subtract(grid[lo:hi, None], x, out=z)
+                np.divide(z, bandwidth, out=z)
+                np.square(z, out=z)
+                np.multiply(z, -0.5, out=z)
+                np.exp(z, out=z)
+                np.add.reduce(z, axis=1, out=sums[lo:hi])
+            density = sums / (x.size * bandwidth * _SQRT_2PI)
+    except FloatingPointError:
+        raise ValueError(f"bandwidth {bandwidth!r} is out of range for these samples: "
+                         "the kernel density is not finite") from None
     return KdeCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 
 

@@ -796,6 +796,21 @@ class TestAudit:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["1e-160", "5e-324"])
+    def test_tiny_bandwidth_exits_2_naming_it(self, tmp_path, capsys, value):
+        # finite and > 0, so only the KDE over the data can find it too small
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        assert run_cli(
+            "audit", "--data", str(inputs / "audit.csv"), "--config",
+            str(inputs / "audit_schema.json"), "--delimiter", ";", "--bandwidth", value,
+            "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: bandwidth {float(value)!r} is out of range for these samples: "
+            "the kernel density is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("names, message", [
         (["A", "A", "B"], "service name 'A' is repeated"),
         (["TH", "count", "ES"], "service name 'count' is reserved"),

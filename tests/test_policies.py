@@ -33,9 +33,15 @@ from fairalloc import (
     policies,
 )
 from fairalloc.cli import load_population_csv
-from fairalloc.core import _first_best
 from fairalloc.simulate import load_experiment_config
-from tie_oracle import confined_counts, lex_least_hall_lp, subset_sums, utilitarian_oracle
+from tie_oracle import (
+    confined_counts,
+    demand_flow,
+    lex_least_hall_lp,
+    max_flow,
+    subset_sums,
+    utilitarian_oracle,
+)
 
 
 def enumerate_optimal(utilities, caps, scale=1e7):
@@ -632,16 +638,52 @@ def test_experiment2_assignments_pinned(seed):
     assert digest == EXPERIMENT2_DIGESTS[seed]
 
 
+def many_sets_population(n=3000, k=30, seed=30):
+    """Utilities on two levels, drawn per individual and service, so each
+    individual demands a random subset of the K services at prices 0: about
+    N distinct demand sets, with capacities summing to N."""
+    rng = np.random.default_rng(seed)
+    utilities = 0.5 + 0.25 * rng.integers(0, 2, size=(n, k))
+    return Population(utilities), CapacityVector(np.full(k, n // k))
+
+
+# sha256 of the int64 assignment of ``many_sets_population()``, as the
+# solver with a numpy flow matrix and the tie walk's own search computed it
+MANY_SETS_DIGEST = "e04a3e94936670fad0dcf9595b32cf390ca5ace04cbecefee26422cf1abb8c89"
+
+
+def test_many_demand_sets_pinned(monkeypatch):
+    sets = []  # the number of demand sets the solver returns
+    solve = policies._solve_transport
+
+    def recorded(w, caps, p0=None):
+        result = solve(w, caps, p0)
+        sets.append(len(result[3]))
+        return result
+
+    monkeypatch.setattr(policies, "_solve_transport", recorded)
+    alloc = allocate_utilitarian(*many_sets_population())
+    digest = hashlib.sha256(alloc.assignment.astype("<i8").tobytes()).hexdigest()
+    assert sets[0] > 2900
+    assert digest == MANY_SETS_DIGEST
+
+
 def test_last_descent_step_runs_one_max_flow(monkeypatch):
     # experiment 2's capacities sum to N, so at the optimum every service is
     # full and a flow lowering the priced services could find no path
     events = []
-    for name in ("_demand_flow", "_max_flow"):
-        def recorded(*args, _name=name, _real=getattr(policies, name)):
-            events.append(_name)
-            return _real(*args)
+    greedy, flow = policies._Residual.greedy.__func__, policies._Residual.max_flow
 
-        monkeypatch.setattr(policies, name, recorded)
+    def recorded_greedy(cls, *args):
+        events.append("greedy")
+        return greedy(cls, *args)
+
+    def recorded_flow(graph, free, caps):
+        events.append("raise" if not free else "lower")
+        return flow(graph, free, caps)
+
+    monkeypatch.setattr(policies._Residual, "greedy", classmethod(recorded_greedy))
+    monkeypatch.setattr(policies._Residual, "max_flow", recorded_flow)
     params = load_experiment_config("experiment2").params
     allocate = compile_spec(PolicySpec("utilitarian"))
     for seed in (7, 8):  # a cold start, then a warm one
@@ -649,8 +691,8 @@ def test_last_descent_step_runs_one_max_flow(monkeypatch):
         assert params.capacities.total == pop.n
         events.clear()
         allocate(pop, params.capacities, 0)
-        last_step = len(events) - events[::-1].index("_demand_flow")
-        assert events[last_step:] == ["_max_flow"]
+        last_step = len(events) - events[::-1].index("greedy")
+        assert events[last_step:] == ["raise"]
 
 
 @pytest.mark.parametrize("seed", sorted(EXPERIMENT2_DIGESTS))
@@ -764,49 +806,62 @@ def test_solver_returns_the_arcs_of_its_dual(instance):
     assert allowed[np.arange(len(w)), assignment].all()
 
 
-def demand_flow_reference(member, count, caps):
-    """``_demand_flow`` as first written: one-service sets placed by
-    ``_first_best`` and charged by two axis sums, every service visited."""
-    flow = np.zeros(member.shape, dtype=np.int64)
-    size = member.sum(axis=1)
-    single = np.flatnonzero(size == 1)
-    service = _first_best(member[single])
-    flow[single, service] = np.minimum(count[single], caps[service])
-    left = count - flow.sum(axis=1)
-    room = caps - flow.sum(axis=0)
-    multi = np.flatnonzero(size > 1)
-    multi = multi[np.argsort(size[multi], kind="stable")]
-    for b in np.flatnonzero(member[multi].any(axis=0)).tolist():
-        rows = multi[member[multi, b] & (left[multi] > 0)]
-        want = left[rows]
-        give = np.minimum(want, np.maximum(room[b] - (np.cumsum(want) - want), 0))
-        flow[rows, b] = give
-        left[rows] -= give
-        room[b] -= give.sum()
-    return flow, left, room
-
-
 @st.composite
-def demand_sets(draw):
-    """The distinct demand sets of up to 60 individuals over K <= 12
-    services (K > 8 groups by sorting), their counts, and capacities that are
-    often 0."""
+def flow_instances(draw):
+    """The distinct demand sets of up to 60 individuals over K <= 13
+    services (K > 8 groups by sorting), their counts, capacities that are
+    often 0, and a mix of free (price 0) and priced services."""
     n = draw(st.integers(1, 60))
-    k = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 13))
     allowed = draw(hnp.arrays(bool, (n, k), elements=st.booleans()))
     allowed[~allowed.any(axis=1), draw(st.integers(0, k - 1))] = True
     caps = draw(st.lists(st.one_of(st.just(0), st.integers(0, n)), min_size=k, max_size=k))
+    free = draw(hnp.arrays(bool, k, elements=st.booleans()))
     member, count, _ = policies._distinct_rows(allowed)
-    return member, count, np.array(caps, dtype=np.int64)
+    return member, count, np.array(caps, dtype=np.int64), free
+
+
+def residual(member, flow, left, room, mandatory):
+    """``policies._Residual`` of the reference's state: ``flow`` at the
+    services, ``left`` at U."""
+    fill = flow.sum(axis=0)
+    return policies._Residual(member, np.column_stack([flow, left]), room.tolist(),
+                              (fill - mandatory).tolist())
+
+
+def reached(cut, k):
+    return np.array([cut >> j & 1 for j in range(k)], dtype=bool)
 
 
 @settings(max_examples=300, deadline=None)
-@given(instance=demand_sets())
-def test_demand_flow_matches_reference(instance):
-    member, count, caps = instance
-    got = policies._demand_flow(member, count, caps)
-    want = demand_flow_reference(member, count, caps)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+@given(instance=flow_instances())
+def test_residual_flows_cut_like_the_matrix_flows(instance):
+    # from the reference's own state and from the greedy start, the raise
+    # (U to T) and, once everyone is served, the lowering (T through the
+    # free services back to T) reach the same services and carry the same
+    # flow as the flows on a (demand sets x services) matrix: what a maximum
+    # flow's source reaches is the minimal minimum cut, whichever flow it is
+    member, count, caps, free = instance
+    k = len(caps)
+    mandatory = np.where(free, 0, caps)
+    flow, left, room = demand_flow(member, count, caps)
+    graphs = [residual(member, flow, left, room, mandatory),
+              policies._Residual.greedy(member, count, caps, mandatory)]
+    want = max_flow(member, left, flow, room, np.zeros(k, dtype=bool))
+    for graph in graphs:
+        assert np.array_equal(reached(graph.max_flow([], caps.tolist()), k), want)
+        assert sum(graph.at[k].values()) == left.sum()
+    if left.any() or not free.any():
+        return  # the descent lowers prices only once everyone is served
+    graphs.append(residual(member, flow, left, room, mandatory))
+    room[free] = 0
+    want = max_flow(member, left, flow, room, free)
+    for graph in graphs:
+        cut = graph.max_flow(np.flatnonzero(free).tolist(), caps.tolist())
+        assert np.array_equal(reached(cut, k), want)
+        fill = np.array([sum(graph.at[x].values()) for x in range(k)])
+        assert graph.room[:k] == (caps - fill).tolist()
+        assert fill[~free].sum() == flow[:, ~free].sum()
 
 
 class TestRandom:

@@ -2,6 +2,7 @@
 quadrature oracle (direct integration of the density, stdlib lgamma)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestKde:
             kde([], bandwidth=0.2)
         with pytest.raises(ValueError):
             kde([1.0], bandwidth=0.0)
+
+    @pytest.mark.parametrize("samples, bandwidth, grid", [
+        ([0.0, 0.5], 1e-160, None),  # the squared distances overflow
+        ([0.25], 5e-324, None),  # the density's 1 / h overflows
+        ([-1e308], 1.0, [1e308]),  # a grid point's distance to a sample overflows
+        ([0.0], np.float64(1e308), [0.0]),  # the density's n h overflows
+    ])
+    def test_out_of_range_bandwidth_names_it(self, samples, bandwidth, grid):
+        message = f"bandwidth {bandwidth!r} is out of range for these samples: "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            kde(samples, bandwidth=bandwidth, grid=grid)
 
 
 def dense_kde_density(samples, bandwidth, grid):

@@ -9,6 +9,10 @@ over the 2^K service subsets and confirmed by
 resolver before it walked the residual graph from the solver's assignment,
 and it stays here as an oracle: it shares no code with that walk, and its two
 paths check each other where both can run.
+
+``max_flow`` and its greedy start ``demand_flow`` are the dual descent's
+earlier flows, on a (demand sets x services) numpy flow matrix; they are the
+reference for the cut that ``policies._Residual.max_flow`` finds.
 """
 
 import itertools
@@ -160,3 +164,95 @@ def utilitarian_oracle(utilities: np.ndarray, caps, max_subset_k: int = MAX_SUBS
     surplus = w - p
     allowed = surplus == surplus.max(axis=1, keepdims=True)
     return lex_least_hall_lp(allowed, cap, np.where(p > 0, cap, 0), max_subset_k)
+
+
+def max_flow(member: np.ndarray, left: np.ndarray, flow: np.ndarray, room: np.ndarray,
+             free: np.ndarray) -> np.ndarray:
+    """Augments ``flow`` to a maximum flow of the network source -> mask m
+    (``left[m]`` more units) -> each service of the mask (``member[m]``,
+    unbounded) -> sink (``room[k]`` more units), where the services in
+    ``free`` are also fed straight from the source, unbounded.
+
+    Edmonds-Karp: breadth-first augmenting paths over the service nodes; a
+    hop a -> b moves flow of some mask from service a to service b. Updates
+    ``flow`` (masks x services), ``left`` and ``room`` in place and returns
+    the services reachable from the source in the final residual graph: the
+    source side of the minimal minimum cut.
+    """
+    while True:
+        # pred[b] = (a, m): reach b by moving mask m's flow off service a;
+        # a == -1: from the source, through mask m (m == -1: straight)
+        pred: dict[int, tuple[int, int]] = {}
+        open_masks = np.flatnonzero(left > 0)
+        starts = member[open_masks]
+        for b in np.flatnonzero(starts.any(axis=0)).tolist():
+            pred[b] = (-1, int(open_masks[np.argmax(starts[:, b])]))
+        for b in np.flatnonzero(free).tolist():
+            pred[b] = (-1, -1)
+        queue = list(pred)
+        end = -1
+        for a in queue:  # grows while it is walked
+            if room[a] > 0:
+                end = a
+                break
+            senders = np.flatnonzero(flow[:, a] > 0)
+            reach = member[senders]
+            for b in np.flatnonzero(reach.any(axis=0)).tolist():
+                if b not in pred:
+                    pred[b] = (a, int(senders[np.argmax(reach[:, b])]))
+                    queue.append(b)
+        if end < 0:
+            reached = np.zeros(member.shape[1], dtype=bool)
+            reached[queue] = True
+            return reached
+
+        path, b, delta = [], end, room[end]
+        while True:
+            a, m = pred[b]
+            path.append((a, m, b))
+            if a < 0:
+                break
+            delta = min(delta, flow[m, a])
+            b = a
+        if m >= 0:
+            delta = min(delta, left[m])
+        for a, m, b in path:
+            if a >= 0:
+                flow[m, a] -= delta
+            elif m >= 0:
+                left[m] -= delta
+            if m >= 0:
+                flow[m, b] += delta
+        room[end] -= delta
+
+
+def demand_flow(member: np.ndarray, count: np.ndarray, caps: np.ndarray):
+    """Greedy start for ``max_flow``: one-service demand sets take what their
+    service holds, then, service by service, the larger sets that name it,
+    fewest services first, fill what is left of it. The rows of ``member``
+    are distinct, so each service has at most one one-service set and its
+    room is charged once; a service with no room left gives nothing and is
+    skipped. Returns (flow, left, room)."""
+    flow = np.zeros(member.shape, dtype=np.int64)
+    left = count.astype(np.int64)
+    room = caps.astype(np.int64)
+    size = member.sum(axis=1)
+    single = np.flatnonzero(size == 1)
+    service = member[single].argmax(axis=1)
+    give = np.minimum(left[single], room[service])
+    flow[single, service] = give
+    left[single] -= give
+    room[service] -= give
+    multi = np.flatnonzero(size > 1)
+    multi = multi[np.argsort(size[multi], kind="stable")]
+    sets = member[multi]
+    for b in np.flatnonzero(sets.any(axis=0)).tolist():
+        if room[b] <= 0:
+            continue
+        rows = multi[sets[:, b] & (left[multi] > 0)]
+        want = left[rows]
+        give = np.minimum(want, np.maximum(room[b] - (np.cumsum(want) - want), 0))
+        flow[rows, b] = give
+        left[rows] -= give
+        room[b] -= give.sum()
+    return flow, left, room
