@@ -25,23 +25,21 @@ from .core import (
     _fairness_report,
     _first_best,
     _frozen_array,
-    _metric_block,
-    delta_metrics,  # noqa: F401 -- unused here; perfbench/tracing.py wraps audit.delta_metrics
-    envelope,
+    _population_rows,
+    # unused here; perfbench/tracing.py wraps audit.delta_metrics and audit.envelope
+    delta_metrics,  # noqa: F401
+    envelope,  # noqa: F401
     favored_group,
 )
 from .errors import EmptyGroupError, SchemaMismatchError
-from .stats import (
-    DEFAULT_GRID_PADDING,
-    DEFAULT_GRID_SIZE,
-    KdeCurve,
-    TTestResult,
-    kde,
-    welch_t,
-)
+from .stats import KdeCurve, TTestResult, kde, welch_t
 
 DEFAULT_BANDWIDTH = 0.2
 DEFAULT_FAIR_TOLERANCE = 1e-3
+# a pair's two KDE curves share one grid of this many points, spanning the
+# pooled max gains and this many bandwidths beyond them
+_GRID_SIZE = 512
+_GRID_PADDING = 3.0
 
 
 @dataclass(frozen=True)
@@ -219,28 +217,6 @@ def ingest_csv(path: str, schema: AuditSchema, delimiter: str = ",") -> AuditDat
     )
 
 
-def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema):
-    """Write a dataset back in the canonical form ``ingest_csv`` reads.
-
-    Floats are rendered with ``repr`` so a canonical file round-trips byte
-    for byte.
-    """
-    header = (
-        [schema.id_column]
-        + [col for _, col in schema.services]
-        + [schema.observed_column]
-        + list(schema.group_columns.values())
-    )
-    rows = [header]
-    for i in range(dataset.n):
-        row = [dataset.ids[i]]
-        row += [repr(float(v)) for v in dataset.probabilities[i]]
-        row.append(dataset.service_names[dataset.observed[i] - 1])
-        row += [str(int(dataset.groups[attr][i])) for attr in schema.group_columns]
-        rows.append(row)
-    write_text_atomic(path, csv_text(rows))
-
-
 @dataclass(frozen=True)
 class ShareRow:
     """Fraction of a group whose highest utility sits at each service."""
@@ -307,8 +283,13 @@ def _delta_u_for_masks(
 ) -> DeltaUAnalysis:
     du0, du1 = delta_u[mask0], delta_u[mask1]
     pooled = np.concatenate([du0, du1])
-    padding = DEFAULT_GRID_PADDING * bandwidth
-    grid = np.linspace(pooled.min() - padding, pooled.max() + padding, DEFAULT_GRID_SIZE)
+    padding = _GRID_PADDING * bandwidth
+    # Python floats overflow to inf quietly, whatever numpy's error state
+    lo, hi = float(pooled.min()) - padding, float(pooled.max()) + padding
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"bandwidth {bandwidth!r} is out of range for these samples: "
+                         "the KDE grid is not finite")
+    grid = np.linspace(lo, hi, _GRID_SIZE)
     return DeltaUAnalysis(
         mean_0=float(np.mean(du0)),
         mean_1=float(np.mean(du1)),
@@ -446,14 +427,13 @@ def run_audit(
     sub-population, bit for bit.
 
     Raises:
-        ValueError: as ``check_audit_options`` does.
+        ValueError: as ``check_audit_options`` does, or if the bandwidth is
+            out of range for a pair's max gains: its KDE grid or kernel
+            density overflows.
     """
     check_audit_options(bandwidth, fair_tolerance)
-    pop = dataset.population()
-    env = envelope(pop)
+    env, rows, _ = _population_rows(dataset.population(), Allocation._adopt(dataset.observed))
     best = _first_best(dataset.utilities)
-    realized = Allocation._adopt(dataset.observed).realized(pop)
-    rows = _metric_block(env.u_min[None], env.u_max[None], realized[None])[0]
     positive = env.u_min > 0.0
     pairs = []
     for pair in schema.pairs:

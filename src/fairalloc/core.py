@@ -215,33 +215,20 @@ class Allocation:
 
 @dataclass(frozen=True)
 class UtilityEnvelope:
-    """Per-individual best/worst utilities and derived spread statistics.
-
-    ``ratio_r`` (worst over best) is defined only when every utility in the
-    population is strictly positive; otherwise it is None and multiplicative
-    metrics are unavailable.
-    """
+    """Per-individual worst and best utilities and their spread, the max
+    gain."""
 
     u_min: np.ndarray
     u_max: np.ndarray
     delta_u: np.ndarray
-    ratio_r: np.ndarray | None
-
-    @property
-    def ratio_defined(self) -> bool:
-        return self.ratio_r is not None
 
 
 def envelope(pop: Population) -> UtilityEnvelope:
-    """Compute each individual's worst/best utility, spread, and ratio."""
+    """Compute each individual's worst and best utility and their spread."""
     u_min = _reduce_services(np.minimum, pop.utilities)
     u_max = _reduce_services(np.maximum, pop.utilities)
-    ratio = u_min / u_max if u_min.min() > 0.0 else None
     return UtilityEnvelope(
-        u_min=_freeze(u_min),
-        u_max=_freeze(u_max),
-        delta_u=_freeze(u_max - u_min),
-        ratio_r=None if ratio is None else _freeze(ratio),
+        u_min=_freeze(u_min), u_max=_freeze(u_max), delta_u=_freeze(u_max - u_min)
     )
 
 
@@ -323,19 +310,21 @@ def _group_means(rows: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     return means
 
 
-def _population_rows(pop: Population, alloc: Allocation) -> tuple[np.ndarray, bool]:
-    """``_metric_block`` of one population: its (5, 1, N) rows, and whether
-    gain and shortfall are defined."""
+def _population_rows(
+    pop: Population, alloc: Allocation
+) -> tuple[UtilityEnvelope, np.ndarray, bool]:
+    """``_metric_block`` of one population: its envelope, its (5, 1, N)
+    rows, and whether gain and shortfall are defined."""
     env = envelope(pop)
     rows, defined = _metric_block(env.u_min[None], env.u_max[None], alloc.realized(pop)[None])
-    return rows, bool(defined[0])
+    return env, rows, bool(defined[0])
 
 
 def metric_rows(pop: Population, alloc: Allocation) -> dict[str, np.ndarray | None]:
     """Per-individual improvement, regret, gain, shortfall and ``delta_u``
-    from one envelope pass; gain and shortfall are None when the ratio is
-    undefined. Every group mean and delta is read from these rows."""
-    rows, defined = _population_rows(pop, alloc)
+    from one envelope pass; gain and shortfall are None unless every
+    utility is > 0. Every group mean and delta is read from these rows."""
+    _, rows, defined = _population_rows(pop, alloc)
     return {name: None if name in _MULTIPLICATIVE and not defined else row
             for name, row in zip(_ROWS, rows[:, 0])}
 
@@ -462,7 +451,7 @@ def delta_metrics(pop: Population, alloc: Allocation, attribute: str) -> Fairnes
     for value, idx in enumerate(members):
         if idx.size == 0:
             raise EmptyGroupError(f"empty-group: {attribute}={value}")
-    rows, defined = _population_rows(pop, alloc)
+    _, rows, defined = _population_rows(pop, alloc)
     return _fairness_report(attribute, rows, defined, members)
 
 

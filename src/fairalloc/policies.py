@@ -85,17 +85,6 @@ class PolicySpec:
             return f"mixture({self.lam:g}, {a.describe()}, {b.describe()})"
         return self.kind
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.kind == KIND_MIXTURE:
-            out["lambda"] = self.lam
-            out["children"] = [c.to_dict() for c in self.children]
-        if self.kind == KIND_UTILITARIAN and self.tie_break_scale != DEFAULT_TIE_BREAK_SCALE:
-            out["tie_break_scale"] = self.tie_break_scale
-        return out
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PolicySpec":
         expect(data, "object", "policy")

@@ -51,8 +51,11 @@ _BLOCK_BYTES = 1 << 21
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
-    arr = _frozen_array(values, np.float64)
-    if arr.ndim != 2 or arr.shape[0] != rows:
+    try:
+        arr = _frozen_array(values, np.float64)
+    except ValueError:  # rows of different lengths
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[0] != rows:
         raise ValueError(f"{name} must be a {rows} x K matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must hold only finite numbers")
@@ -235,9 +238,6 @@ class MetricEstimate:
     estimate: float
     ci_half_width: float
     replications: int
-
-    def excludes_zero(self) -> bool:
-        return abs(self.estimate) > self.ci_half_width
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -559,20 +559,9 @@ class SignFlipReport:
 
     found: bool
     lam: float | None
-    precondition_delta_u: MetricEstimate
     endpoint_deltas: tuple[float, float]
     evaluations: tuple[dict[str, float], ...]
     message: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "found": self.found,
-            "lambda": self.lam,
-            "precondition_delta_u": self.precondition_delta_u.to_dict(),
-            "endpoint_delta_improvements": list(self.endpoint_deltas),
-            "evaluations": list(self.evaluations),
-            "message": self.message,
-        }
 
 
 def verify_sign_flip(
@@ -647,7 +636,6 @@ def verify_sign_flip(
     return SignFlipReport(
         found=found_lam is not None,
         lam=found_lam,
-        precondition_delta_u=du,
         endpoint_deltas=(delta, delta_prime),
         evaluations=tuple(evaluations),
         message=message,
@@ -733,16 +721,6 @@ class CheckOutcome:
     detail: str
 
 
-def _small_exp1(n_per_group: int = 200) -> GaussianGroupParams:
-    cap = (2 * n_per_group) // 3 + 1
-    return GaussianGroupParams(
-        means=[[0.2, 0.3, 0.4], [0.4, 0.5, 0.63]],
-        variances=[[1e-4, 4e-4, 9e-4]] * 2,
-        group_sizes=(n_per_group, n_per_group),
-        capacities=CapacityVector([cap, cap, cap]),
-    )
-
-
 def _check_additive_identity(seed: int) -> CheckOutcome:
     gen = generator(seed)
     worst = 0.0
@@ -790,14 +768,14 @@ def _check_mixture_interpolation(seed: int) -> CheckOutcome:
     )
 
 
-def _sf1_params(pi0: float, pi1: float, n: int = 400) -> SF1Params:
+def _sf1_params(pi0: float, pi1: float) -> SF1Params:
     return SF1Params(
         r_high=0.8,
         r_low=0.2,
         pi0=pi0,
         pi1=pi1,
-        group_sizes=(n, n),
-        capacities=CapacityVector([2 * n] * 3),
+        group_sizes=(400, 400),
+        capacities=CapacityVector([800] * 3),
     )
 
 
@@ -866,7 +844,13 @@ def _check_sf2(seed: int) -> CheckOutcome:
 
 
 def _check_sign_flip(seed: int) -> CheckOutcome:
-    report = verify_sign_flip(_small_exp1(200), replications=30, base_seed=seed)
+    params = GaussianGroupParams(
+        means=[[0.2, 0.3, 0.4], [0.4, 0.5, 0.63]],
+        variances=[[1e-4, 4e-4, 9e-4]] * 2,
+        group_sizes=(200, 200),
+        capacities=CapacityVector([134, 134, 134]),
+    )
+    report = verify_sign_flip(params, replications=30, base_seed=seed)
     return CheckOutcome("improvement-regret-sign-flip", report.found, report.message)
 
 

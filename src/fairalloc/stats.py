@@ -10,8 +10,6 @@ from scipy.special import betainc
 from .errors import DegenerateVarianceError, EmptySampleError
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-DEFAULT_GRID_SIZE = 512
-DEFAULT_GRID_PADDING = 3.0  # bandwidths beyond the sample range
 # bytes of one block of grid-row x sample kernel values; ``kde`` works in one
 # buffer of about this size, whatever the sample or grid size: small enough to
 # stay in a core's L2 cache, and 4 grid rows deep at 32,000 samples
@@ -25,10 +23,6 @@ class KdeCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
-
-    def mass(self) -> float:
-        """Trapezoidal integral of the density over the grid."""
-        return float(np.trapezoid(self.density, self.grid))
 
 
 @dataclass(frozen=True)
@@ -55,20 +49,13 @@ class TTestResult:
         }
 
 
-def kde(
-    samples,
-    bandwidth: float,
-    grid: np.ndarray | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    padding: float = DEFAULT_GRID_PADDING,
-) -> KdeCurve:
-    """Gaussian kernel density estimate.
+def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
+    """Gaussian kernel density estimate on ``grid``.
 
     density(x) = (1 / (n h)) * sum_i phi((x - x_i) / h) with phi the standard
-    normal density. The default grid spans [min - padding*h, max + padding*h]
-    with ``grid_size`` evenly spaced points. The sum is exact; it runs over
-    blocks of grid rows in one reused buffer of about ``_KDE_CHUNK_BYTES``
-    (one grid row at least), so its memory does not grow with the grid.
+    normal density. The sum is exact; it runs over blocks of grid rows in
+    one reused buffer of about ``_KDE_CHUNK_BYTES`` (one grid row at least),
+    so its memory does not grow with the grid.
 
     Raises:
         EmptySampleError: if ``samples`` is empty.
@@ -81,10 +68,7 @@ def kde(
         raise EmptySampleError("empty-sample: KDE needs at least one sample")
     if not np.isfinite(bandwidth) or bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if grid is None:
-        grid = np.linspace(x.min() - padding * bandwidth, x.max() + padding * bandwidth, grid_size)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     # Each density value is one contiguous row sum, so a block of grid rows
     # gives the same bytes as the whole grid x sample matrix at once. Each
     # block runs exp(-0.5 * (z * z)) in place: scaling by -0.5, a power of

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fairalloc import policies
-from fairalloc.audit import AuditDataset, AuditSchema, export_csv
+from fairalloc._io import csv_text, write_text_atomic
+from fairalloc.audit import AuditDataset, AuditSchema
 
 SYNTH_N = 3375
 # overall best-service counts: shares 0.68 / 0.27 / 0.05 within 1e-2
@@ -78,6 +79,28 @@ def build_synthetic_dataset(n: int = SYNTH_N, seed: int = 20240) -> AuditDataset
         },
         service_names=("TH", "RRH", "ES"),
     )
+
+
+def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema):
+    """Write a dataset back in the canonical form ``ingest_csv`` reads.
+
+    Floats are rendered with ``repr`` so a canonical file round-trips byte
+    for byte.
+    """
+    header = (
+        [schema.id_column]
+        + [col for _, col in schema.services]
+        + [schema.observed_column]
+        + list(schema.group_columns.values())
+    )
+    rows = [header]
+    for i in range(dataset.n):
+        row = [dataset.ids[i]]
+        row += [repr(float(v)) for v in dataset.probabilities[i]]
+        row.append(dataset.service_names[dataset.observed[i] - 1])
+        row += [str(int(dataset.groups[attr][i])) for attr in schema.group_columns]
+        rows.append(row)
+    write_text_atomic(path, csv_text(rows))
 
 
 def write_synthetic_csv(path, n: int = SYNTH_N, seed: int = 20240) -> AuditDataset:

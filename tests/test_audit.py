@@ -13,6 +13,7 @@ from conftest import (
     TRADEOFF_SCHEMA,
     build_synthetic_dataset,
     build_tradeoff_dataset,
+    export_csv,
     homeless_schema,
     write_synthetic_csv,
 )
@@ -36,7 +37,6 @@ from fairalloc.audit import (
     GroupPair,
     ShareRow,
     eval_group_expr,
-    export_csv,
     trade_off_flags,
     write_report_bundle,
 )
@@ -393,16 +393,17 @@ class TestRunAudit:
 
     def test_shared_work_computed_once(self, monkeypatch):
         import fairalloc.audit as audit_module
+        import fairalloc.core as core_module
 
         calls = {"envelope": 0, "_pair_masks": 0}
-        for name in calls:
-            original = getattr(audit_module, name)
+        for owner, name in ((core_module, "envelope"), (audit_module, "_pair_masks")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(audit_module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         schema = homeless_schema()
         run_audit(build_synthetic_dataset(n=800, seed=12), schema)
         assert calls == {"envelope": 1, "_pair_masks": len(schema.pairs)}

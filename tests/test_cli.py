@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, write_synthetic_csv
+from conftest import TRADEOFF_SCHEMA, build_tradeoff_dataset, export_csv, write_synthetic_csv
 
 from fairalloc import _io, cli
 from fairalloc._io import load_json
-from fairalloc.audit import AuditSchema, export_csv
+from fairalloc.audit import AuditSchema
 from fairalloc.cli import main
 
 
@@ -580,8 +580,12 @@ class TestSimulate:
          "error: schema-mismatch: group_sizes[1] is outside the int64 range"),
         ({"base_seed": -3}, "error: base_seed must be >= 0, got -3"),
         ({"policy": {"kind": "random", "seed": -5}}, "error: policy seed must be >= 0, got -5"),
+        ({"means": [[0.2, 0.3], [0.4, 0.5, 0.63]]}, "error: means must be a 2 x K matrix\n"),
+        ({"variances": [[1e-4, 4e-4, 9e-4], [1e-4]]},
+         "error: variances must be a 2 x K matrix\n"),
     ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "capacity-past-int64",
-            "group-size-past-int64", "negative-base-seed", "negative-policy-seed"])
+            "group-size-past-int64", "negative-base-seed", "negative-policy-seed",
+            "ragged-means", "ragged-variances"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
@@ -796,9 +800,13 @@ class TestAudit:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["1e-160", "5e-324"])
-    def test_tiny_bandwidth_exits_2_naming_it(self, tmp_path, capsys, value):
-        # finite and > 0, so only the KDE over the data can find it too small
+    @pytest.mark.parametrize("value, reason", [
+        ("1e-160", "the kernel density is not finite"),
+        ("5e-324", "the kernel density is not finite"),
+        ("1e308", "the KDE grid is not finite"),  # its 3 h padding overflows
+    ])
+    def test_out_of_range_bandwidth_exits_2_naming_it(self, tmp_path, capsys, value, reason):
+        # finite and > 0, so only the KDE over the data can find it out of range
         inputs = Path(__file__).parent / "golden" / "inputs"
         assert run_cli(
             "audit", "--data", str(inputs / "audit.csv"), "--config",
@@ -806,8 +814,7 @@ class TestAudit:
             "--output-dir", str(tmp_path / "out"),
         ) == 2
         assert capsys.readouterr().err == (
-            f"error: bandwidth {float(value)!r} is out of range for these samples: "
-            "the kernel density is not finite\n"
+            f"error: bandwidth {float(value)!r} is out of range for these samples: {reason}\n"
         )
         assert not (tmp_path / "out").exists()
 

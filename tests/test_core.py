@@ -72,18 +72,16 @@ class TestEnvelope:
         assert env.u_min[0] == pytest.approx(0.2)
         assert env.u_max[0] == pytest.approx(0.5)
         assert env.delta_u[0] == pytest.approx(0.3)
-        assert env.ratio_r[0] == pytest.approx(0.4)
 
     def test_constant_vector(self):
         env = envelope(Population(np.array([[0.7, 0.7]])))
         assert env.delta_u[0] == 0.0
-        assert env.ratio_r[0] == 1.0
 
     def test_nonpositive_entry_disables_ratio(self):
-        env = envelope(Population(np.array([[-0.1, 0.2]])))
-        assert env.delta_u[0] == pytest.approx(0.3)
-        assert env.ratio_r is None
-        assert not env.ratio_defined
+        pop = Population(np.array([[-0.1, 0.2]]))
+        assert envelope(pop).delta_u[0] == pytest.approx(0.3)
+        rows = metric_rows(pop, Allocation([2]))
+        assert rows["gain"] is None and rows["shortfall"] is None
 
 
 class TestMetricExamples:
@@ -511,8 +509,7 @@ class TestServiceMajorLayout:
             env = envelope(pop)
             rows = metric_rows(pop, alloc)
             return (
-                [env.u_min.tobytes(), env.u_max.tobytes(), env.delta_u.tobytes(),
-                 None if env.ratio_r is None else env.ratio_r.tobytes()],
+                [env.u_min.tobytes(), env.u_max.tobytes(), env.delta_u.tobytes()],
                 {name: None if row is None else row.tobytes() for name, row in rows.items()},
                 repr(delta_metrics(pop, alloc, "g")),
                 [allocate_utilitarian(pop, caps).assignment.tolist(),

@@ -4,11 +4,12 @@ Each case changes one or two JSON leaves or CSV cells of a golden input, or
 the value of ``--capacities``, ``--tie-break-scale``, ``--bandwidth`` or
 ``--fair-tolerance``, and checks the command-line contract: the exit code is
 0, 2 (invalid input) or 3 (infeasible), an exit 2 prints exactly one
-``error:`` line, and a failed call leaves no output directory behind. The
-values are drawn from fixed pools with a fixed seed, so every run tries the
-same cases. The pools hold no value that is valid yet makes a call slow or
-large: ``simulate`` always runs 2 replications, and a population or capacity
-drawn from them is either small or refused before any array is sized by it.
+``error:`` line, which names the option when the case varied one, and a
+failed call leaves no output directory behind. The values are drawn from
+fixed pools with a fixed seed, so every run tries the same cases. The pools
+hold no value that is valid yet makes a call slow or large: ``simulate``
+always runs 2 replications, and a population or capacity drawn from them is
+either small or refused before any array is sized by it.
 """
 
 import contextlib
@@ -45,6 +46,11 @@ OPTIONS = {
         "0.2", "0.05", "1", "1e-150", "1e-160", "5e-324", "1e300", "1e308", "0", "nan",
     ],
     "--fair-tolerance": ["0.02", "0", "0.5", "1e308", "-1", "nan", "inf"],
+}
+# the word an error about each option holds
+OPTION_NAMES = {
+    "--capacities": "capacit", "--tie-break-scale": "tie_break_scale",
+    "--bandwidth": "bandwidth", "--fair-tolerance": "fair_tolerance",
 }
 _SOLVE = ["--population", "population.csv", "--capacities=4,4,4,4"]
 _AUDIT = ["--data", "audit.csv", "--config", "audit_schema.json", "--delimiter", ";"]
@@ -110,7 +116,7 @@ def test_mutated_inputs_keep_the_exit_contract(command, tmp_path, monkeypatch):
     for case in range(CASES):
         for name in inputs:
             shutil.copy(INPUTS / name, tmp_path / name)
-        args = list(argv)
+        args, option = list(argv), None
         if options and rng.random() < 0.4:
             option = rng.choice(options)
             what = f"{option}={rng.choice(OPTIONS[option])}"
@@ -133,4 +139,5 @@ def test_mutated_inputs_keep_the_exit_contract(command, tmp_path, monkeypatch):
             assert not out.exists(), context
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1, context
+            assert option is None or OPTION_NAMES[option] in err, context
         assert "Traceback" not in err, context

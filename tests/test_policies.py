@@ -1004,7 +1004,10 @@ class TestPolicySpec:
             seed=9,
             children=(PolicySpec("utilitarian"), PolicySpec("random", seed=3)),
         )
-        assert PolicySpec.from_dict(spec.to_dict()) == spec
+        assert PolicySpec.from_dict({
+            "kind": "mixture", "seed": 9, "lambda": 0.25,
+            "children": [{"kind": "utilitarian"}, {"kind": "random", "seed": 3}],
+        }) == spec
         assert spec.describe() == "mixture(0.25, utilitarian, random)"
 
     def test_apply_policy_seed_precedence(self):

@@ -346,9 +346,10 @@ class TestRunExperiment:
         params = exp1_params(300, caps=[200, 200, 200])
         res = run_experiment(params, PolicySpec("random"), 40, 9)
         di, dr, dg = (res.metrics[k] for k in ("delta_improvement", "delta_regret", "delta_gain"))
-        assert di.estimate > 0 and di.excludes_zero()
-        assert dr.estimate > 0 and dr.excludes_zero()
-        assert np.sign(dg.estimate) != np.sign(di.estimate) and dg.excludes_zero()
+        assert di.estimate > 0 and abs(di.estimate) > di.ci_half_width
+        assert dr.estimate > 0 and abs(dr.estimate) > dr.ci_half_width
+        assert np.sign(dg.estimate) != np.sign(di.estimate)
+        assert abs(dg.estimate) > dg.ci_half_width
 
     def test_exp2_utilitarian_favors_group1(self):
         res = run_experiment(exp2_params(300), PolicySpec("utilitarian"), 30, 5)
@@ -356,7 +357,7 @@ class TestRunExperiment:
         assert res.metrics["delta_regret"].estimate < 0
         assert res.metrics["delta_gain"].estimate > 0
         assert res.metrics["delta_shortfall"].estimate > 0
-        assert all(m.excludes_zero() for m in res.metrics.values())
+        assert all(abs(m.estimate) > m.ci_half_width for m in res.metrics.values())
         assert (
             res.aux["best_service_fraction_group1"].estimate
             > res.aux["best_service_fraction_group0"].estimate

@@ -27,6 +27,13 @@ def oracle_two_sided_p(t, df):
     return 2.0 * tail
 
 
+def padded_grid(samples, bandwidth, size=512, padding=3.0):
+    """``size`` evenly spaced points from ``padding`` bandwidths below the
+    samples to as far above them: the grid an audit pair's curves share."""
+    x = np.asarray(samples, dtype=np.float64)
+    return np.linspace(x.min() - padding * bandwidth, x.max() + padding * bandwidth, size)
+
+
 class TestKde:
     def test_single_sample_closed_form(self):
         curve = kde([0.0], bandwidth=1.0, grid=np.array([0.0, 1.0]))
@@ -34,17 +41,17 @@ class TestKde:
         assert curve.density[1] == pytest.approx(math.exp(-0.5) / math.sqrt(2.0 * math.pi))
 
     def test_symmetry(self):
-        curve = kde([-2.0, 2.0], bandwidth=0.5)
+        curve = kde([-2.0, 2.0], bandwidth=0.5, grid=padded_grid([-2.0, 2.0], 0.5))
         flipped = np.interp(-curve.grid[::-1], curve.grid, curve.density)
         assert np.allclose(curve.density[::-1], flipped, atol=1e-12)
 
     def test_mass_close_to_one(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(0.0, 1.0, 200)
-        curve = kde(samples, bandwidth=0.3, padding=8.0)
-        mass = np.trapezoid(curve.density, curve.grid)  # independent of curve.mass()
+        curve = kde(samples, bandwidth=0.3, grid=padded_grid(samples, 0.3, padding=8.0))
+        mass = np.trapezoid(curve.density, curve.grid)
         assert mass == pytest.approx(1.0, abs=1e-3)
-        assert curve.mass() <= 1.0 + 1e-9
+        assert mass <= 1.0 + 1e-9
         assert np.all(curve.density >= 0.0)
 
     def test_custom_grid(self):
@@ -54,13 +61,13 @@ class TestKde:
 
     def test_errors(self):
         with pytest.raises(EmptySampleError):
-            kde([], bandwidth=0.2)
+            kde([], bandwidth=0.2, grid=np.zeros(3))
         with pytest.raises(ValueError):
-            kde([1.0], bandwidth=0.0)
+            kde([1.0], bandwidth=0.0, grid=np.zeros(3))
 
     @pytest.mark.parametrize("samples, bandwidth, grid", [
-        ([0.0, 0.5], 1e-160, None),  # the squared distances overflow
-        ([0.25], 5e-324, None),  # the density's 1 / h overflows
+        ([0.0, 0.5], 1e-160, padded_grid([0.0, 0.5], 1e-160)),  # the squared distances overflow
+        ([0.25], 5e-324, padded_grid([0.25], 5e-324)),  # the density's 1 / h overflows
         ([-1e308], 1.0, [1e308]),  # a grid point's distance to a sample overflows
         ([0.0], np.float64(1e308), [0.0]),  # the density's n h overflows
     ])
@@ -94,9 +101,9 @@ class TestKdeBlocks:
         (BLOCK_ROWS_ONE // 2, 5),  # two rows a block; the last block has one
         (300, 1),
     ])
-    def test_default_grid_matches_dense(self, n, grid_size):
+    def test_padded_grid_matches_dense(self, n, grid_size):
         samples = np.random.default_rng(n).normal(0.05, 0.01, n)
-        curve = kde(samples, bandwidth=0.2, grid_size=grid_size)
+        curve = kde(samples, bandwidth=0.2, grid=padded_grid(samples, 0.2, grid_size))
         assert curve.grid.size == grid_size
         assert np.array_equal(curve.density, dense_kde_density(samples, 0.2, curve.grid))
 
@@ -111,7 +118,7 @@ class TestKdeBlocks:
     def test_any_block_size_matches_dense(self, monkeypatch, budget):
         monkeypatch.setattr(stats, "_KDE_CHUNK_BYTES", budget)
         samples = np.random.default_rng(7).normal(0.0, 1.0, 1000)
-        curve = kde(samples, bandwidth=0.3, grid_size=50)
+        curve = kde(samples, bandwidth=0.3, grid=padded_grid(samples, 0.3, 50))
         assert np.array_equal(curve.density, dense_kde_density(samples, 0.3, curve.grid))
 
 
