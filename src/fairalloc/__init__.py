@@ -23,6 +23,7 @@ from .errors import (
     EmptySampleError,
     FairallocError,
     InfeasibleError,
+    InputError,
     NoHeterogeneityError,
     SchemaMismatchError,
 )

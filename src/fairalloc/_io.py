@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, SchemaMismatchError
+from .errors import DataValidationError, InputError, SchemaMismatchError
 
 # bare names resolved to shipped preset files; anything else is a path
 PRESETS = {
@@ -82,22 +82,34 @@ def dump_json(obj) -> str:
 
 
 def load_json(path_or_preset: str) -> Any:
-    """Parse a JSON file, or the shipped preset a bare name in ``PRESETS`` names."""
-    if path_or_preset in PRESETS:
-        # looked up from the package itself: finding the namespace package
-        # ``fairalloc.presets`` costs more than reading the file
-        preset = resources.files("fairalloc") / "presets" / PRESETS[path_or_preset]
-        return json.loads(preset.read_text(encoding="utf-8"))
-    with open(path_or_preset, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON file, or the shipped preset a bare name in ``PRESETS`` names.
+
+    Raises:
+        InputError: with the decoder's message, if the text is not valid
+            UTF-8 or not JSON, or nests too deeply to decode.
+    """
+    try:
+        if path_or_preset in PRESETS:
+            # looked up from the package itself: finding the namespace package
+            # ``fairalloc.presets`` costs more than reading the file
+            preset = resources.files("fairalloc") / "presets" / PRESETS[path_or_preset]
+            return json.loads(preset.read_text(encoding="utf-8"))
+        with open(path_or_preset, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    # a json.JSONDecodeError and a UnicodeDecodeError are ValueErrors, and so
+    # is an integer of more digits than int() converts
+    except (ValueError, RecursionError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def expect(value, kind: str, field: str):
     """Return ``value`` if it is a JSON ``kind``: "object", "array", "number",
-    "integer", "int64" (an integer in the int64 range) or "string".
-    ``kind[]`` is an array of ``kind`` items and ``kind[n]`` an array of
-    exactly n; for these a list of the items is returned, so "number[][]"
-    reads a matrix row by row. A boolean is never a number or an integer.
+    "integer", "int64" (an integer in the int64 range) or "string". A
+    "number" must convert to a float64, which an integer beyond its range
+    does not. ``kind[]`` is an array of ``kind`` items and ``kind[n]`` an
+    array of exactly n; for these a list of the items is returned, so
+    "number[][]" reads a matrix row by row. A boolean is never a number or
+    an integer.
 
     Raises:
         SchemaMismatchError: naming ``field`` (or the item, as
@@ -119,6 +131,13 @@ def expect(value, kind: str, field: str):
         raise SchemaMismatchError(
             f"schema-mismatch: {field} must be a JSON {kind}, not {type(value).__name__}"
         )
+    if kind == "number":
+        try:
+            float(value)
+        except OverflowError:
+            raise SchemaMismatchError(
+                f"schema-mismatch: {field} is outside the float64 range"
+            ) from None
     return value
 
 
@@ -157,14 +176,14 @@ def read_csv(
     flag column and each row's index into ``labels``.
 
     Raises:
-        ValueError: if ``delimiter`` is not exactly one character.
+        InputError: if ``delimiter`` is not exactly one character.
         SchemaMismatchError: if the file is empty, or a named column is
             missing or appears more than once in the header.
         DataValidationError: if any row is invalid, or there is none, or the
             file is not valid UTF-8.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ValueError(f"delimiter must be exactly one character, not {delimiter!r}")
+        raise InputError(f"delimiter must be exactly one character, not {delimiter!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             # one byte order mark is dropped, as the utf-8-sig codec would,

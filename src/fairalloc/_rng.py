@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import InputError
+
 _HALF_ULP = 2.0**-54  # half the spacing of the 53-bit grid gen.random draws on
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -18,10 +20,10 @@ def check_seed(seed: int, field: str) -> int:
     """Return ``seed`` if numpy can seed a generator with it (it is >= 0).
 
     Raises:
-        ValueError: naming ``field`` otherwise.
+        InputError: naming ``field`` otherwise.
     """
     if seed < 0:
-        raise ValueError(f"{field} must be >= 0, got {seed}")
+        raise InputError(f"{field} must be >= 0, got {seed}")
     return seed
 
 

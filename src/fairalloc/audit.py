@@ -31,7 +31,7 @@ from .core import (
     envelope,  # noqa: F401
     favored_group,
 )
-from .errors import EmptyGroupError, SchemaMismatchError
+from .errors import EmptyGroupError, InputError, SchemaMismatchError
 from .stats import KdeCurve, TTestResult, kde, welch_t
 
 DEFAULT_BANDWIDTH = 0.2
@@ -146,12 +146,12 @@ class AuditDataset:
         p = _frozen_array(self.probabilities, np.float64)
         if not np.all(np.isfinite(p)):
             # a NaN would have no best service
-            raise ValueError("probabilities must be finite")
+            raise InputError("probabilities must be finite")
         _check_service_names(self.service_names, p.shape[1])
         observed = _frozen_array(self.observed, np.int64)
         n, k = p.shape
         if observed.shape != (n,) or not np.all((observed >= 1) & (observed <= k)):
-            raise ValueError(f"observed must hold one service index in 1..{k} "
+            raise InputError(f"observed must hold one service index in 1..{k} "
                              f"for each of the {n} households")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
@@ -173,11 +173,21 @@ class AuditDataset:
 
 
 def eval_group_expr(expr: str, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a boolean expression over 0/1 columns; returns a bool mask."""
+    """Evaluate a boolean expression over 0/1 columns; returns a bool mask.
+
+    Raises:
+        InputError: naming ``expr`` if it is not an expression of names and
+            the operators ``&``, ``|`` and ``~``, or is nested too deeply
+            to parse or evaluate.
+        SchemaMismatchError: if it names an attribute ``columns`` lacks.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"invalid group expression {expr!r}: {exc}") from None
+    # Python 3.11 reports a NUL byte in the source as a ValueError
+    except (SyntaxError, ValueError) as exc:
+        raise InputError(f"invalid group expression {expr!r}: {exc}") from None
+    except (RecursionError, MemoryError):
+        raise InputError(f"group expression {expr!r} is nested too deeply") from None
 
     def walk(node) -> np.ndarray:
         if isinstance(node, ast.Name):
@@ -191,9 +201,12 @@ def eval_group_expr(expr: str, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr)):
             left, right = walk(node.left), walk(node.right)
             return left & right if isinstance(node.op, ast.BitAnd) else left | right
-        raise ValueError(f"unsupported syntax in group expression {expr!r}")
+        raise InputError(f"unsupported syntax in group expression {expr!r}")
 
-    return walk(tree.body)
+    try:
+        return walk(tree.body)
+    except RecursionError:
+        raise InputError(f"group expression {expr!r} is nested too deeply") from None
 
 
 def ingest_csv(path: str, schema: AuditSchema, delimiter: str = ",") -> AuditDataset:
@@ -271,7 +284,7 @@ def _pair_masks(dataset: AuditDataset, pair: GroupPair) -> tuple[np.ndarray, np.
     mask1 = eval_group_expr(pair.group1, dataset.groups)
     mask0 = eval_group_expr(pair.group0, dataset.groups)
     if np.any(mask0 & mask1):
-        raise ValueError(f"pair {pair.name!r}: group expressions overlap")
+        raise InputError(f"pair {pair.name!r}: group expressions overlap")
     for value, mask in ((0, mask0), (1, mask1)):
         if not mask.any():
             raise EmptyGroupError(f"empty-group: pair {pair.name!r} group {value}")
@@ -287,7 +300,7 @@ def _delta_u_for_masks(
     # Python floats overflow to inf quietly, whatever numpy's error state
     lo, hi = float(pooled.min()) - padding, float(pooled.max()) + padding
     if not np.isfinite(hi - lo):
-        raise ValueError(f"bandwidth {bandwidth!r} is out of range for these samples: "
+        raise InputError(f"bandwidth {bandwidth!r} is out of range for these samples: "
                          "the KDE grid is not finite")
     grid = np.linspace(lo, hi, _GRID_SIZE)
     return DeltaUAnalysis(
@@ -403,13 +416,13 @@ def check_audit_options(bandwidth: float, fair_tolerance: float) -> None:
     """Check the KDE bandwidth and the fairness verdicts' tolerance.
 
     Raises:
-        ValueError: if ``bandwidth`` is not finite and > 0, or
+        InputError: if ``bandwidth`` is not finite and > 0, or
             ``fair_tolerance`` is not finite and >= 0.
     """
     if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+        raise InputError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     if not (np.isfinite(fair_tolerance) and fair_tolerance >= 0):
-        raise ValueError(f"fair_tolerance must be finite and >= 0, got {fair_tolerance!r}")
+        raise InputError(f"fair_tolerance must be finite and >= 0, got {fair_tolerance!r}")
 
 
 def run_audit(
@@ -427,7 +440,7 @@ def run_audit(
     sub-population, bit for bit.
 
     Raises:
-        ValueError: as ``check_audit_options`` does, or if the bandwidth is
+        InputError: as ``check_audit_options`` does, or if the bandwidth is
             out of range for a pair's max gains: its KDE grid or kernel
             density overflows.
     """

@@ -1,12 +1,13 @@
 """Command-line interface: simulate experiments, solve allocation instances,
 audit datasets, and run the theory verification suite.
 
-Exit codes: 0 success, 1 failed verification check, 2 invalid input (also
-inputs so large or small that a float64 result overflows, divides by zero or
-is undefined, or that the work does not fit in memory), 3 infeasible
-capacities, 4 internal error (a broken internal invariant, such as the
-additive identity, or any other unexpected exception; reported as one line
-on stderr, no traceback).
+Exit codes: 0 success, 1 failed verification check, 2 invalid input (the
+package's ``InputError`` and other ``FairallocError``s, an ``OSError``, work
+that does not fit in memory, and inputs so large or small that a float64
+result overflows, divides by zero or is undefined), 3 infeasible capacities,
+4 internal error (a broken internal invariant, such as the additive
+identity, or any other exception, a ``ValueError`` or ``KeyError`` included;
+reported as one line on stderr, no traceback).
 All randomness flows from --seed (default 0); repeated invocations with
 identical flags produce byte-identical outputs.
 """
@@ -32,7 +33,7 @@ from .audit import (
     write_report_bundle,
 )
 from .core import CapacityVector, Population, delta_metrics
-from .errors import FairallocError, InfeasibleError, SchemaMismatchError
+from .errors import FairallocError, InfeasibleError, InputError, SchemaMismatchError
 from .policies import (
     DEFAULT_TIE_BREAK_SCALE,
     KIND_BEST,
@@ -146,11 +147,11 @@ def _parse_capacities(text: str) -> list[int]:
         try:
             cap = int(field)
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"--capacities: field {place} is {field!r}, not an integer"
             ) from None
         if not -(2**63) <= cap < 2**63:
-            raise ValueError(f"--capacities: field {place} is {field!r}, outside the int64 range")
+            raise InputError(f"--capacities: field {place} is {field!r}, outside the int64 range")
         caps.append(cap)
     return caps
 
@@ -296,8 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FairallocError, ValueError, OSError, KeyError, FloatingPointError,
-            OverflowError, MemoryError) as exc:  # a json.JSONDecodeError is a ValueError
+    except (FairallocError, OSError, MemoryError, FloatingPointError) as exc:
+        # a FloatingPointError comes only from the errstate above: a float
+        # result of these inputs overflows, divides by zero or is undefined
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RuntimeError as exc:

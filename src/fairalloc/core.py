@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyGroupError
+from .errors import EmptyGroupError, InputError
 
 METRICS = ("improvement", "regret", "gain", "shortfall")
 
@@ -96,18 +96,18 @@ class Population:
         """Check the frozen service-major matrix ``u`` and copy the groups;
         store both."""
         if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
-            raise ValueError("utilities must be a non-empty N x K matrix")
+            raise InputError("utilities must be a non-empty N x K matrix")
         if not np.isfinite(u).all():
-            raise ValueError("utilities must be finite")
+            raise InputError("utilities must be finite")
         object.__setattr__(self, "utilities", u)
         groups = {}
         for name, values in dict(self.groups).items():
             g = _frozen_array(values, np.int8)
             if g.shape != (u.shape[0],):
-                raise ValueError(f"group {name!r} must assign a value to every individual")
+                raise InputError(f"group {name!r} must assign a value to every individual")
             # as unsigned bytes, the values 0 and 1 are the only ones <= 1
             if g.view(np.uint8).max() > 1:
-                raise ValueError(f"group {name!r} must be binary (0/1)")
+                raise InputError(f"group {name!r} must be binary (0/1)")
             groups[name] = g
         object.__setattr__(self, "groups", groups)
 
@@ -143,9 +143,9 @@ class CapacityVector:
     def __post_init__(self):
         c = _frozen_array(self.capacities, np.int64)
         if c.ndim != 1 or c.size < 1:
-            raise ValueError("capacities must be a non-empty 1-D integer vector")
+            raise InputError("capacities must be a non-empty 1-D integer vector")
         if np.any(c < 0):
-            raise ValueError("capacities must be non-negative")
+            raise InputError("capacities must be non-negative")
         object.__setattr__(self, "capacities", c)
 
     @property
@@ -180,9 +180,9 @@ class Allocation:
     def _settle(self, a: np.ndarray):
         """Check the frozen vector ``a`` and store it."""
         if a.ndim != 1 or a.size < 1:
-            raise ValueError("assignment must be a non-empty 1-D vector")
+            raise InputError("assignment must be a non-empty 1-D vector")
         if a.min() < 1:
-            raise ValueError("service indices are 1-based")
+            raise InputError("service indices are 1-based")
         object.__setattr__(self, "assignment", a)
 
     @property
@@ -196,7 +196,7 @@ class Allocation:
     def realized(self, pop: Population) -> np.ndarray:
         """Realized utility of every individual under this allocation."""
         if self.n != pop.n or self.assignment.max() > pop.k:
-            raise ValueError("allocation does not match population shape")
+            raise InputError("allocation does not match population shape")
         # entry (i, k) of the service-major matrix is entry k * N + i of its
         # flat view, which the transpose's ravel gives without a copy
         flat = self.assignment - 1

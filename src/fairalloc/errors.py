@@ -1,4 +1,7 @@
-"""Exception hierarchy. Every error carries a stable machine-readable code."""
+"""Exception hierarchy. ``InputError`` and its subclasses are bad input, and
+``InfeasibleError`` capacities that cannot hold the population; the CLI
+treats every other exception as a bug. A message starts with a stable
+machine-readable code where the class has one, as in ``empty-group: …``."""
 
 from __future__ import annotations
 
@@ -6,49 +9,38 @@ from __future__ import annotations
 class FairallocError(Exception):
     """Base class for all fairalloc errors."""
 
-    code = "error"
 
-
-class EmptyGroupError(FairallocError):
-    """A group selected by (attribute, value) contains no individuals."""
-
-    code = "empty-group"
+class InputError(FairallocError, ValueError):
+    """Invalid input: a file, a parameter or an option. It is a
+    ``ValueError`` too, so callers that catch that keep working."""
 
 
 class InfeasibleError(FairallocError):
     """Capacities cannot accommodate the population."""
 
-    code = "infeasible"
+
+class EmptyGroupError(InputError):
+    """A group selected by (attribute, value) contains no individuals."""
 
 
-class NoHeterogeneityError(FairallocError):
+class NoHeterogeneityError(InputError):
     """Sign-flip search precondition failed: groups do not differ in mean max gain."""
 
-    code = "no-heterogeneity"
 
-
-class EmptySampleError(FairallocError):
+class EmptySampleError(InputError):
     """A statistic was requested on an empty sample."""
 
-    code = "empty-sample"
 
-
-class DegenerateVarianceError(FairallocError):
+class DegenerateVarianceError(InputError):
     """Welch's t-test requires at least two samples and positive variance per group."""
 
-    code = "degenerate-variance"
 
-
-class SchemaMismatchError(FairallocError):
+class SchemaMismatchError(InputError):
     """CSV header does not match the configured schema."""
 
-    code = "schema-mismatch"
 
-
-class DataValidationError(FairallocError):
+class DataValidationError(InputError):
     """One or more rows failed validation; ``row_errors`` lists them with line numbers."""
-
-    code = "data-validation"
 
     def __init__(self, row_errors: list[str]):
         self.row_errors = list(row_errors)

@@ -32,7 +32,7 @@ import numpy as np
 from ._io import expect, required
 from ._rng import check_seed, generator, spawn_seed
 from .core import Allocation, CapacityVector, Population, _first_best, _reduce_services
-from .errors import InfeasibleError
+from .errors import InfeasibleError, InputError
 
 DEFAULT_TIE_BREAK_SCALE = 1e7
 _MAX_SLOTS = np.iinfo(np.intp).max // 8  # int64 entries an array can hold
@@ -63,7 +63,7 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise InputError(f"unknown policy kind {self.kind!r}")
         expect(self.tie_break_scale, "number", "policy tie_break_scale")
         for field, value, kind in (("lambda", self.lam, "number"), ("seed", self.seed, "integer")):
             if value is not None:
@@ -72,12 +72,12 @@ class PolicySpec:
             check_seed(self.seed, "policy seed")
         if self.kind == KIND_MIXTURE:
             if self.lam is None or not (0.0 <= self.lam <= 1.0):
-                raise ValueError("mixture requires lambda in [0, 1]")
+                raise InputError("mixture requires lambda in [0, 1]")
             if self.children is None or len(self.children) != 2:
-                raise ValueError("mixture requires exactly two child specs")
+                raise InputError("mixture requires exactly two child specs")
             object.__setattr__(self, "children", tuple(self.children))
         elif self.lam is not None or self.children is not None:
-            raise ValueError(f"{self.kind} takes neither lambda nor children")
+            raise InputError(f"{self.kind} takes neither lambda nor children")
 
     def describe(self) -> str:
         if self.kind == KIND_MIXTURE:
@@ -102,7 +102,7 @@ class PolicySpec:
 
 def _check_instance(pop: Population, caps: CapacityVector):
     if caps.k != pop.k:
-        raise ValueError("capacity vector length must equal the number of services")
+        raise InputError("capacity vector length must equal the number of services")
     if caps.total < pop.n:
         raise InfeasibleError(f"infeasible: total capacity {caps.total} < population {pop.n}")
 
@@ -126,7 +126,7 @@ def allocate_random(pop: Population, caps: CapacityVector, seed: int) -> Allocat
     """
     _check_instance(pop, caps)
     if caps.total > _MAX_SLOTS:
-        raise ValueError(f"total capacity {caps.total} is too large for the random policy")
+        raise InputError(f"total capacity {caps.total} is too large for the random policy")
     slots = np.repeat(np.arange(1, pop.k + 1, dtype=np.int64), caps.capacities)
     gen = generator(seed)
     return Allocation._adopt(slots[gen.permutation(slots.size)[: pop.n]])
@@ -736,16 +736,18 @@ def allocate_utilitarian(
     start changes the solver's work, never the result.
 
     Raises:
-        ValueError: if ``tie_break_scale`` is not finite and positive.
+        InputError: if ``tie_break_scale`` is not finite and positive.
         InfeasibleError: if total capacity is below the population size.
     """
     if not (np.isfinite(tie_break_scale) and tie_break_scale > 0):
-        raise ValueError(f"tie_break_scale must be finite and > 0, got {tie_break_scale!r}")
+        raise InputError(f"tie_break_scale must be finite and > 0, got {tie_break_scale!r}")
     _check_instance(pop, caps)
     n = pop.n
-    w = np.round(pop.utilities * tie_break_scale)
+    # an overflowing product is refused below, by name
+    with np.errstate(over="ignore"):
+        w = np.round(pop.utilities * tie_break_scale)
     if not np.all(np.isfinite(w)) or np.abs(w).max() >= 2**53:
-        raise ValueError("tie_break_scale too large for these utilities")
+        raise InputError("tie_break_scale too large for these utilities")
     w = w.astype(np.int64)
 
     # no service can take more than N, so the feasible set is the same and no
@@ -785,7 +787,7 @@ def allocate_mixture(
     policy with a seed derived from ``seed``.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+        raise InputError("lambda must lie in [0, 1]")
     _check_instance(pop, caps)
     n, k = pop.n, pop.k
 

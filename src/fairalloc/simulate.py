@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Mapping, Sequence
@@ -27,7 +28,7 @@ from .core import (
     envelope,  # noqa: F401 -- unused here; perfbench/tracing.py wraps simulate.envelope
     metric_rows,
 )
-from .errors import EmptyGroupError, InfeasibleError, NoHeterogeneityError
+from .errors import EmptyGroupError, InfeasibleError, InputError, NoHeterogeneityError
 from .policies import Allocator, PolicySpec, _check_instance, allocate_mixture, compile_spec
 
 GROUP_ATTRIBUTE = "group"
@@ -48,6 +49,7 @@ _ROW_KEYS = (
 # works in about this much memory, whatever the replication count (never
 # less than one replication a block)
 _BLOCK_BYTES = 1 << 21
+_MAX_BYTES = np.iinfo(np.intp).max  # the bytes one numpy array can hold
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
@@ -56,16 +58,20 @@ def _as_matrix(values, rows: int, name: str) -> np.ndarray:
     except ValueError:  # rows of different lengths
         arr = None
     if arr is None or arr.ndim != 2 or arr.shape[0] != rows:
-        raise ValueError(f"{name} must be a {rows} x K matrix")
+        raise InputError(f"{name} must be a {rows} x K matrix")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must hold only finite numbers")
+        raise InputError(f"{name} must hold only finite numbers")
     return arr
 
 
-def _group_sizes(values) -> tuple[int, ...]:
+def _group_sizes(values, k: int) -> tuple[int, ...]:
     sizes = tuple(int(v) for v in values)
     if min(sizes) < 1:
-        raise ValueError("both groups need at least one individual")
+        raise InputError("both groups need at least one individual")
+    # one replication's work arrays, bounded by the bytes one numpy array can
+    # hold; past that numpy refuses to size them with a bare ValueError
+    if _MetricBlock.replication_bytes(sum(sizes), int(k)) > _MAX_BYTES:
+        raise InputError(f"group_sizes too large for the work arrays of {k} services")
     return sizes
 
 
@@ -75,14 +81,14 @@ def _check_stylized(params, proportions: tuple[float, float], interval: str):
     bounds = tuple(float(v) for v in getattr(params, interval))
     object.__setattr__(params, interval, bounds)
     if not all(0.0 <= pi <= 1.0 for pi in proportions):
-        raise ValueError("type proportions must lie in [0, 1]")
+        raise InputError("type proportions must lie in [0, 1]")
     if not all(math.isfinite(b) for b in bounds):
-        raise ValueError(f"{interval} must hold only finite numbers")
+        raise InputError(f"{interval} must hold only finite numbers")
     if bounds[0] <= 0 or bounds[1] < bounds[0]:
-        raise ValueError(f"{interval} must be a positive interval")
+        raise InputError(f"{interval} must be a positive interval")
     if params.k < 2:
-        raise ValueError("need at least two services")
-    object.__setattr__(params, "group_sizes", _group_sizes(params.group_sizes))
+        raise InputError("need at least two services")
+    object.__setattr__(params, "group_sizes", _group_sizes(params.group_sizes, params.k))
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,10 @@ class GaussianGroupParams:
         object.__setattr__(self, "means", _as_matrix(self.means, 2, "means"))
         object.__setattr__(self, "variances", _as_matrix(self.variances, 2, "variances"))
         if self.variances.shape != self.means.shape:
-            raise ValueError("means and variances must have matching shapes")
+            raise InputError("means and variances must have matching shapes")
         if np.any(self.variances <= 0):
-            raise ValueError("variances must be positive")
-        object.__setattr__(self, "group_sizes", _group_sizes(self.group_sizes))
+            raise InputError("variances must be positive")
+        object.__setattr__(self, "group_sizes", _group_sizes(self.group_sizes, self.k))
         # per-individual tables every sample reads, service-major as the
         # samples are; attributes, not fields, so equality, repr and the
         # params-file keys stay as they were
@@ -174,7 +180,7 @@ class SF1Params:
 
     def __post_init__(self):
         if not 0.0 < self.r_low < self.r_high <= 1.0:
-            raise ValueError("require 0 < r_low < r_high <= 1")
+            raise InputError("require 0 < r_low < r_high <= 1")
         _check_stylized(self, (self.pi0, self.pi1), "u_max_range")
 
     def sample(self, seed: int) -> Population:
@@ -212,7 +218,7 @@ class SF2Params:
 
     def __post_init__(self):
         if not 0.0 < self.u_low < self.u_high:
-            raise ValueError("require 0 < u_low < u_high")
+            raise InputError("require 0 < u_low < u_high")
         _check_stylized(self, (self.p0, self.p1), "spread_range")
 
     def sample(self, seed: int) -> Population:
@@ -305,7 +311,7 @@ def _replicate_block(
         block.assignment[j] = alloc.assignment
     # a service past K would read another replication's utilities
     if block.assignment[: len(reps)].max() > params.k:
-        raise ValueError("allocation does not match population shape")
+        raise InputError("allocation does not match population shape")
     means, defined = block.means(len(reps))
     deltas = means[..., 1] - means[..., 0]
     # exact in real arithmetic; the rounding error grows with the utilities'
@@ -396,11 +402,14 @@ def run_experiment(
     cap before calling.
 
     Raises:
-        ValueError: if ``replications`` < 2.
+        InputError: if ``replications`` < 2, or too many for a ``range``
+            to have a length (more than ``sys.maxsize``).
         RuntimeError: if a replication violates the additive identity.
     """
     if replications < 2:
-        raise ValueError("replications must be >= 2")
+        raise InputError("replications must be >= 2")
+    if replications > sys.maxsize:
+        raise InputError(f"replications must be at most {sys.maxsize}, got {replications}")
     # the pool starts every worker at once; more than there is work or CPU only costs
     threads = max(1, min(threads, replications, os.cpu_count() or 1))
 
@@ -681,7 +690,7 @@ def params_from_dict(data: Mapping[str, Any]) -> PopulationParams:
     ``_POPULATION_KINDS`` lists for it, each checked for its JSON type."""
     kind = expect(data.get("kind", "gaussian"), "string", "kind")
     if kind not in _POPULATION_KINDS:
-        raise ValueError(f"unknown population kind {kind!r}")
+        raise InputError(f"unknown population kind {kind!r}")
     cls, keys = _POPULATION_KINDS[kind]
     optional = {f.name for f in fields(cls) if f.default is not MISSING}
     args = {

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DegenerateVarianceError, EmptySampleError
+from .errors import DegenerateVarianceError, EmptySampleError, InputError
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # bytes of one block of grid-row x sample kernel values; ``kde`` works in one
@@ -59,7 +59,7 @@ def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
 
     Raises:
         EmptySampleError: if ``samples`` is empty.
-        ValueError: if ``bandwidth`` is not finite and > 0, or if with it
+        InputError: if ``bandwidth`` is not finite and > 0, or if with it
             the kernel or the density on these samples and grid overflows or
             is not a number.
     """
@@ -67,7 +67,7 @@ def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
     if x.size == 0:
         raise EmptySampleError("empty-sample: KDE needs at least one sample")
     if not np.isfinite(bandwidth) or bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+        raise InputError("bandwidth must be positive")
     grid = np.asarray(grid, dtype=np.float64)
     # Each density value is one contiguous row sum, so a block of grid rows
     # gives the same bytes as the whole grid x sample matrix at once. Each
@@ -89,9 +89,10 @@ def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
                 np.multiply(z, -0.5, out=z)
                 np.exp(z, out=z)
                 np.add.reduce(z, axis=1, out=sums[lo:hi])
-            density = sums / (x.size * bandwidth * _SQRT_2PI)
+            # a numpy scalar, so that an overflowing normalizer raises too
+            density = sums / (np.float64(x.size) * bandwidth * _SQRT_2PI)
     except FloatingPointError:
-        raise ValueError(f"bandwidth {bandwidth!r} is out of range for these samples: "
+        raise InputError(f"bandwidth {bandwidth!r} is out of range for these samples: "
                          "the kernel density is not finite") from None
     return KdeCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 

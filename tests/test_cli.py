@@ -242,6 +242,18 @@ class TestSolve:
         assert "tie_break_scale must be finite and > 0" in capsys.readouterr().err
 
 
+    def test_overflowing_tie_break_scale_names_it(self, tmp_path, capsys):
+        # 3 * 1e308 overflows: refused by name, not as numpy's overflow
+        path = tmp_path / "pop.csv"
+        path.write_text("id,u_1,u_2\na,3,1\nb,1,2\n")
+        assert run_cli(
+            "solve", "--population", str(path), "--capacities", "1,1",
+            "--tie-break-scale", "1e308", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert capsys.readouterr().err == "error: tie_break_scale too large for these utilities\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestPopulationCsvValidation:
     @pytest.mark.parametrize("rows, message", [
         ("b,0.5,1\n", "schema-mismatch(line 3): expected 4 fields"),
@@ -450,6 +462,24 @@ def test_missing_field_exits_2(tmp_path, capsys, command, config, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("content, message", [
+    (b'{"kind": "gaussian" "means": []}', "Expecting ',' delimiter: line 1 column 21 (char 20)"),
+    (b'\xff{"kind": "gaussian"}',
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["malformed", "not-utf8"])
+def test_unreadable_json_exits_2(tmp_path, capsys, command, content, message):
+    # the decoder's own message, as one error line
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    data = tmp_path / "data.csv"
+    data.write_text("id\n")
+    option = {"simulate": ["--params"], "audit": ["--data", str(data), "--config"]}[command]
+    assert run_cli(command, *option, str(path), "--output-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--params", "experiment1", "--reps", "2"],
     ["check"],
@@ -499,7 +529,10 @@ class TestInternalError:
         assert err.startswith("internal error: additive-identity violation")
         assert not (tmp_path / "out" / "result.json").exists()
 
-    @pytest.mark.parametrize("error", [IndexError, TypeError, AssertionError, ZeroDivisionError])
+    # ValueError, KeyError and OverflowError are bugs too: only the package's
+    # own errors are input errors
+    @pytest.mark.parametrize("error", [IndexError, TypeError, AssertionError, ZeroDivisionError,
+                                       ValueError, KeyError, OverflowError])
     @pytest.mark.parametrize("target", ["metric_rows", "solve_transport", "kde"])
     def test_unexpected_exception_exits_4(self, population_csv, tmp_path, monkeypatch, capsys,
                                           target, error):
@@ -524,7 +557,19 @@ class TestInternalError:
             monkeypatch.setattr(core, "_metric_block", broken)
             argv = solve
         assert run_cli(*argv) == 4
-        assert capsys.readouterr().err == f"internal error: {error.__name__}: injected\n"
+        # str() of a KeyError quotes its message
+        assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('injected')}\n"
+
+    def test_every_input_error_is_a_value_error(self):
+        from fairalloc import errors
+
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.FairallocError)]
+        assert len(classes) == 9
+        for cls in classes:
+            is_input = cls not in (errors.FairallocError, errors.InfeasibleError)
+            assert issubclass(cls, errors.InputError) is is_input, cls
+            assert issubclass(cls, ValueError) is is_input, cls
 
 
 class TestSimulate:
@@ -583,9 +628,28 @@ class TestSimulate:
         ({"means": [[0.2, 0.3], [0.4, 0.5, 0.63]]}, "error: means must be a 2 x K matrix\n"),
         ({"variances": [[1e-4, 4e-4, 9e-4], [1e-4]]},
          "error: variances must be a 2 x K matrix\n"),
+        ({"means": [[0.2, 10**400, 0.4], [0.4, 0.5, 0.63]]},
+         "error: schema-mismatch: means[0][1] is outside the float64 range\n"),
+        ({"kind": "sf2", "u_low": 0.5, "u_high": 10**400, "p0": 0.7, "p1": 0.3},
+         "error: schema-mismatch: u_high is outside the float64 range\n"),
+        ({"kind": "sf2", "u_low": 0.5, "u_high": 1.5, "p0": 0.7, "p1": 0.3,
+          "spread_range": [0.5, 10**400]},
+         "error: schema-mismatch: spread_range[1] is outside the float64 range\n"),
+        ({"policy": {"kind": "utilitarian", "tie_break_scale": 10**400}},
+         "error: schema-mismatch: policy tie_break_scale is outside the float64 range\n"),
+        ({"group_sizes": [2**62, 20]},
+         "error: group_sizes too large for the work arrays of 3 services\n"),
+        ({"kind": "sf2", "u_low": 0.5, "u_high": 1.5, "p0": 0.7, "p1": 0.3,
+          "group_sizes": [2**61, 2**61]},
+         "error: group_sizes too large for the work arrays of 3 services\n"),
+        ({"replications": 2**64},
+         f"error: replications must be at most {sys.maxsize}, got {2**64}\n"),
     ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "capacity-past-int64",
             "group-size-past-int64", "negative-base-seed", "negative-policy-seed",
-            "ragged-means", "ragged-variances"])
+            "ragged-means", "ragged-variances", "mean-past-float64", "sf2-u-high-past-float64",
+            "sf2-spread-past-float64", "tie-break-scale-past-float64",
+            "group-sizes-past-arrays", "sf2-group-sizes-past-arrays",
+            "replications-past-range"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dict(GAUSSIAN_PARAMS, **changes)))
@@ -634,6 +698,14 @@ class TestSimulate:
         out = tmp_path / "o"
         assert run_cli("simulate", "--params", "experiment1", "--reps", "1",
                        "--output-dir", str(out)) == 2
+
+    def test_reps_past_range_length_exits_2(self, tmp_path, capsys):
+        assert run_cli("simulate", "--params", "experiment1", "--reps", str(2**63),
+                       "--output-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"error: replications must be at most {sys.maxsize}, got {2**63}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_missing_params_file(self, tmp_path):
         assert run_cli("simulate", "--params", str(tmp_path / "nope.json"),
@@ -804,6 +876,7 @@ class TestAudit:
         ("1e-160", "the kernel density is not finite"),
         ("5e-324", "the kernel density is not finite"),
         ("1e308", "the KDE grid is not finite"),  # its 3 h padding overflows
+        ("2e307", "the kernel density is not finite"),  # its normalizer n h overflows
     ])
     def test_out_of_range_bandwidth_exits_2_naming_it(self, tmp_path, capsys, value, reason):
         # finite and > 0, so only the KDE over the data can find it out of range
@@ -816,6 +889,27 @@ class TestAudit:
         assert capsys.readouterr().err == (
             f"error: bandwidth {float(value)!r} is out of range for these samples: {reason}\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("group1, message", [
+        (" & ".join(["veteran"] * 1500), "is nested too deeply"),  # too deep to evaluate
+        ("~" * 100000 + "veteran", "is nested too deeply"),  # too deep to parse
+        ("veteran\0", "error: invalid group expression"),  # a ValueError on Python 3.11
+    ], ids=["and-chain", "inversions", "nul"])
+    def test_unusable_group_expression_exits_2_naming_it(self, tmp_path, capsys, group1,
+                                                         message):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        schema = json.loads((inputs / "audit_schema.json").read_text())
+        schema["pairs"] = [{"name": "deep", "group1": group1, "group0": "children"}]
+        config = tmp_path / "schema.json"
+        config.write_text(json.dumps(schema))
+        assert run_cli(
+            "audit", "--data", str(inputs / "audit.csv"), "--config", str(config),
+            "--delimiter", ";", "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and repr(group1) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("names, message", [

@@ -28,7 +28,7 @@ CASES = 150  # per command family
 
 JSON_VALUES = [
     None, True, False, 0, 1, -1, 2, 3, 0.5, -0.5, 1e308, -1e308, 1e-320, float("nan"),
-    float("inf"), 2**62, 2**63, -(2**63) - 1, 2**64, "", "x", "~x", "a & b", "a | ~b",
+    float("inf"), 2**62, 2**63, -(2**63) - 1, 2**64, 10**400, "", "x", "~x", "a & b", "a | ~b",
     "random", "utilitarian", [], {}, [[]], [1, 2], [0.5, 0.5, 0.5], {"kind": "random"},
 ]
 CSV_VALUES = [

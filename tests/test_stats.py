@@ -70,6 +70,7 @@ class TestKde:
         ([0.25], 5e-324, padded_grid([0.25], 5e-324)),  # the density's 1 / h overflows
         ([-1e308], 1.0, [1e308]),  # a grid point's distance to a sample overflows
         ([0.0], np.float64(1e308), [0.0]),  # the density's n h overflows
+        ([0.0, 0.0], 1e308, [0.0]),  # the same with a Python float, which overflows quietly
     ])
     def test_out_of_range_bandwidth_names_it(self, samples, bandwidth, grid):
         message = f"bandwidth {bandwidth!r} is out of range for these samples: "
