@@ -12,7 +12,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -166,14 +166,15 @@ class CsvColumns:
 
 def read_csv(
     path: str, columns: Callable[[list[str]], CsvColumns], delimiter: str = ","
-) -> tuple[list[str], np.ndarray, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[Sequence[str], np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Read a UTF-8 CSV, with or without a byte order mark, whose first line
     is the header; ``columns`` maps the header to the columns to parse. Blank
     lines are skipped; every other row must have one field per header column.
     All row problems are raised together, each with the 1-based physical line
     its row starts on (the header is line 1). Returns the ids (ordinals "1",
-    "2", ... without an id column), the float matrix, the int8 vector of each
-    flag column and each row's index into ``labels``.
+    "2", ... without an id column) as a read-only sequence, the float matrix
+    (service-major: one contiguous column per float column), the int8 vector
+    of each flag column and each row's index into ``labels``.
 
     Raises:
         InputError: if ``delimiter`` is not exactly one character.
@@ -223,6 +224,47 @@ def _first_bad_utf8_line(path: str) -> int:
 # rows are held at once, whatever the file size
 _CHUNK_ROWS = 1024
 _FLAG_VALUES = {"0": 0, "1": 1}
+# an id's int64 key for the repeat search; ids of equal keys are compared
+# as text, so keys of different ids may collide
+_id_hash = hash
+
+
+class _Ids(Sequence[str]):
+    """The ids of a CSV's rows, read-only. Each chunk of rows holds its ids
+    as one text and the offsets that cut it, so no row keeps a ``str`` of
+    its own; without an id column, the ids are the ordinals "1", "2", ..."""
+
+    def __init__(self, n: int, texts: list[str], offsets: list[array]):
+        self._n = n
+        self._texts = texts
+        # a chunk's ids end at offsets[1:], the first starts at 0; every
+        # chunk but the last holds as many rows as the first
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> str:
+        if not -self._n <= i < self._n:
+            raise IndexError("id index out of range")
+        i %= self._n
+        if not self._texts:
+            return str(i + 1)
+        c, j = divmod(i, len(self._offsets[0]) - 1)
+        start, end = self._offsets[c][j : j + 2].tolist()
+        return self._texts[c][start:end]
+
+    def __iter__(self):
+        if not self._texts:
+            return map(str, range(1, self._n + 1))
+        return chain.from_iterable(map(_cut, self._texts, self._offsets))
+
+
+def _cut(text: str, offsets: array):
+    """The pieces of ``text`` that end at ``offsets[1:]``, the first starting
+    at ``offsets[0]``."""
+    cuts = offsets.tolist()
+    return map(text.__getitem__, map(slice, cuts, cuts[1:]))
 
 
 def _to_float(text: str) -> float:
@@ -265,14 +307,14 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     label_order = len(float_at)
     id_order = label_order + 1 + len(flag_at)
     errors: list[tuple[int, int, str]] = []  # (line, place in its row, message)
-    # ids are checked against a set, and each row's line is kept in a compact
-    # array; the map from an id to its first line is built only once a
-    # duplicate shows up, and then serves the rest of the file
-    seen: set[str] = set()
+    # a chunk's ids are kept as one text and its cuts (``_Ids``), and as
+    # int64 keys beside each row's line; repeats are sought after the last
+    # chunk, among the rows whose keys another row shares
+    id_texts: list[str] = []
+    id_offsets: list[array] = []
+    id_keys = array("q")
     id_lines = array("q")
-    first_lines: dict[str, int] | None = None
-    ids: list[str] = []
-    floats: list[np.ndarray] = []
+    floats: list[np.ndarray] = []  # per chunk, one row per float column
     labels: list[np.ndarray] = []
     flags: dict[str, list[np.ndarray]] = {c: [] for c, _ in flag_at}
 
@@ -297,7 +339,7 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
                         else f"not in [{lo:g}, {hi:g}]")
                 errors.append((lines[i], order, f"range-violation(line {lines[i]}): "
                                                 f"{c}={text!r} {rule}"))
-        floats.append(parsed.reshape(m, n).T.copy())
+        floats.append(parsed.reshape(m, n))
         if label_at is not None:
             col = fields[label_at]
             index = np.fromiter(map(label_index.get, col, repeat(-1)), np.int64, len(col))
@@ -318,25 +360,11 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
             flags[c].append(values)
         if id_at is None:
             return
-        nonlocal first_lines
         col = fields[id_at]
-        if first_lines is None:
-            known = len(seen)
-            seen.update(col)
-            if len(seen) == known + len(col):
-                ids.extend(col)
-                id_lines.extend(lines)
-                return
-            # every id before this chunk is unique
-            first_lines = dict(zip(ids, id_lines))
-            seen.clear()
-            del id_lines[:]
-        ids.extend(col)
-        for text, line in zip(col, lines):
-            first = first_lines.setdefault(text, line)
-            if first != line:
-                errors.append((line, id_order, f"duplicate-id(line {line}): {text!r} "
-                                               f"already on line {first}"))
+        id_texts.append("".join(col))
+        id_offsets.append(array("q", accumulate(map(len, col), initial=0)))
+        id_keys.extend(map(_id_hash, col))
+        id_lines.extend(lines)
 
     # rows are held as tuples: a tuple of strings leaves the cyclic garbage
     # collector's care at its first pass, while a held list would be rescanned
@@ -361,14 +389,37 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
         raise _csv_error(start, exc) from None
     if rows:
         check(rows, lines)
+    ids = _Ids(sum(block.shape[1] for block in floats), id_texts, id_offsets)
+    if id_keys:
+        for row, first in _repeats(ids, np.frombuffer(id_keys, np.int64)):
+            line = id_lines[row]
+            errors.append((line, id_order, f"duplicate-id(line {line}): {ids[row]!r} "
+                                           f"already on line {id_lines[first]}"))
     if errors:
         raise DataValidationError([message for _, _, message in sorted(errors)])
     if not floats:
         raise DataValidationError(["schema-mismatch(line 2): no data rows"])
-    matrix = np.concatenate(floats)
     return (
-        ids if id_at is not None else [str(i) for i in range(1, len(matrix) + 1)],
-        matrix,
+        ids,
+        # the (float column, row) blocks side by side, transposed: service-major
+        np.concatenate(floats, axis=1).T,
         {c: np.concatenate(parts) for c, parts in flags.items()},
         np.concatenate(labels) if labels else np.empty(0, np.int64),
     )
+
+
+def _repeats(ids: Sequence[str], keys: np.ndarray) -> list[tuple[int, int]]:
+    """(row, first row of its id) for every row whose id an earlier row
+    holds, given each id's ``_id_hash`` key. Only the rows whose key another
+    row shares are compared as text, in row order."""
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not repeated.size:
+        return []
+    first: dict[str, int] = {}
+    repeats = []
+    for row in np.flatnonzero(np.isin(keys, repeated)).tolist():
+        at = first.setdefault(ids[row], row)
+        if at != row:
+            repeats.append((row, at))
+    return repeats

@@ -10,7 +10,7 @@ realized capacity use, so no feasibility re-check is performed.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     Population,
     _fairness_report,
     _first_best,
+    _freeze,
     _frozen_array,
     _population_rows,
     # unused here; perfbench/tracing.py wraps audit.delta_metrics and audit.envelope
@@ -132,40 +133,41 @@ class AuditSchema:
 
 @dataclass(frozen=True)
 class AuditDataset:
-    """Validated audit records; utilities are 1 - p, elementwise, built once
-    and read-only. Both matrices are stored service-major (Fortran order)."""
+    """Validated audit records. It is built from each household's re-entry
+    probabilities per service and holds their utilities u = 1 - p, computed
+    once into a new read-only matrix, stored service-major (Fortran order);
+    the probabilities themselves are not kept."""
 
-    ids: tuple[str, ...]
-    probabilities: np.ndarray
+    probabilities: InitVar[np.ndarray]
     observed: np.ndarray  # 1-based service indices
     groups: Mapping[str, np.ndarray]
     service_names: tuple[str, ...]
-    utilities: np.ndarray = field(init=False, repr=False, compare=False)
+    utilities: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        p = _frozen_array(self.probabilities, np.float64)
-        if not np.all(np.isfinite(p)):
+    def __post_init__(self, probabilities):
+        # a new array: the caller's probabilities are never written
+        u = _freeze(np.subtract(1.0, np.asarray(probabilities, dtype=np.float64), order="F"))
+        if not np.all(np.isfinite(u)):
             # a NaN would have no best service
             raise InputError("probabilities must be finite")
-        _check_service_names(self.service_names, p.shape[1])
+        _check_service_names(self.service_names, u.shape[1])
         observed = _frozen_array(self.observed, np.int64)
-        n, k = p.shape
+        n, k = u.shape
         if observed.shape != (n,) or not np.all((observed >= 1) & (observed <= k)):
             raise InputError(f"observed must hold one service index in 1..{k} "
                              f"for each of the {n} households")
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "utilities", _frozen_array(1.0 - p, np.float64))
+        object.__setattr__(self, "utilities", u)
         object.__setattr__(self, "observed", observed)
         groups = {name: _frozen_array(vals, np.int8) for name, vals in dict(self.groups).items()}
         object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
-        return self.probabilities.shape[0]
+        return self.utilities.shape[0]
 
     @property
     def k(self) -> int:
-        return self.probabilities.shape[1]
+        return self.utilities.shape[1]
 
     def population(self) -> Population:
         # the read-only utilities are shared, not copied
@@ -211,7 +213,8 @@ def eval_group_expr(expr: str, columns: Mapping[str, np.ndarray]) -> np.ndarray:
 
 def ingest_csv(path: str, schema: AuditSchema, delimiter: str = ",") -> AuditDataset:
     """Read an audit CSV under the rules of ``_io.read_csv``: probabilities
-    in [0, 1], observed service names, 0/1 group columns and unique ids."""
+    in [0, 1], observed service names, 0/1 group columns and unique ids.
+    The ids are checked and then dropped: the report never reads them."""
     columns = CsvColumns(
         floats=[col for _, col in schema.services],
         bounds=(0.0, 1.0),
@@ -220,9 +223,8 @@ def ingest_csv(path: str, schema: AuditSchema, delimiter: str = ",") -> AuditDat
         labels=schema.service_names,
         id=schema.id_column,
     )
-    ids, probabilities, flags, observed = read_csv(path, lambda header: columns, delimiter)
+    _, probabilities, flags, observed = read_csv(path, lambda header: columns, delimiter)
     return AuditDataset(
-        ids=tuple(ids),
         probabilities=probabilities,
         observed=observed + 1,
         groups={attr: flags[col] for attr, col in schema.group_columns.items()},

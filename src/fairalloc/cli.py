@@ -107,7 +107,7 @@ def load_population_csv(path: str) -> tuple[list[str], Population]:
         )
 
     ids, utilities, groups, _ = read_csv(path, columns)
-    return ids, Population(utilities=utilities, groups=groups)
+    return list(ids), Population(utilities=utilities, groups=groups)
 
 
 def cmd_simulate(args) -> int:

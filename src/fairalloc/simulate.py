@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Mapping, Sequence
 
@@ -217,6 +216,10 @@ class SF2Params:
     type_attribute: ClassVar[str] = "type_c"
 
     def __post_init__(self):
+        for name in ("u_low", "u_high"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.u_low < self.u_high:
             raise InputError("require 0 < u_low < u_high")
         _check_stylized(self, (self.p0, self.p1), "spread_range")
@@ -425,6 +428,9 @@ def run_experiment(
         cuts = [replications * t // threads for t in range(threads + 1)]
         jobs = [(params, spec, base_seed, range(a, b), float_errors)
                 for a, b in zip(cuts, cuts[1:])]
+        # imported here: loading multiprocessing costs every serial run's set-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_spec_worker, jobs))
     else:

@@ -65,7 +65,6 @@ def build_synthetic_dataset(n: int = SYNTH_N, seed: int = 20240) -> AuditDataset
     white = ((rng.random(n) < 0.85) & (black == 0)).astype(np.int8)
 
     return AuditDataset(
-        ids=tuple(f"h{i + 1}" for i in range(n)),
         probabilities=1.0 - utilities,
         observed=observed,
         groups={
@@ -81,11 +80,13 @@ def build_synthetic_dataset(n: int = SYNTH_N, seed: int = 20240) -> AuditDataset
     )
 
 
-def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema):
-    """Write a dataset back in the canonical form ``ingest_csv`` reads.
+def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema, ids=None):
+    """Write a dataset back in the canonical form ``ingest_csv`` reads, with
+    ``ids`` (by default "h1", "h2", ...) in the id column.
 
-    Floats are rendered with ``repr`` so a canonical file round-trips byte
-    for byte.
+    The probabilities are written as 1 - u with ``repr``: a file whose every
+    p gives 1 - (1 - p) == p, as the synthetic builder's do, round-trips
+    byte for byte.
     """
     header = (
         [schema.id_column]
@@ -93,10 +94,13 @@ def export_csv(dataset: AuditDataset, path: str, schema: AuditSchema):
         + [schema.observed_column]
         + list(schema.group_columns.values())
     )
+    if ids is None:
+        ids = [f"h{i + 1}" for i in range(dataset.n)]
+    probabilities = 1.0 - dataset.utilities
     rows = [header]
     for i in range(dataset.n):
-        row = [dataset.ids[i]]
-        row += [repr(float(v)) for v in dataset.probabilities[i]]
+        row = [ids[i]]
+        row += [repr(float(v)) for v in probabilities[i]]
         row.append(dataset.service_names[dataset.observed[i] - 1])
         row += [str(int(dataset.groups[attr][i])) for attr in schema.group_columns]
         rows.append(row)
@@ -126,7 +130,6 @@ def build_tradeoff_dataset() -> AuditDataset:
     """Two households engineered to dI = -0.013 and -dR = +0.016."""
     utilities = np.array([[0.5, 0.55, 0.58], [0.5, 0.537, 0.551]])
     return AuditDataset(
-        ids=("a", "b"),
         probabilities=1.0 - utilities,
         observed=np.array([2, 2]),
         groups={"children": np.array([0, 1], dtype=np.int8)},

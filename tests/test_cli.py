@@ -632,6 +632,10 @@ class TestSimulate:
          "error: schema-mismatch: means[0][1] is outside the float64 range\n"),
         ({"kind": "sf2", "u_low": 0.5, "u_high": 10**400, "p0": 0.7, "p1": 0.3},
          "error: schema-mismatch: u_high is outside the float64 range\n"),
+        ({"kind": "sf2", "u_low": 0.5, "u_high": math.inf, "p0": 0.7, "p1": 0.3},
+         "error: u_high must be finite, got inf\n"),
+        ({"kind": "sf2", "u_low": math.nan, "u_high": 1.5, "p0": 0.7, "p1": 0.3},
+         "error: u_low must be finite, got nan\n"),
         ({"kind": "sf2", "u_low": 0.5, "u_high": 1.5, "p0": 0.7, "p1": 0.3,
           "spread_range": [0.5, 10**400]},
          "error: schema-mismatch: spread_range[1] is outside the float64 range\n"),
@@ -647,7 +651,8 @@ class TestSimulate:
     ], ids=["huge-mean", "subnormal-ratio", "huge-capacity", "capacity-past-int64",
             "group-size-past-int64", "negative-base-seed", "negative-policy-seed",
             "ragged-means", "ragged-variances", "mean-past-float64", "sf2-u-high-past-float64",
-            "sf2-spread-past-float64", "tie-break-scale-past-float64",
+            "sf2-u-high-inf", "sf2-u-low-nan", "sf2-spread-past-float64",
+            "tie-break-scale-past-float64",
             "group-sizes-past-arrays", "sf2-group-sizes-past-arrays",
             "replications-past-range"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, changes, message):
@@ -739,7 +744,6 @@ class TestAudit:
             [0.5, 0.537, 0.551], [0.5, 0.538, 0.553],
         ])
         fat = type(ds)(
-            ids=("a", "b", "c", "d"),
             probabilities=1.0 - utilities,
             observed=np.array([2, 2, 2, 2]),
             groups={"children": np.array([0, 0, 1, 1], dtype=np.int8)},
@@ -768,8 +772,8 @@ class TestAudit:
             "pairs": [{"name": pair, "group1": "children", "group0": "~children"}],
         }
         schema = AuditSchema.from_dict(schema_dict)
+        ids = ("a,1", 'b"2', "c\n3", "d")
         dataset = type(build_tradeoff_dataset())(
-            ids=("a,1", 'b"2', "c\n3", "d"),
             probabilities=1.0 - np.array([[0.5, 0.55, 0.58], [0.5, 0.551, 0.582],
                                           [0.6, 0.537, 0.551], [0.5, 0.538, 0.553]]),
             observed=np.array([1, 2, 3, 2]),
@@ -777,13 +781,13 @@ class TestAudit:
             service_names=tuple(services),
         )
         data, config, out = tmp_path / "data.csv", tmp_path / "schema.json", tmp_path / "out"
-        export_csv(dataset, str(data), schema)
+        export_csv(dataset, str(data), schema, ids)
         config.write_text(json.dumps(schema_dict))
         assert run_cli(
             "audit", "--data", str(data), "--config", str(config), "--output-dir", str(out),
         ) == 0
         with open(data, newline="") as fh:
-            assert [row[0] for row in csv.reader(fh)] == ["id", *dataset.ids]
+            assert [row[0] for row in csv.reader(fh)] == ["id", *ids]
         with open(out / "shares.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["pair", "group", "count", *services]
@@ -958,8 +962,7 @@ class TestAudit:
     def test_empty_group_exit_2(self, tmp_path):
         ds = build_tradeoff_dataset()
         all_ones = type(ds)(
-            ids=ds.ids,
-            probabilities=ds.probabilities,
+            probabilities=1.0 - ds.utilities,
             observed=ds.observed,
             groups={"children": np.array([1, 1], dtype=np.int8)},
             service_names=ds.service_names,

@@ -526,8 +526,7 @@ class TestServiceMajorLayout:
             Population(u).utilities,
             Population(u.tolist()).utilities,
             Population(u).subset(np.array([2, 0])).utilities,
-            AuditDataset(("a", "b", "c", "d"), u, np.ones(4), {}, ("x", "y", "z")).probabilities,
-            AuditDataset(("a", "b", "c", "d"), u, np.ones(4), {}, ("x", "y", "z")).utilities,
+            AuditDataset(u, np.ones(4), {}, ("x", "y", "z")).utilities,
         ):
             assert matrix.flags.f_contiguous and not matrix.flags.writeable
             with pytest.raises(ValueError):

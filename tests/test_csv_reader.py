@@ -164,7 +164,7 @@ def assert_same_outcome(got, expected):
         assert got == expected
         return
     ids, floats, flags, labels = expected
-    assert got[0] == ids
+    assert list(got[0]) == ids
     assert list(got[2]) == list(flags)
     for want, have in [(floats, got[1]), (labels, got[3]), *zip(flags.values(), got[2].values())]:
         assert have.dtype == want.dtype and have.shape == want.shape
@@ -185,6 +185,48 @@ def test_column_pass_matches_row_loop(chunk_rows, case):
 def exit_code_and_stderr(capsys, *argv):
     code = main([*argv])
     return code, capsys.readouterr().err
+
+
+ID_COLUMNS = CsvColumns(floats=["u_1"], id="id")
+
+
+def id_csv(ids):
+    return "id,u_1\n" + "".join(f"{i},0.5\n" for i in ids)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4096])
+@pytest.mark.parametrize("ids", [
+    ["a", "b", "c", "d", "ab", "", "ba"],
+    ["a", "b", "a", "c", "b", "a", "", "c", ""],
+], ids=["distinct", "repeated"])
+def test_colliding_id_keys_are_compared_as_text(chunk_rows, ids):
+    # every id gets the same key: distinct ids still pass, and each repeat
+    # names the lines the row-at-a-time oracle names
+    expected = outcome(read_rows_loop, id_csv(ids), ID_COLUMNS)
+    with mock.patch.object(_io, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(_io, "_id_hash", lambda text: 7):
+        got = outcome(_io._read_rows, id_csv(ids), ID_COLUMNS)
+    assert_same_outcome(got, expected)
+    if len(set(ids)) < len(ids):
+        assert expected == [
+            "duplicate-id(line 4): 'a' already on line 2",
+            "duplicate-id(line 6): 'b' already on line 3",
+            "duplicate-id(line 7): 'a' already on line 2",
+            "duplicate-id(line 9): 'c' already on line 5",
+            "duplicate-id(line 10): '' already on line 8",
+        ]
+
+
+def test_ids_read_back_as_a_sequence():
+    ids = [f"r{i}" for i in range(10)] + ["", "é", "a\nb"]
+    with mock.patch.object(_io, "_CHUNK_ROWS", 4):
+        got = _io._read_rows(csv.reader(io.StringIO(id_csv(
+            [f'"{i}"' for i in ids]), newline="")), lambda header: ID_COLUMNS)[0]
+    assert len(got) == len(ids) and list(got) == ids
+    assert [got[i] for i in range(-len(ids), len(ids))] == ids + ids
+    for i in (len(ids), -len(ids) - 1):
+        with pytest.raises(IndexError):
+            got[i]
 
 
 class TestPhysicalLines:
@@ -348,3 +390,21 @@ def test_pipe_reads_as_a_file(tmp_path, data):
     got = file_outcome(fifo, bom_columns)
     writer.join(timeout=30)
     assert_same_outcome(got, decoded_outcome(data, bom_columns))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_repeated_id_through_a_pipe_reads_as_in_a_file(tmp_path):
+    # the repeats are found after the last chunk, from what the chunks kept:
+    # a pipe, read once, names the same lines as a file
+    data = ROWS + FAR + b"b,0.5,0.5,0\nr7,0.5,0.5,1\n"
+    path, fifo = tmp_path / "data.csv", tmp_path / "data.fifo"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    got = file_outcome(fifo, bom_columns)
+    writer.join(timeout=30)
+    assert got == file_outcome(path, bom_columns) == [
+        "duplicate-id(line 2004): 'b' already on line 3",
+        "duplicate-id(line 2005): 'r7' already on line 11",
+    ]

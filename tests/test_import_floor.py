@@ -1,7 +1,8 @@
 """What importing the package and solving load, checked in fresh
-interpreters: ``scipy.optimize`` and ``scipy.sparse`` stay unloaded on
-import, a tie-heavy solve resolves its ties without loading them, and a
-solve reads a CSV with a byte order mark without the utf-8-sig codec. (The
+interpreters: ``scipy.optimize``, ``scipy.sparse`` and the process pool's
+modules stay unloaded on import, a tie-heavy solve resolves its ties
+without loading them, and a solve reads a CSV with a byte order mark
+without the utf-8-sig codec. (The
 other test modules import ``scipy.optimize`` themselves, so only a separate
 process can see what the package alone loads.)"""
 
@@ -17,6 +18,8 @@ import fairalloc
 from tie_oracle import utilitarian_oracle
 
 LAZY = ("scipy.optimize", "scipy.sparse")
+# the process pool's modules load only when a run starts a pool
+POOL = ("concurrent.futures.process", "multiprocessing")
 
 
 def run_python(code: str, *argv: str) -> str:
@@ -34,7 +37,7 @@ def run_python(code: str, *argv: str) -> str:
 def test_import_leaves_lp_modules_unloaded(module):
     out = run_python(
         f"import sys, {module}\n"
-        f"print(*[m for m in {LAZY!r} if m in sys.modules])"
+        f"print(*[m for m in {LAZY + POOL!r} if m in sys.modules])"
     )
     assert out.split() == []
 

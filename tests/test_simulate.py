@@ -1,6 +1,7 @@
 """Sampler distribution checks, experiment reproducibility, and the
 stylized-framework verification harnesses."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import multiprocessing as mp
@@ -321,7 +322,7 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
         params = exp1_params(30, caps=[25, 25, 25])
         result = run_experiment(params, PolicySpec("random"), reps, 3, threads=threads)
@@ -332,7 +333,7 @@ class TestRunExperiment:
         # spawned workers inherit no numpy error state: the guard must travel
         # with each job, or the overflow below is a warning and an inf estimate
         spawn = functools.partial(ProcessPoolExecutor, mp_context=mp.get_context("spawn"))
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", spawn)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         params = simulate.params_from_dict({
             "means": [[1e308, 0.3, 0.4], [0.4, 0.5, 0.63]],
@@ -486,7 +487,7 @@ class TestReplicationBlocks:
         # forked workers see the patched budget; 23 replications in 2 or 3
         # chunks cut blocks of 2 and 3 short
         fork = functools.partial(ProcessPoolExecutor, mp_context=mp.get_context("fork"))
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", fork)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         expected = run_experiment(params, policy, self.REPS, 2).to_dict()
         for size, budget in self.budgets(params)[:4]:
