@@ -33,7 +33,14 @@ from .core import (
     favored_group,
 )
 from .errors import EmptyGroupError, InputError, SchemaMismatchError
-from .stats import KdeCurve, TTestResult, kde, welch_t
+from .stats import (
+    KdeCurve,
+    TTestResult,
+    # unused here; perfbench/tracing.py wraps audit.kde
+    kde,  # noqa: F401
+    kde_curves,
+    welch_t,
+)
 
 DEFAULT_BANDWIDTH = 0.2
 DEFAULT_FAIR_TOLERANCE = 1e-3
@@ -295,23 +302,63 @@ def _pair_masks(dataset: AuditDataset, pair: GroupPair) -> tuple[np.ndarray, np.
 
 def _delta_u_for_masks(
     delta_u: np.ndarray, mask0: np.ndarray, mask1: np.ndarray, bandwidth: float
-) -> DeltaUAnalysis:
+) -> tuple[tuple[float, float], float, float, TTestResult]:
+    """A pair's KDE grid ends, its two groups' mean max gains and their
+    Welch test: everything of its ``DeltaUAnalysis`` but the curves."""
     du0, du1 = delta_u[mask0], delta_u[mask1]
-    pooled = np.concatenate([du0, du1])
     padding = _GRID_PADDING * bandwidth
     # Python floats overflow to inf quietly, whatever numpy's error state
-    lo, hi = float(pooled.min()) - padding, float(pooled.max()) + padding
+    lo = float(min(du0.min(), du1.min())) - padding
+    hi = float(max(du0.max(), du1.max())) + padding
     if not np.isfinite(hi - lo):
         raise InputError(f"bandwidth {bandwidth!r} is out of range for these samples: "
                          "the KDE grid is not finite")
-    grid = np.linspace(lo, hi, _GRID_SIZE)
-    return DeltaUAnalysis(
-        mean_0=float(np.mean(du0)),
-        mean_1=float(np.mean(du1)),
-        welch=welch_t(du1, du0),
-        kde_0=kde(du0, bandwidth, grid=grid),
-        kde_1=kde(du1, bandwidth, grid=grid),
-    )
+    return (lo, hi), float(np.mean(du0)), float(np.mean(du1)), welch_t(du1, du0)
+
+
+def _kde_by_grid(
+    delta_u: np.ndarray, members: Sequence[np.ndarray], bounds: Sequence[tuple[float, float]],
+    bandwidth: float,
+) -> list[KdeCurve]:
+    """The KDE curve of each group, from one kernel pass per distinct grid.
+
+    ``members`` holds each group's ``np.packbits`` mask over the households
+    and ``bounds`` the ends of its grid. A grid's samples are the max gains
+    of the households its groups hold, each once, in the order of the first
+    group that holds it: a group whose households were all new there is one
+    run of columns in household order, and any other group's columns are
+    gathered. A grid that one pair alone uses is thus [group 0 | group 1].
+    """
+    n = delta_u.size
+    by_grid: dict[tuple[float, float], list[int]] = {}
+    for g, ends in enumerate(bounds):
+        by_grid.setdefault(ends, []).append(g)
+    curves = [None] * len(members)
+    for (lo, hi), groups in by_grid.items():
+        seen = np.zeros(n, dtype=bool)
+        runs, columns, start = [], [], 0
+        for g in groups:
+            mask = np.unpackbits(members[g], count=n).view(bool)
+            new = mask & ~seen
+            runs.append(np.flatnonzero(new))
+            size = runs[-1].size
+            columns.append(slice(start, start + size) if size == np.count_nonzero(mask) else None)
+            seen |= new
+            start += size
+        order = np.concatenate(runs)
+        del runs, seen
+        if None in columns:
+            column_of = np.empty(n, dtype=np.intp)
+            column_of[order] = np.arange(order.size)
+            for i, g in enumerate(groups):
+                if columns[i] is None:
+                    mask = np.unpackbits(members[g], count=n).view(bool)
+                    columns[i] = column_of[mask]
+            del column_of
+        grid = _freeze(np.linspace(lo, hi, _GRID_SIZE))
+        for g, curve in zip(groups, kde_curves(delta_u[order], bandwidth, grid, columns)):
+            curves[g] = curve
+    return curves
 
 
 def trade_off_flags(report: FairnessReport, tolerance: float) -> tuple[str, ...]:
@@ -441,6 +488,11 @@ def run_audit(
     entries, so its shares, KDE curves and report are those of its own
     sub-population, bit for bit.
 
+    The KDE curves come last, once every pair's other checks have passed
+    and the metric rows, first-best services and envelope are dropped: one
+    kernel pass per distinct grid serves every pair whose pooled max gains
+    span the same grid (see ``_kde_by_grid``).
+
     Raises:
         InputError: as ``check_audit_options`` does, or if the bandwidth is
             out of range for a pair's max gains: its KDE grid or kernel
@@ -448,29 +500,41 @@ def run_audit(
     """
     check_audit_options(bandwidth, fair_tolerance)
     env, rows, _ = _population_rows(dataset.population(), Allocation._adopt(dataset.observed))
+    delta_u = env.delta_u
     best = _first_best(dataset.utilities)
     positive = env.u_min > 0.0
-    pairs = []
+    measured, members, bounds = [], [], []
     for pair in schema.pairs:
         mask0, mask1 = _pair_masks(dataset, pair)
-        pairs.append(
-            PairAudit(
-                pair=pair,
-                n_0=int(mask0.sum()),
-                n_1=int(mask1.sum()),
-                shares=(
-                    _shares_for_mask(best, dataset.k, mask0, f"{pair.name}:0"),
-                    _shares_for_mask(best, dataset.k, mask1, f"{pair.name}:1"),
-                ),
-                delta_u=_delta_u_for_masks(env.delta_u, mask0, mask1, bandwidth),
-                observed=_observed_for_masks(rows, positive, pair, mask0, mask1, fair_tolerance),
-            )
+        shares = (
+            _shares_for_mask(best, dataset.k, mask0, f"{pair.name}:0"),
+            _shares_for_mask(best, dataset.k, mask1, f"{pair.name}:1"),
         )
+        ends, *summary = _delta_u_for_masks(delta_u, mask0, mask1, bandwidth)
+        observed = _observed_for_masks(rows, positive, pair, mask0, mask1, fair_tolerance)
+        measured.append((pair, int(mask0.sum()), int(mask1.sum()), shares, summary, observed))
+        members += [np.packbits(mask0), np.packbits(mask1)]
+        bounds += [ends, ends]
+    overall_shares = _shares_for_mask(best, dataset.k, np.ones(dataset.n, dtype=bool), "all")
+    # the kernels' buffers reuse this memory
+    del env, rows, best, positive
+    curves = _kde_by_grid(delta_u, members, bounds, bandwidth)
+    pairs = tuple(
+        PairAudit(
+            pair=pair,
+            n_0=n_0,
+            n_1=n_1,
+            shares=shares,
+            delta_u=DeltaUAnalysis(mean_0, mean_1, welch, curves[2 * p], curves[2 * p + 1]),
+            observed=observed,
+        )
+        for p, (pair, n_0, n_1, shares, (mean_0, mean_1, welch), observed) in enumerate(measured)
+    )
     return AuditReport(
         service_names=dataset.service_names,
         n=dataset.n,
-        overall_shares=_shares_for_mask(best, dataset.k, np.ones(dataset.n, dtype=bool), "all"),
-        pairs=tuple(pairs),
+        overall_shares=overall_shares,
+        pairs=pairs,
         bandwidth=bandwidth,
     )
 

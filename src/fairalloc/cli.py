@@ -32,7 +32,7 @@ from .audit import (
     run_audit,
     write_report_bundle,
 )
-from .core import CapacityVector, Population, delta_metrics
+from .core import Allocation, CapacityVector, Population, delta_metrics
 from .errors import FairallocError, InfeasibleError, InputError, SchemaMismatchError
 from .policies import (
     DEFAULT_TIE_BREAK_SCALE,
@@ -156,6 +156,22 @@ def _parse_capacities(text: str) -> list[int]:
     return caps
 
 
+def _refuse_overflowing_gain(ids: list[str], pop: Population, alloc: Allocation) -> None:
+    """Refuse, by name, the first individual whose gain, its realized
+    utility over its lowest one (taken where that is > 0), overflows."""
+    realized = alloc.realized(pop)
+    lowest = np.minimum.reduce(pop.utilities, axis=1)
+    with np.errstate(over="ignore"):
+        gain = np.divide(realized, lowest, out=np.ones_like(realized), where=lowest > 0.0)
+    overflowing = np.flatnonzero(np.isinf(gain))
+    if overflowing.size:
+        i = int(overflowing[0])
+        raise InputError(
+            f"individual {ids[i]!r}: its gain, realized utility {float(realized[i])!r} over "
+            f"lowest utility {float(lowest[i])!r}, overflows"
+        )
+
+
 def cmd_solve(args) -> int:
     ids, pop = load_population_csv(args.population)
     caps = CapacityVector(_parse_capacities(args.capacities))
@@ -170,10 +186,14 @@ def cmd_solve(args) -> int:
     allocation = csv_text([("id", "service"), *zip(ids, alloc.assignment.tolist())])
     total = float(alloc.realized(pop).sum())
     reports = {}
-    for attribute in pop.groups:
-        values = pop.groups[attribute]
-        if 0 in values and 1 in values:
-            reports[attribute] = delta_metrics(pop, alloc, attribute).to_dict()
+    try:
+        for attribute in pop.groups:
+            values = pop.groups[attribute]
+            if 0 in values and 1 in values:
+                reports[attribute] = delta_metrics(pop, alloc, attribute).to_dict()
+    except FloatingPointError:
+        _refuse_overflowing_gain(ids, pop, alloc)
+        raise
     payload = {
         "policy": spec.describe(),
         "seed": args.seed,

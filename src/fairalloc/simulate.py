@@ -223,6 +223,11 @@ class SF2Params:
         if not 0.0 < self.u_low < self.u_high:
             raise InputError("require 0 < u_low < u_high")
         _check_stylized(self, (self.p0, self.p1), "spread_range")
+        # a type-C individual's gain, its u_max over u_low, is below
+        # 1 + spread_range[1] / u_low; Python floats overflow to inf quietly
+        if not math.isfinite(self.spread_range[1] / self.u_low):
+            raise InputError(f"u_low {self.u_low!r} is too small: the gain bound "
+                             "spread_range[1] / u_low overflows")
 
     def sample(self, seed: int) -> Population:
         gen = generator(seed)

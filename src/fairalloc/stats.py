@@ -18,11 +18,18 @@ _KDE_CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class KdeCurve:
-    """A kernel density estimate evaluated on an ascending grid."""
+    """A kernel density estimate evaluated on an ascending grid. The curve
+    holds a read-only view of the grid: curves on one grid share it, so no
+    curve can change another's by writing to its own."""
 
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
+
+    def __post_init__(self):
+        grid = np.asarray(self.grid).view()
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,8 @@ class TTestResult:
 
 
 def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
-    """Gaussian kernel density estimate on ``grid``.
+    """Gaussian kernel density estimate on ``grid``: the one-curve case of
+    ``kde_curves``.
 
     density(x) = (1 / (n h)) * sum_i phi((x - x_i) / h) with phi the standard
     normal density. The sum is exact; it runs over blocks of grid rows in
@@ -64,20 +72,44 @@ def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
             is not a number.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
-    if x.size == 0:
+    return kde_curves(x, bandwidth, grid, [slice(0, x.size)])[0]
+
+
+def kde_curves(samples, bandwidth: float, grid: np.ndarray, curves) -> list[KdeCurve]:
+    """Gaussian kernel density estimates of several curves on one ``grid``,
+    from one kernel pass over ``samples``.
+
+    Each of ``curves`` names the columns of ``samples`` that are its points,
+    in its own order: a unit-step slice for a run of columns, otherwise an
+    array of column indices. Each density is the bytes ``kde`` gives on that
+    curve's points alone: every kernel value is the same operation on the
+    same operands, and each density value sums the same sequence pairwise
+    along one contiguous row, of a view of the kernel block for a slice and
+    otherwise of one reused buffer the curve's columns are gathered into.
+
+    Raises:
+        EmptySampleError: if a curve has no points.
+        InputError: as ``kde`` does.
+    """
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    sizes = [len(range(x.size)[cols]) if isinstance(cols, slice) else len(cols)
+             for cols in curves]
+    if 0 in sizes:
         raise EmptySampleError("empty-sample: KDE needs at least one sample")
     if not np.isfinite(bandwidth) or bandwidth <= 0:
         raise InputError("bandwidth must be positive")
     grid = np.asarray(grid, dtype=np.float64)
-    # Each density value is one contiguous row sum, so a block of grid rows
-    # gives the same bytes as the whole grid x sample matrix at once. Each
-    # block runs exp(-0.5 * (z * z)) in place: scaling by -0.5, a power of
-    # two, commutes with rounding, so this equals exp((-0.5 * z) * z) except
+    # Each density value is one row sum, so a block of grid rows gives the
+    # same bytes as the whole grid x sample matrix at once. Each block runs
+    # exp(-0.5 * (z * z)) in place: scaling by -0.5, a power of two,
+    # commutes with rounding, so this equals exp((-0.5 * z) * z) except
     # where the product underflows or overflows, and there exp gives 1 or 0
     # either way.
     rows = max(1, min(grid.size, _KDE_CHUNK_BYTES // (8 * x.size)))
     buf = np.empty((rows, x.size))
-    sums = np.empty(grid.size)
+    gathered = np.empty(rows * max((n for cols, n in zip(curves, sizes)
+                                    if not isinstance(cols, slice)), default=0))
+    sums = np.empty((len(curves), grid.size))
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for lo in range(0, grid.size, rows):
@@ -88,13 +120,21 @@ def kde(samples, bandwidth: float, grid: np.ndarray) -> KdeCurve:
                 np.square(z, out=z)
                 np.multiply(z, -0.5, out=z)
                 np.exp(z, out=z)
-                np.add.reduce(z, axis=1, out=sums[lo:hi])
+                for c, (cols, n) in enumerate(zip(curves, sizes)):
+                    if isinstance(cols, slice):
+                        part = z[:, cols]
+                    else:
+                        part = gathered[: (hi - lo) * n].reshape(hi - lo, n)
+                        # the indices are valid; "clip" only spares take its checking copy
+                        np.take(z, cols, axis=1, out=part, mode="clip")
+                    np.add.reduce(part, axis=1, out=sums[c, lo:hi])
             # a numpy scalar, so that an overflowing normalizer raises too
-            density = sums / (np.float64(x.size) * bandwidth * _SQRT_2PI)
+            densities = [sums[c] / (np.float64(n) * bandwidth * _SQRT_2PI)
+                         for c, n in enumerate(sizes)]
     except FloatingPointError:
         raise InputError(f"bandwidth {bandwidth!r} is out of range for these samples: "
                          "the kernel density is not finite") from None
-    return KdeCurve(grid=grid, density=density, bandwidth=float(bandwidth))
+    return [KdeCurve(grid=grid, density=d, bandwidth=float(bandwidth)) for d in densities]
 
 
 def welch_t(samples_a, samples_b) -> TTestResult:

@@ -64,6 +64,9 @@ CALLS: dict[str, tuple[str, ...]] = {
     "audit-homeless": ("audit", "--data", "homeless.csv", "--config", "homeless"),
     # 9,000 rows: more than two of the CSV reader's 4,096-row chunks
     "audit-homeless-chunks": ("audit", "--data", "homeless-9000.csv", "--config", "homeless"),
+    # pairs that share KDE grids: complements, a pair nested in another's
+    # group, overlapping groups, one pair under two names, and a pair alone
+    "audit-grids": ("audit", "--data", "homeless.csv", "--config", "grids_schema.json"),
 }
 
 

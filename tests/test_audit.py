@@ -4,8 +4,10 @@ analyses, and observed-assignment trade-off flags."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +487,72 @@ class TestRunAudit:
         argv = ["audit", "--data", str(data), "--config", str(config),
                 "--output-dir", str(tmp_path / "out")]
         assert fairalloc.cli.main(argv) == 0
+
+    def test_one_kernel_pass_per_distinct_grid(self, monkeypatch):
+        import fairalloc.audit as audit_module
+
+        calls = []
+        kde_curves = audit_module.kde_curves
+
+        def recorded(samples, bandwidth, grid, curves):
+            calls.append(((grid[0], grid[-1]), len(samples)))
+            return kde_curves(samples, bandwidth, grid, curves)
+
+        monkeypatch.setattr(audit_module, "kde_curves", recorded)
+        ds = build_synthetic_dataset(n=800, seed=12)
+        report = run_audit(ds, homeless_schema())
+        unions = {}
+        for pair in report.pairs:
+            grid = pair.delta_u.kde_0.grid
+            assert np.shares_memory(pair.delta_u.kde_1.grid, grid)
+            masks = [eval_group_expr(expr, ds.groups) for expr in (pair.pair.group0,
+                                                                   pair.pair.group1)]
+            held = unions.setdefault((grid[0], grid[-1]), np.zeros(ds.n, dtype=bool))
+            held |= masks[0] | masks[1]
+            delta_u = ds.utilities.max(axis=1) - ds.utilities.min(axis=1)
+            for mask, curve in zip(masks, (pair.delta_u.kde_0, pair.delta_u.kde_1)):
+                own = fairalloc.kde(delta_u[mask], 0.2, grid)
+                assert curve.density.tobytes() == own.density.tobytes()
+        assert len(unions) < len(report.pairs)  # some grid serves two pairs
+        assert sorted(calls) == sorted((ends, int(held.sum())) for ends, held in unions.items())
+
+    def test_golden_grids_schema_shares_grids(self):
+        """The golden corpus's "audit-grids" call: its pairs land on two grids
+        that several pairs share, and on one that a pair has alone."""
+        path = Path(__file__).parent / "golden" / "inputs" / "grids_schema.json"
+        schema = AuditSchema.from_dict(json.loads(path.read_text()))
+        report = run_audit(build_synthetic_dataset(), schema)
+        pairs_by_grid = {}
+        for pair in report.pairs:
+            grid = pair.delta_u.kde_0.grid
+            pairs_by_grid.setdefault((grid[0], grid[-1]), []).append(pair.pair.name)
+        assert sorted(map(len, pairs_by_grid.values())) == [1, 3, 4]
+
+    def test_curves_cannot_write_a_shared_grid(self):
+        report = run_audit(build_synthetic_dataset(n=800, seed=12), homeless_schema())
+        curves = [c for p in report.pairs for c in (p.delta_u.kde_0, p.delta_u.kde_1)]
+        shared = [c for c in curves[1:] if np.shares_memory(c.grid, curves[0].grid)]
+        assert shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[-1].grid[0] = 0.0
+
+    @pytest.mark.parametrize("later, error, message", [
+        (GroupPair("later", "children & ~children", "~children"), EmptyGroupError,
+         "empty-group: pair 'later' group 1"),
+        (GroupPair("later", "children", "children"), ValueError,
+         "pair 'later': group expressions overlap"),
+    ])
+    def test_kernel_faults_come_after_every_pairs_other_checks(self, later, error, message):
+        """With a bandwidth whose kernel overflows on every pair, a later
+        pair's own fault is the one reported."""
+        ds = build_synthetic_dataset(n=100, seed=2)
+        first = GroupPair("first", "children", "~children")
+        alone = dataclasses.replace(SMALL_SCHEMA, pairs=(first,))
+        with pytest.raises(ValueError, match="^bandwidth 1e-160 is out of range"):
+            run_audit(ds, alone, bandwidth=1e-160)
+        both = dataclasses.replace(SMALL_SCHEMA, pairs=(first, later))
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            run_audit(ds, both, bandwidth=1e-160)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
     def test_bad_fair_tolerance_rejected(self, tolerance):

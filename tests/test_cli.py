@@ -99,16 +99,24 @@ class TestSolve:
             ) == 0
         assert (out_a / "allocation.csv").read_bytes() == (out_b / "allocation.csv").read_bytes()
 
-    def test_float_overflow_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, capacities", [
+        # both gains overflow; the first individual is named
+        ("a,1e-310,1.0,0\nb,1.0,1e-310,1\n", "1,1"),
+        # only a's gain, its realized 1.0 over its 1e-310, overflows
+        ("a,1e-310,1.0,0\nb,0.5,0.7,1\nc,0.4,0.2,0\nd,0.3,0.9,1\n", "2,2"),
+    ], ids=["two", "one"])
+    def test_float_overflow_exits_2(self, tmp_path, capsys, rows, capacities):
         path = tmp_path / "pop.csv"
-        path.write_text("id,u_1,u_2,g\na,1e-310,1.0,0\nb,1.0,1e-310,1\n")
+        path.write_text("id,u_1,u_2,g\n" + rows)
         assert run_cli(
-            "solve", "--population", str(path), "--capacities", "1,1",
+            "solve", "--population", str(path), "--capacities", capacities,
             "--output-dir", str(tmp_path / "out"),
         ) == 2
-        assert "overflow encountered" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "fairness_report.json").exists()
-        assert not (tmp_path / "out" / "allocation.csv").exists()
+        assert capsys.readouterr().err == (
+            "error: individual 'a': its gain, realized utility 1.0 over lowest utility "
+            "1e-310, overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_capacities_beyond_int64_sum(self, tmp_path):
         # 3 * 2**62 wraps an int64 sum to a negative total
@@ -546,8 +554,8 @@ class TestInternalError:
         if target == "kde":
             data = tmp_path / "data.csv"
             write_synthetic_csv(data, n=200, seed=4)
-            # audit imports kde by name: patch the name it calls
-            monkeypatch.setattr(audit, "kde", broken)
+            # audit imports kde_curves by name: patch the name it calls
+            monkeypatch.setattr(audit, "kde_curves", broken)
             argv = ["audit", "--data", str(data), "--config", "homeless", "--output-dir", out]
         elif target == "solve_transport":
             monkeypatch.setattr(policies, "_solve_transport", broken)
@@ -663,6 +671,16 @@ class TestSimulate:
         assert message in err
         assert "convert to C long" not in err
         assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_sf2_u_low_whose_gain_overflows_names_it(self, tmp_path, capsys):
+        params = load_json(str(Path(__file__).parent / "golden" / "inputs" / "sf2.json"))
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(params, u_low=1e-310)))
+        assert run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "error: u_low 1e-310 is too small: the gain bound spread_range[1] / u_low overflows\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [2**63, 2**64, 10**30])
     def test_seed_past_int64_runs(self, tmp_path, seed):

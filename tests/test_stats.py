@@ -123,6 +123,70 @@ class TestKdeBlocks:
         assert np.array_equal(curve.density, dense_kde_density(samples, 0.3, curve.grid))
 
 
+def random_layout(gen, union):
+    """Curves over the ``union`` columns of a grid's samples, as ``kde_curves``
+    takes them: runs of columns as unit-step slices, and index arrays in
+    ascending, descending or shuffled order. Every layout holds curves of
+    one and two points and one equal to the whole union."""
+    curves = [slice(0, union), np.arange(union)[::-1].copy(), gen.permutation(union)[:1],
+              gen.permutation(union)[:2]]
+    for _ in range(int(gen.integers(2, 7))):
+        size = int(gen.integers(1, union + 1))
+        if gen.random() < 0.4:
+            start = int(gen.integers(0, union - size + 1))
+            curves.append(slice(start, start + size))
+        else:
+            cols = gen.choice(union, size, replace=False)
+            curves.append(np.sort(cols) if gen.random() < 0.5 else cols)
+    order = gen.permutation(len(curves))
+    return [curves[i] for i in order]
+
+
+class TestKdeCurves:
+    """``kde_curves`` evaluates the kernel once for several curves on one
+    grid; each density must be the bytes ``kde`` gives on the curve's own
+    points."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("rows", [1, 3, None])  # rows a block; None: the default budget
+    def test_shared_densities_equal_per_curve_kde(self, monkeypatch, seed, rows):
+        gen = np.random.default_rng(seed)
+        union = int(gen.integers(2, 3000))
+        # few distinct values: repeated max gains, as rounded records give
+        samples = np.round(gen.normal(0.05, 0.02, union), int(gen.integers(2, 5)))
+        grid = padded_grid(samples, 0.02, int(gen.integers(1, 600)))
+        if rows is not None:
+            monkeypatch.setattr(stats, "_KDE_CHUNK_BYTES", 8 * union * rows)
+        curves = random_layout(gen, union)
+        shared = stats.kde_curves(samples, 0.02, grid, curves)
+        assert len(shared) == len(curves)
+        for cols, curve in zip(curves, shared):
+            own = kde(samples[cols], 0.02, grid)
+            assert curve.grid.tobytes() == grid.tobytes()
+            assert curve.density.tobytes() == own.density.tobytes()
+
+    def test_a_curve_with_no_points_is_refused(self):
+        with pytest.raises(EmptySampleError):
+            stats.kde_curves([0.1, 0.2], 0.2, np.zeros(3), [slice(0, 2), slice(1, 1)])
+        with pytest.raises(EmptySampleError):
+            stats.kde_curves([0.1, 0.2], 0.2, np.zeros(3), [np.arange(0)])
+
+    def test_out_of_range_bandwidth_names_it(self):
+        samples = [0.0, 0.5, 0.25]
+        with pytest.raises(ValueError, match=re.escape("bandwidth 1e-160 is out of range")):
+            stats.kde_curves(samples, 1e-160, padded_grid(samples, 1e-160),
+                             [slice(0, 1), np.array([2, 1])])
+
+    def test_curves_hold_the_grid_read_only(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        first, second = stats.kde_curves([0.0, 0.3], 0.2, grid, [slice(0, 1), slice(1, 2)])
+        assert np.shares_memory(first.grid, second.grid)
+        with pytest.raises(ValueError, match="read-only"):
+            first.grid[0] = 5.0
+        # the caller's own array stays writable, and unchanged
+        assert grid.flags.writeable and second.grid[0] == -1.0
+
+
 @settings(max_examples=500, deadline=None)
 @given(z=st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
