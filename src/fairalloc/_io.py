@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -166,13 +166,14 @@ class CsvColumns:
 
 def read_csv(
     path: str, columns: Callable[[list[str]], CsvColumns], delimiter: str = ","
-) -> tuple[Sequence[str], np.ndarray, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[Iterator[str], np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Read a UTF-8 CSV, with or without a byte order mark, whose first line
     is the header; ``columns`` maps the header to the columns to parse. Blank
     lines are skipped; every other row must have one field per header column.
     All row problems are raised together, each with the 1-based physical line
-    its row starts on (the header is line 1). Returns the ids (ordinals "1",
-    "2", ... without an id column) as a read-only sequence, the float matrix
+    its row starts on (the header is line 1). The input is opened and read
+    once, so a pipe reads like a file. Returns an iterator over the ids
+    (ordinals "1", "2", ... without an id column), the float matrix
     (service-major: one contiguous column per float column), the int8 vector
     of each flag column and each row's index into ``labels``.
 
@@ -185,38 +186,31 @@ def read_csv(
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise InputError(f"delimiter must be exactly one character, not {delimiter!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which valid
+    # UTF-8 never yields, and is refused with the line that holds it
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        # one byte order mark is dropped, as the utf-8-sig codec would; a
+        # first line emptied by it was a file holding only the mark
+        lines = iter(fh)
+        first = next(lines, "").removeprefix("\ufeff")
+        rows = chain([first], lines) if first else lines
+        reader = csv.reader(map(_utf8, rows), delimiter=delimiter)
         try:
-            # one byte order mark is dropped, as the utf-8-sig codec would,
-            # without a second read, so a pipe reads like a file; a first
-            # line emptied by it was a file holding only the mark
-            lines = iter(fh)
-            first = next(lines, "").removeprefix("\ufeff")
-            rows = chain([first], lines) if first else lines
-            return _read_rows(csv.reader(rows, delimiter=delimiter), columns)
-        except UnicodeDecodeError:
-            line = f"schema-mismatch(line {_first_bad_utf8_line(path)}): not valid UTF-8"
+            return _read_rows(reader, columns)
+        except UnicodeEncodeError:
+            # the reader counts a line once it has passed ``_utf8``
+            line = f"schema-mismatch(line {reader.line_num + 1}): not valid UTF-8"
             raise DataValidationError([line]) from None
 
 
-def _line_breaks(raw: bytes) -> int:
-    r"""Line ends in ``raw`` as a text file with ``newline=""`` splits lines:
-    ``\n``, ``\r\n`` and a lone ``\r``."""
-    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+def _utf8(line: str) -> str:
+    """``line``, read with ``errors="surrogateescape"``, if it was valid UTF-8.
 
-
-def _first_bad_utf8_line(path: str) -> int:
-    r"""The physical line holding the first byte that is not valid UTF-8. A
-    multi-byte character never holds a ``\n`` byte, so each ``\n``-ended
-    piece of the file decodes on its own."""
-    line = 1
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return line + _line_breaks(raw[: exc.start])
-            line += _line_breaks(raw)
+    Raises:
+        UnicodeEncodeError: if it holds a lone surrogate.
+    """
+    if not line.isascii():
+        line.encode("utf-8")
     return line
 
 
@@ -227,44 +221,6 @@ _FLAG_VALUES = {"0": 0, "1": 1}
 # an id's int64 key for the repeat search; ids of equal keys are compared
 # as text, so keys of different ids may collide
 _id_hash = hash
-
-
-class _Ids(Sequence[str]):
-    """The ids of a CSV's rows, read-only. Each chunk of rows holds its ids
-    as one text and the offsets that cut it, so no row keeps a ``str`` of
-    its own; without an id column, the ids are the ordinals "1", "2", ..."""
-
-    def __init__(self, n: int, texts: list[str], offsets: list[array]):
-        self._n = n
-        self._texts = texts
-        # a chunk's ids end at offsets[1:], the first starts at 0; every
-        # chunk but the last holds as many rows as the first
-        self._offsets = offsets
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> str:
-        if not -self._n <= i < self._n:
-            raise IndexError("id index out of range")
-        i %= self._n
-        if not self._texts:
-            return str(i + 1)
-        c, j = divmod(i, len(self._offsets[0]) - 1)
-        start, end = self._offsets[c][j : j + 2].tolist()
-        return self._texts[c][start:end]
-
-    def __iter__(self):
-        if not self._texts:
-            return map(str, range(1, self._n + 1))
-        return chain.from_iterable(map(_cut, self._texts, self._offsets))
-
-
-def _cut(text: str, offsets: array):
-    """The pieces of ``text`` that end at ``offsets[1:]``, the first starting
-    at ``offsets[0]``."""
-    cuts = offsets.tolist()
-    return map(text.__getitem__, map(slice, cuts, cuts[1:]))
 
 
 def _to_float(text: str) -> float:
@@ -307,11 +263,12 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
     label_order = len(float_at)
     id_order = label_order + 1 + len(flag_at)
     errors: list[tuple[int, int, str]] = []  # (line, place in its row, message)
-    # a chunk's ids are kept as one text and its cuts (``_Ids``), and as
-    # int64 keys beside each row's line; repeats are sought after the last
-    # chunk, among the rows whose keys another row shares
+    # a chunk's ids are kept as one text, cut at offsets counted over the
+    # whole file, and as int64 keys beside each row's line; repeats are
+    # sought after the last chunk, among the rows whose keys another row
+    # shares
     id_texts: list[str] = []
-    id_offsets: list[array] = []
+    id_cuts = array("q", [0])
     id_keys = array("q")
     id_lines = array("q")
     floats: list[np.ndarray] = []  # per chunk, one row per float column
@@ -362,7 +319,8 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
             return
         col = fields[id_at]
         id_texts.append("".join(col))
-        id_offsets.append(array("q", accumulate(map(len, col), initial=0)))
+        # this chunk's cuts go on from the last one, which ``initial`` re-adds
+        id_cuts.extend(accumulate(map(len, col), initial=id_cuts.pop()))
         id_keys.extend(map(_id_hash, col))
         id_lines.extend(lines)
 
@@ -389,26 +347,32 @@ def _read_rows(reader, columns: Callable[[list[str]], CsvColumns]):
         raise _csv_error(start, exc) from None
     if rows:
         check(rows, lines)
-    ids = _Ids(sum(block.shape[1] for block in floats), id_texts, id_offsets)
+    id_text = "".join(id_texts)
+
+    def id_of(row: int) -> str:
+        return id_text[id_cuts[row] : id_cuts[row + 1]]
+
     if id_keys:
-        for row, first in _repeats(ids, np.frombuffer(id_keys, np.int64)):
+        for row, first in _repeats(np.frombuffer(id_keys, np.int64), id_of):
             line = id_lines[row]
-            errors.append((line, id_order, f"duplicate-id(line {line}): {ids[row]!r} "
+            errors.append((line, id_order, f"duplicate-id(line {line}): {id_of(row)!r} "
                                            f"already on line {id_lines[first]}"))
     if errors:
         raise DataValidationError([message for _, _, message in sorted(errors)])
     if not floats:
         raise DataValidationError(["schema-mismatch(line 2): no data rows"])
+    # the (float column, row) blocks side by side, transposed: service-major
+    matrix = np.concatenate(floats, axis=1).T
     return (
-        ids,
-        # the (float column, row) blocks side by side, transposed: service-major
-        np.concatenate(floats, axis=1).T,
+        map(id_of, range(len(matrix))) if id_at is not None
+        else map(str, range(1, len(matrix) + 1)),
+        matrix,
         {c: np.concatenate(parts) for c, parts in flags.items()},
         np.concatenate(labels) if labels else np.empty(0, np.int64),
     )
 
 
-def _repeats(ids: Sequence[str], keys: np.ndarray) -> list[tuple[int, int]]:
+def _repeats(keys: np.ndarray, id_of: Callable[[int], str]) -> list[tuple[int, int]]:
     """(row, first row of its id) for every row whose id an earlier row
     holds, given each id's ``_id_hash`` key. Only the rows whose key another
     row shares are compared as text, in row order."""
@@ -419,7 +383,7 @@ def _repeats(ids: Sequence[str], keys: np.ndarray) -> list[tuple[int, int]]:
     first: dict[str, int] = {}
     repeats = []
     for row in np.flatnonzero(np.isin(keys, repeated)).tolist():
-        at = first.setdefault(ids[row], row)
+        at = first.setdefault(id_of(row), row)
         if at != row:
             repeats.append((row, at))
     return repeats

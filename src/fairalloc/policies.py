@@ -24,6 +24,7 @@ call, so importing or running the package does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -797,20 +798,20 @@ def allocate_mixture(
     idx_a = np.sort(perm[:n_a])
     idx_b = np.sort(perm[n_a:])
 
-    caps_a = np.floor(lam * caps.capacities + 1e-9).astype(np.int64)
-    caps_b = caps.capacities - caps_a
-    while caps_a.sum() < n_a:
-        borrowed = False
+    # Python ints, so no sum wraps; floor(lam * c) in float64 can round
+    # above a capacity near 2**63
+    caps_a = [min(c, math.floor(lam * c + 1e-9)) for c in caps.capacities.tolist()]
+    caps_b = [c - a for c, a in zip(caps.capacities.tolist(), caps_a)]
+    # the first part's size is at most N, and _check_instance has made the
+    # total capacity at least N: each pass borrows a unit until it fits
+    while sum(caps_a) < n_a:
         for kk in range(k):
-            if caps_a.sum() >= n_a:
+            if sum(caps_a) >= n_a:
                 break
             if caps_b[kk] > 0:
                 caps_a[kk] += 1
                 caps_b[kk] -= 1
-                borrowed = True
-        if not borrowed:
-            raise InfeasibleError("infeasible: split repair exhausted capacity")
-    if caps_b.sum() < n - n_a:
+    if sum(caps_b) < n - n_a:
         raise InfeasibleError("infeasible after split repair")
 
     assignment = np.zeros(n, dtype=np.int64)

@@ -262,6 +262,34 @@ class TestSolve:
         assert not (tmp_path / "out").exists()
 
 
+class TestWriteTextAtomic:
+    def test_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        taken = tmp_path / f".out.txt.{'00' * 6}.tmp"
+        taken.write_text("someone else's")
+        # the first name drawn is taken; the second is free
+        draws = iter([b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        _io.write_text_atomic(target, "new\n")
+        assert next(draws, None) is None
+        assert target.read_text() == "new\n"
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            _io.write_text_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 class TestPopulationCsvValidation:
     @pytest.mark.parametrize("rows, message", [
         ("b,0.5,1\n", "schema-mismatch(line 3): expected 4 fields"),
@@ -681,6 +709,27 @@ class TestSimulate:
             "error: u_low 1e-310 is too small: the gain bound spread_range[1] / u_low overflows\n"
         )
         assert not (tmp_path / "o").exists()
+
+    # the 2**63 - 1 case at lambda 0.5 comes last: before the split was
+    # taken in Python ints, it borrowed one unit at a time for 2**62 passes
+    @pytest.mark.parametrize("cap, lam", [
+        (2**62, 0.0), (2**62, 0.5), (2**62, 1.0), (2**63 - 1, 0.0), (2**63 - 1, 1.0),
+        (2**63 - 1, 0.5),
+    ], ids=["2to62-0", "2to62-0.5", "2to62-1", "2to63-1-0", "2to63-1-1", "2to63-1-0.5"])
+    def test_mixture_capacities_past_int64_sum(self, tmp_path, capsys, cap, lam):
+        # three capacities of 2**62 sum past int64, and lambda * (2**63 - 1)
+        # rounds up to 2**63 in float64; capacity to spare gives each part
+        # the allocation it gets from capacities of 54, the population
+        params = load_json(str(Path(__file__).parent / "golden" / "inputs" / "mixture.json"))
+        policy = dict(params["policy"], children=[{"kind": "utilitarian"}] * 2,
+                      **{"lambda": lam})
+        for c, out in [(cap, "o"), (54, "ref")]:
+            path = tmp_path / f"{out}.json"
+            path.write_text(json.dumps(dict(params, capacities=[c] * 3, policy=policy)))
+            code = run_cli("simulate", "--params", str(path), "--output-dir", str(tmp_path / out))
+            assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "o" / "metrics.csv").read_bytes() == (
+            tmp_path / "ref" / "metrics.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", [2**63, 2**64, 10**30])
     def test_seed_past_int64_runs(self, tmp_path, seed):

@@ -217,16 +217,13 @@ def test_colliding_id_keys_are_compared_as_text(chunk_rows, ids):
         ]
 
 
-def test_ids_read_back_as_a_sequence():
+def test_ids_read_back_in_row_order():
+    # the cuts of every chunk but the first continue from the last one's end
     ids = [f"r{i}" for i in range(10)] + ["", "é", "a\nb"]
     with mock.patch.object(_io, "_CHUNK_ROWS", 4):
         got = _io._read_rows(csv.reader(io.StringIO(id_csv(
             [f'"{i}"' for i in ids]), newline="")), lambda header: ID_COLUMNS)[0]
-    assert len(got) == len(ids) and list(got) == ids
-    assert [got[i] for i in range(-len(ids), len(ids))] == ids + ids
-    for i in (len(ids), -len(ids) - 1):
-        with pytest.raises(IndexError):
-            got[i]
+    assert list(got) == ids
 
 
 class TestPhysicalLines:
@@ -308,6 +305,15 @@ class TestEncoding:
         assert code == 2
         assert f"schema-mismatch(line {line}): not valid UTF-8" in stderr
 
+    @pytest.mark.parametrize("rows", [0, 3000], ids=["near", "far"])
+    def test_header_fault_comes_before_a_later_bad_byte(self, tmp_path, rows):
+        # the header is read and checked before the lines after it, however
+        # near the bad byte lies
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"id,u_0,u_1\n" + b"a,1,0\n" * rows + b"b,\xff,1\n")
+        with pytest.raises(SchemaMismatchError, match="found u_0, u_1"):
+            load_population_csv(str(path))
+
     def test_bad_utf8_in_an_audit_csv(self, tmp_path):
         path = tmp_path / "audit.csv"
         path.write_bytes(self.AUDIT.encode().replace(b"h2", b"h\x802"))
@@ -378,18 +384,54 @@ def test_byte_order_mark_reads_as_utf8_sig(tmp_path, data):
     assert_same_outcome(file_outcome(path, bom_columns), decoded_outcome(data, bom_columns))
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-@pytest.mark.parametrize("data", [ROWS, BOM + ROWS, BOM + BOM + ROWS],
-                         ids=["plain", "bom", "two-boms"])
-def test_pipe_reads_as_a_file(tmp_path, data):
-    # a pipe cannot be read twice; its mark is dropped from the first line
+def through_fifo(tmp_path, data, read):
+    """``read(path)`` of a named pipe that a thread writes ``data`` to, or
+    None if it gives no answer within 10 s."""
     fifo = tmp_path / "data.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
-    got = file_outcome(fifo, bom_columns)
-    writer.join(timeout=30)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(read(str(fifo))), daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    if reader.is_alive():
+        # a reader that opens the pipe a second time waits for a writer:
+        # one that writes nothing lets it finish
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+        return None
+    writer.join(timeout=10)
+    assert not writer.is_alive() and got
+    return got[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("data", BOM_CASES.values(), ids=BOM_CASES.keys())
+def test_pipe_reads_as_a_file(tmp_path, data):
+    # a pipe cannot be read twice; its mark is dropped from the first line,
+    # and a bad byte is refused on its own line
+    got = through_fifo(tmp_path, data, lambda path: file_outcome(path, bom_columns))
+    assert got is not None, "no answer within 10 s"
     assert_same_outcome(got, decoded_outcome(data, bom_columns))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_bad_utf8_through_a_pipe_solves_as_a_file(tmp_path, capsys):
+    data = ROWS + b"c,0.5,\xff,1\n"
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+
+    def solve(population):
+        return main(["solve", "--population", population, "--capacities", "2,2",
+                     "--output-dir", str(tmp_path / "out")])
+
+    assert solve(str(path)) == 2
+    from_file = capsys.readouterr().err
+    assert through_fifo(tmp_path, data, solve) == 2
+    assert capsys.readouterr().err == from_file == (
+        "error: 1 invalid row(s): schema-mismatch(line 4): not valid UTF-8\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -397,13 +439,9 @@ def test_repeated_id_through_a_pipe_reads_as_in_a_file(tmp_path):
     # the repeats are found after the last chunk, from what the chunks kept:
     # a pipe, read once, names the same lines as a file
     data = ROWS + FAR + b"b,0.5,0.5,0\nr7,0.5,0.5,1\n"
-    path, fifo = tmp_path / "data.csv", tmp_path / "data.fifo"
+    path = tmp_path / "data.csv"
     path.write_bytes(data)
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-    writer.start()
-    got = file_outcome(fifo, bom_columns)
-    writer.join(timeout=30)
+    got = through_fifo(tmp_path, data, lambda fifo: file_outcome(fifo, bom_columns))
     assert got == file_outcome(path, bom_columns) == [
         "duplicate-id(line 2004): 'b' already on line 3",
         "duplicate-id(line 2005): 'r7' already on line 11",

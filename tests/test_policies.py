@@ -979,6 +979,25 @@ class TestMixture:
         se = np.hypot(direct.std(ddof=1), mixed.std(ddof=1)) / np.sqrt(len(direct))
         assert abs(direct.mean() - mixed.mean()) < 1.96 * se + 1e-12
 
+    @pytest.mark.parametrize("cap", [2**62, 2**63 - 1], ids=["2to62", "2to63-1"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_capacities_past_int64_sum(self, cap, lam):
+        # the split is taken in exact integers: three capacities of 2**62 sum
+        # past int64, and lam * (2**63 - 1) rounds up to 2**63 in float64
+        pop = Population(np.random.default_rng(12).random((6, 3)))
+        parts = []
+
+        def child(p, c, s):
+            parts.append(c.capacities.tolist())
+            return allocate_utilitarian(p, c)
+
+        alloc = allocate_mixture(pop, CapacityVector([cap] * 3), lam, child, child, 3)
+        assert alloc.assignment.tolist() == allocate_best(pop).assignment.tolist()
+        if lam == 0.5:
+            assert [a + b for a, b in zip(*parts)] == [cap] * 3
+        else:
+            assert parts == [[cap] * 3]
+
     def test_infeasible_total(self):
         pop = Population(np.zeros((4, 2)))
         child = lambda p, c, s: allocate_random(p, c, s)
